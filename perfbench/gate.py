@@ -252,13 +252,12 @@ def check_command(command, out: Path, rc, seed: int, golden: dict | None = None)
             _check_stability(out, problems)
         else:
             _check_converge(out, problems)
+        for name, want in (golden or {}).items():
+            if name.endswith(".csv"):
+                if digest(out / name) != want:
+                    problems.append(f"{name}: differs from the golden digest")
+            else:
+                compare_json(json.loads((out / name).read_text()), want, name, problems)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         problems.append(f"{command.command}: malformed output ({type(exc).__name__}: {exc})")
-    digests = {n: digest(out / n) for n in names}
-    for name, want in (golden or {}).items():
-        if name.endswith(".csv"):
-            if digests[name] != want:
-                problems.append(f"{name}: differs from the golden digest")
-        else:
-            compare_json(json.loads((out / name).read_text()), want, name, problems)
-    return problems, digests
+    return problems, {n: digest(out / n) for n in names}
