@@ -54,12 +54,13 @@ from .sources import (
     JumpEvent,
     JumpSizeDist,
     OUParams,
+    PathInputs,
     SeedSpec,
-    derive_stream_seed,
     sample_compound_poisson,
     sample_compound_poisson_arrays,
     sample_ou_path,
     sample_ou_paths,
+    sample_path_inputs,
     sample_wiener_increments,
 )
 

@@ -1,7 +1,7 @@
-"""Hot numeric kernels, numba-accelerated when available.
+"""Hot numeric kernels.
 
-Set ``SKOROKHOD_SDE_NO_NUMBA=1`` to force the pure-numpy/python fallbacks
-(used by ``benchmarks/bench_kernels.py`` to compare both paths).
+The Hölder pair maximum is numba-compiled when numba is available.  Set
+``SKOROKHOD_SDE_NO_NUMBA=1`` to force its numpy fallback.
 """
 from __future__ import annotations
 
@@ -13,44 +13,6 @@ import numpy as np
 def _want_numba() -> bool:
     flag = os.environ.get("SKOROKHOD_SDE_NO_NUMBA", "0").strip().lower()
     return flag not in {"1", "true", "yes"}
-
-
-# ---------------------------------------------------------------------------
-# pure fallbacks
-
-
-def _reflect_scan_py(w, lo):
-    # Sequential scan: maintains the running minimum of w and emits the
-    # reflected point and local-time value one sample at a time.
-    n = w.shape[0]
-    xi = np.empty(n)
-    phi = np.empty(n)
-    running_min = w[0]
-    for k in range(n):
-        if w[k] < running_min:
-            running_min = w[k]
-        push = lo - running_min
-        if push < 0.0:
-            push = 0.0
-        phi[k] = push
-        xi[k] = w[k] + push
-    return xi, phi
-
-
-def _minimal_push_scan_py(w, lo):
-    # Independent greedy construction of the minimal nondecreasing push:
-    # phi_k is the smallest value >= phi_{k-1} with w_k + phi_k >= lo.
-    n = w.shape[0]
-    phi = np.empty(n)
-    prev = 0.0
-    for k in range(n):
-        need = lo - w[k]
-        cur = prev if prev > need else need
-        if cur < 0.0:
-            cur = 0.0
-        phi[k] = cur
-        prev = cur
-    return phi
 
 
 def _holder_max_numba_src(values, times, alpha):
@@ -93,10 +55,6 @@ if NUMBA_ENABLED:
         NUMBA_ENABLED = False
 
 if NUMBA_ENABLED:
-    reflect_scan_1d = njit(cache=True)(_reflect_scan_py)
-    minimal_push_scan = njit(cache=True)(_minimal_push_scan_py)
     holder_pair_max = njit(cache=True)(_holder_max_numba_src)
 else:
-    reflect_scan_1d = _reflect_scan_py
-    minimal_push_scan = _minimal_push_scan_py
     holder_pair_max = _holder_max_np

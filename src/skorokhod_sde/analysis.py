@@ -12,17 +12,11 @@ from . import _kernels
 from .engine import (
     ReflectedJumpSDE,
     SimulationGrid,
-    _jump_sums_from_events,
     build_dyadic_partition,
     integrate_batch,
     simulate_paths,
 )
-from .sources import (
-    SeedSpec,
-    sample_compound_poisson,
-    sample_ou_path,
-    sample_wiener_increments,
-)
+from .sources import sample_path_inputs
 
 __all__ = [
     "SeminormReport",
@@ -170,39 +164,6 @@ class ConvergenceReport:
     n_paths: int
 
 
-def _fine_inputs(model, fine_grid, master_seed, stream_indices):
-    """Per-path driving noise generated once on the finest grid."""
-    m, d = len(stream_indices), model.dimension
-    n_fine = fine_grid.n_steps
-    dW = np.empty((n_fine, m, d))
-    u = np.zeros((n_fine + 1, m))
-    events_per_path = []
-    for j, idx in enumerate(stream_indices):
-        for c in range(d):
-            dW[:, j, c] = sample_wiener_increments(
-                SeedSpec(master_seed, idx, model.wiener_component(c)), fine_grid
-            )
-        events = []
-        if model.jump_specs is not None:
-            for c, spec in enumerate(model.jump_specs):
-                events.extend(
-                    sample_compound_poisson(
-                        SeedSpec(master_seed, idx, model.jump_component(c)),
-                        spec,
-                        fine_grid.horizon,
-                        component=c,
-                    )
-                )
-        events_per_path.append(events)
-        if model.input_current is not None:
-            u[:, j] = sample_ou_path(
-                SeedSpec(master_seed, idx, model.input_component),
-                model.input_current,
-                fine_grid,
-            )
-    return dW, u, events_per_path
-
-
 def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
                                   master_seed: int, horizon: float,
                                   reference_offset: int = 3):
@@ -215,10 +176,7 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     levels = sorted(int(n) for n in levels)
     ref_level = levels[-1] + reference_offset
     fine_grid = build_dyadic_partition(ref_level, horizon)
-    streams = list(range(n_paths))
-    dW_fine, u_fine, events_per_path = _fine_inputs(
-        model, fine_grid, master_seed, streams
-    )
+    inputs = sample_path_inputs(model, fine_grid, master_seed, range(n_paths))
     m, d = n_paths, model.dimension
     x0s = np.tile(model.x0, (m, 1))
 
@@ -226,14 +184,9 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
         grid = build_dyadic_partition(level, horizon)
         stride = 2 ** (ref_level - level)
         n_steps = grid.n_steps
-        dW = dW_fine.reshape(n_steps, stride, m, d).sum(axis=1)
-        u = u_fine[::stride][:-1]
-        if model.jump_specs is not None:
-            sums = np.zeros((n_steps, m, d))
-            for j, events in enumerate(events_per_path):
-                sums[:, j, :] = _jump_sums_from_events(events, None, grid.times, d)
-        else:
-            sums = None
+        dW = inputs.dW.reshape(n_steps, stride, m, d).sum(axis=1)
+        u = inputs.u[::stride][:-1]
+        sums = inputs.jump_sums(grid.times) if model.jump_specs is not None else None
         states, _, _ = integrate_batch(model, grid.times, dW, sums, u, x0s)
         return states[-1]
 

@@ -19,7 +19,13 @@ from .analysis import (
     stability_experiment,
     strong_convergence_experiment,
 )
-from .config import ConfigDocument, ConfigError, emit_config, parse_config
+from .config import (
+    ConfigDocument,
+    ConfigError,
+    emit_config,
+    invariant_issues,
+    parse_config,
+)
 from .engine import (
     SimulationAbort,
     TrajectoryBundle,
@@ -121,6 +127,9 @@ def _load_config(args) -> ConfigDocument:
         overrides["out_dir"] = args.out
     if overrides:
         doc = dataclasses.replace(doc, **overrides)
+        issues = invariant_issues(doc)
+        if issues:
+            raise ConfigError(issues)
     return doc
 
 

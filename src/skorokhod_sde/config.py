@@ -25,6 +25,7 @@ __all__ = [
     "ConfigIssue",
     "parse_config",
     "emit_config",
+    "invariant_issues",
 ]
 
 E_SYNTAX = "E_SYNTAX"
@@ -37,6 +38,7 @@ E_CONTRADICTION = "E_CONTRADICTION"
 JUMP_TIMINGS = ("end_of_step", "exact")
 EXPERIMENT_KINDS = ("none", "stability", "converge")
 JUMP_DISTS = ("constant", "exponential", "uniform")
+MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,16 @@ def parse_config(text: str) -> ConfigDocument:
         experiment=experiment,
     )
 
-    # cross-field invariants
+    issues.extend(invariant_issues(doc, line_of))
+    if issues:
+        raise ConfigError(sorted(issues, key=lambda i: i.line))
+    return doc
+
+
+def invariant_issues(doc: ConfigDocument, line_of=lambda section, key: 0):
+    """Cross-field invariants of a document; ``line_of(section, key)`` gives
+    the line a key was set on (0 when it did not come from a line)."""
+    issues = []
     if doc.jump_intensity < 0:
         issues.append(ConfigIssue(E_INVARIANT, line_of("jumps", "intensity"),
                                   "jump intensity must be >= 0"))
@@ -336,13 +347,10 @@ def parse_config(text: str) -> ConfigDocument:
     if doc.retain < 0:
         issues.append(ConfigIssue(E_INVARIANT, line_of("outputs", "retain"),
                                   "retain must be >= 0"))
-    if doc.seed < 0:
+    if not 0 <= doc.seed <= MAX_SEED:
         issues.append(ConfigIssue(E_INVARIANT, line_of("engine", "seed"),
-                                  "seed must be nonnegative"))
-
-    if issues:
-        raise ConfigError(sorted(issues, key=lambda i: i.line))
-    return doc
+                                  f"seed must lie in 0..{MAX_SEED}"))
+    return issues
 
 
 def emit_config(doc: ConfigDocument) -> str:

@@ -18,10 +18,10 @@ from .sources import (
     CompoundPoissonSpec,
     JumpEvent,
     OUParams,
+    PathInputs,
     SeedSpec,
-    sample_compound_poisson,
-    sample_ou_path,
-    sample_wiener_increments,
+    _cells,
+    sample_path_inputs,
 )
 
 __all__ = [
@@ -175,12 +175,11 @@ class TrajectoryBundle:
 
     def cumulative_jump_counts(self) -> np.ndarray:
         """Applied-jump counts per coordinate at each grid point."""
-        d = self.states.shape[1]
-        counts = np.zeros((self.grid.times.size, d), dtype=int)
-        for ev in self.jumps:
-            k = _containing_step(self.grid.times, ev.time)
-            counts[k + 1 :, ev.component] += 1
-        return counts
+        counts = np.zeros(self.states.shape, dtype=int)
+        k = _cells(self.grid.times, [ev.time for ev in self.jumps])
+        coords = np.array([ev.component for ev in self.jumps], dtype=int)
+        np.add.at(counts, (k + 1, coords), 1)
+        return np.cumsum(counts, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,19 +189,6 @@ class EnsembleResult:
     mean: np.ndarray       # (n_points, d)
     variance: np.ndarray   # unbiased, (n_points, d)
     bundles: tuple[TrajectoryBundle, ...] = ()
-
-
-def _containing_step(times: np.ndarray, t: float) -> int:
-    """Index k of the cell (t_k, t_{k+1}] containing t (t=0 goes to cell 0)."""
-    k = int(np.searchsorted(times, t, side="left")) - 1
-    return min(max(k, 0), times.size - 2)
-
-
-def _jump_sums_from_events(events, sizes_scale, times: np.ndarray, d: int):
-    sums = np.zeros((times.size - 1, d))
-    for ev in events:
-        sums[_containing_step(times, ev.time), ev.component] += ev.size
-    return sums
 
 
 def _proposal(model, state, u, dW, jump_sum, dt, step_index):
@@ -245,41 +231,6 @@ def euler_step(model, state, dW, dt, jumps=None, u=None, step_index=0):
     return reflect_box(prop, model.domain)
 
 
-def _path_inputs(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
-                 stream_index: int):
-    """All random inputs of one trajectory: Wiener increments per coordinate,
-    jump events + per-step sums, and the input-current values per step."""
-    d = model.dimension
-    n_steps = grid.n_steps
-    dW = np.empty((n_steps, d))
-    for c in range(d):
-        dW[:, c] = sample_wiener_increments(
-            SeedSpec(master_seed, stream_index, model.wiener_component(c)), grid
-        )
-    events: list[JumpEvent] = []
-    if model.jump_specs is not None:
-        for c, spec in enumerate(model.jump_specs):
-            events.extend(
-                sample_compound_poisson(
-                    SeedSpec(master_seed, stream_index, model.jump_component(c)),
-                    spec,
-                    grid.horizon,
-                    component=c,
-                )
-            )
-    jump_sums = _jump_sums_from_events(events, None, grid.times, d)
-    if model.input_current is not None:
-        v = sample_ou_path(
-            SeedSpec(master_seed, stream_index, model.input_component),
-            model.input_current,
-            grid,
-        )
-        u = v[:-1]  # value at the left endpoint of each cell
-    else:
-        u = np.zeros(n_steps)
-    return dW, tuple(events), jump_sums, u
-
-
 def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
                     jump_sums, u: np.ndarray, x0s: np.ndarray):
     """Step a batch of paths through the grid.
@@ -313,74 +264,37 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
                    master_seed: int, stream_indices: Sequence[int]):
     """Simulate the given trajectory streams; returns (states, phi_lower,
-    phi_upper, events_per_path) with array shapes (n_points, m, d)."""
-    stream_indices = list(stream_indices)
-    m, d = len(stream_indices), model.dimension
-    n_steps = grid.n_steps
-    dW = np.empty((n_steps, m, d))
-    jump_sums = np.zeros((n_steps, m, d)) if model.jump_specs is not None else None
-    u = np.zeros((n_steps, m))
-    events_per_path = []
-    for j, idx in enumerate(stream_indices):
-        dW_j, events, sums_j, u_j = _path_inputs(model, grid, master_seed, idx)
-        dW[:, j, :] = dW_j
-        if jump_sums is not None:
-            jump_sums[:, j, :] = sums_j
-        u[:, j] = u_j
-        events_per_path.append(events)
-    x0s = np.tile(model.x0, (m, 1))
+    phi_upper, inputs) with array shapes (n_points, m, d).  ``inputs`` is the
+    :class:`PathInputs` drawn for them; ``inputs[j]`` is path j's jump log."""
+    inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
+    jump_sums = inputs.jump_sums(grid.times) if model.jump_specs is not None else None
+    x0s = np.tile(model.x0, (len(inputs), 1))
     states, phi_lower, phi_upper = integrate_batch(
-        model, grid.times, dW, jump_sums, u, x0s
+        model, grid.times, inputs.dW, jump_sums, inputs.u[:-1], x0s
     )
-    return states, phi_lower, phi_upper, events_per_path
+    return states, phi_lower, phi_upper, inputs
 
 
-def _bundle_from_arrays(model, grid, states, phi_lower, phi_upper, events,
-                        master_seed, stream_index):
-    return TrajectoryBundle(
-        grid=grid,
-        states=states,
-        phi=phi_lower - phi_upper,
-        phi_lower=phi_lower,
-        phi_upper=phi_upper,
-        jumps=tuple(events),
-        master_seed=master_seed,
-        stream_index=stream_index,
-    )
-
-
-def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
-                        master_seed: int, stream_index: int = 0,
-                        jump_timing: str = "end_of_step") -> TrajectoryBundle:
-    """Full trajectory on the grid, deterministic in the seed triple."""
-    if jump_timing == "exact":
-        return _simulate_trajectory_exact(model, grid, master_seed, stream_index)
-    if jump_timing != "end_of_step":
-        raise ValueError(f"unknown jump_timing {jump_timing!r}")
-    states, phi_lower, phi_upper, events_per_path = simulate_paths(
-        model, grid, master_seed, [stream_index]
-    )
-    return _bundle_from_arrays(
-        model, grid, states[:, 0, :], phi_lower[:, 0, :], phi_upper[:, 0, :],
-        events_per_path[0], master_seed, stream_index,
-    )
-
-
-def _simulate_trajectory_exact(model, grid, master_seed, stream_index):
-    """Variant that splits steps at jump times (for convergence studies).
+def _simulate_path_exact(model: ReflectedJumpSDE, grid: SimulationGrid,
+                         master_seed: int, stream_index: int):
+    """Variant of :func:`simulate_paths` for one path that splits steps at
+    jump times.
 
     Within a jump step the Brownian increment is partitioned by conditional
     Brownian-bridge draws from a dedicated stream; coefficients stay frozen at
     the step's left-endpoint state and reflection is applied after every
     sub-interval.
     """
-    dW, events, _, u = _path_inputs(model, grid, master_seed, stream_index)
+    inputs = sample_path_inputs(model, grid, master_seed, [stream_index])
     bridge_rng = SeedSpec(master_seed, stream_index, model.bridge_component).rng()
     times = grid.times
-    d = model.dimension
+    dW, u = inputs.dW[:, 0], inputs.u[:, 0]
+    # stable in time, so simultaneous jumps keep coordinate order
+    events = sorted(inputs[0], key=lambda e: e.time)
     events_by_step: dict[int, list[JumpEvent]] = {}
-    for ev in events:
-        events_by_step.setdefault(_containing_step(times, ev.time), []).append(ev)
+    for k, ev in zip(_cells(times, [e.time for e in events]).tolist(), events):
+        events_by_step.setdefault(k, []).append(ev)
+    d = model.dimension
     states = np.empty((times.size, d))
     phi_lower = np.zeros((times.size, d))
     phi_upper = np.zeros((times.size, d))
@@ -390,7 +304,6 @@ def _simulate_trajectory_exact(model, grid, master_seed, stream_index):
     acc_hi = np.zeros(d)
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
-        step_events = sorted(events_by_step.get(k, []), key=lambda e: e.time)
         frozen = x.copy()
         f = model.drift(frozen[None, :], u[k : k + 1])[0]
         g = model.diffusion(frozen[None, :])[0]
@@ -403,7 +316,7 @@ def _simulate_trajectory_exact(model, grid, master_seed, stream_index):
             raise SimulationAbort(k, "coefficients")
         s = t0
         remaining = dW[k].copy()
-        for ev in step_events:
+        for ev in events_by_step.get(k, ()):
             sub = max(ev.time, s) - s
             total = t1 - s
             if total > 0 and sub > 0:
@@ -428,9 +341,42 @@ def _simulate_trajectory_exact(model, grid, master_seed, stream_index):
         states[k + 1] = x
         phi_lower[k + 1] = acc_lo
         phi_upper[k + 1] = acc_hi
-    return _bundle_from_arrays(
-        model, grid, states, phi_lower, phi_upper, events, master_seed, stream_index
+    return states[:, None], phi_lower[:, None], phi_upper[:, None], inputs
+
+
+def _simulate(model, grid, master_seed, stream_indices, jump_timing):
+    if jump_timing == "exact":
+        (stream_index,) = stream_indices
+        return _simulate_path_exact(model, grid, master_seed, stream_index)
+    if jump_timing != "end_of_step":
+        raise ValueError(f"unknown jump_timing {jump_timing!r}")
+    return simulate_paths(model, grid, master_seed, stream_indices)
+
+
+def _bundle(grid, states, phi_lower, phi_upper, inputs: PathInputs, j,
+            master_seed, stream_index):
+    lower, upper = phi_lower[:, j, :], phi_upper[:, j, :]
+    return TrajectoryBundle(
+        grid=grid,
+        states=states[:, j, :],
+        phi=lower - upper,
+        phi_lower=lower,
+        phi_upper=upper,
+        jumps=inputs[j],
+        master_seed=master_seed,
+        stream_index=stream_index,
     )
+
+
+def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
+                        master_seed: int, stream_index: int = 0,
+                        jump_timing: str = "end_of_step") -> TrajectoryBundle:
+    """Full trajectory on the grid, deterministic in the seed triple."""
+    states, phi_lower, phi_upper, inputs = _simulate(
+        model, grid, master_seed, [stream_index], jump_timing
+    )
+    return _bundle(grid, states, phi_lower, phi_upper, inputs, 0,
+                   master_seed, stream_index)
 
 
 def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -449,14 +395,11 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
         states = np.stack([b.states for b in bundles], axis=1)
         kept = tuple(bundles[:retain])
     else:
-        states, phi_lower, phi_upper, events_per_path = simulate_paths(
-            model, grid, master_seed, range(n_paths)
+        states, phi_lower, phi_upper, inputs = _simulate(
+            model, grid, master_seed, range(n_paths), jump_timing
         )
         kept = tuple(
-            _bundle_from_arrays(
-                model, grid, states[:, j, :], phi_lower[:, j, :],
-                phi_upper[:, j, :], events_per_path[j], master_seed, j,
-            )
+            _bundle(grid, states, phi_lower, phi_upper, inputs, j, master_seed, j)
             for j in range(retain)
         )
     mean = states.mean(axis=1)

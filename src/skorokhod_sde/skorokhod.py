@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "ReflectionDomain",
     "ReflectedPath",
@@ -93,9 +91,14 @@ def reflect_path_1d(w, lo: float = 0.0, times=None) -> ReflectedPath:
         times = np.arange(w.size, dtype=float)
     else:
         times = np.asarray(times, dtype=float)
-    phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
-    xi = w + phi
+    xi, phi = _reflect_scan(w, lo)
     return ReflectedPath(times=times, xi=xi, phi=phi, phi_tv=total_variation(phi))
+
+
+def _reflect_scan(w: np.ndarray, lo: float):
+    """Running-minimum form of the reflection map: returns (xi, phi)."""
+    phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
+    return w + phi, phi
 
 
 class ReflectionAccumulator1D:
@@ -120,20 +123,21 @@ class ReflectionAccumulator1D:
 
 
 def reflect_stream_1d(w, lo: float = 0.0):
-    """Whole-array streaming scan (numba-accelerated): returns (xi, phi)."""
+    """Whole-array scan of the running minimum: returns (xi, phi)."""
     w = np.ascontiguousarray(w, dtype=float)
     if w[0] < lo:
         raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
-    return _kernels.reflect_scan_1d(w, lo)
+    return _reflect_scan(w, lo)
 
 
 def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
-    """Greedy minimal nondecreasing push keeping w + phi >= lo.
+    """Minimal nondecreasing push keeping w + phi >= lo.
 
-    Independent of the running-minimum formula; used to cross-check it.
+    Built as the running maximum of the deficit lo - w, independently of the
+    running-minimum formula; used to cross-check it.
     """
     w = np.ascontiguousarray(w, dtype=float)
-    return _kernels.minimal_push_scan(w, lo)
+    return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
 def reflect_box(proposal, domain: ReflectionDomain):

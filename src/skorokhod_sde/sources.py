@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "SeedSpec",
-    "derive_stream_seed",
     "JumpSizeDist",
     "CompoundPoissonSpec",
     "JumpEvent",
@@ -25,6 +24,8 @@ __all__ = [
     "sample_compound_poisson_arrays",
     "sample_ou_path",
     "sample_ou_paths",
+    "PathInputs",
+    "sample_path_inputs",
 ]
 
 # component_index conventions for a d-dimensional model:
@@ -32,8 +33,6 @@ __all__ = [
 #   d .. 2d-1     jump stream of coordinate i
 #   2d            shared input-current stream
 #   2d + 1        auxiliary bridge stream (exact jump-time splitting)
-ACTIVE = 0
-PASSIVE = 1
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class SeedSpec:
             [self.master_seed, self.stream_index, self.component_index]
         )
         return np.random.default_rng(seq)
-
-
-def derive_stream_seed(master: int, stream: int, component: int) -> SeedSpec:
-    """Map a (master, trajectory, component) triple to a stream address."""
-    return SeedSpec(master, stream, component)
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ def _sample_jump_arrays(rng, spec: CompoundPoissonSpec, horizon: float):
 
 
 def sample_compound_poisson(
-    seed: SeedSpec, spec: CompoundPoissonSpec, horizon: float, component: int = ACTIVE
+    seed: SeedSpec, spec: CompoundPoissonSpec, horizon: float, component: int = 0
 ) -> list[JumpEvent]:
     """Ordered jump events on [0, horizon]; count is Poisson(alpha * horizon)."""
     if horizon <= 0:
@@ -199,17 +193,9 @@ def sample_compound_poisson_arrays(
 
 def sample_ou_path(seed: SeedSpec, params: OUParams, grid) -> np.ndarray:
     """Euler path of the OU current on the grid (length = number of grid points)."""
-    dW = sample_wiener_increments(seed, grid)
-    widths = np.diff(np.asarray(grid.times, dtype=float))
-    v = np.empty(widths.size + 1)
-    v[0] = params.v0
-    for k in range(widths.size):
-        v[k + 1] = (
-            v[k]
-            + (params.mu - v[k] / params.gamma) * widths[k]
-            + params.sigma * dW[k]
-        )
-    return v
+    return sample_ou_paths(
+        seed.master_seed, params, grid, [seed.stream_index], seed.component_index
+    )[:, 0]
 
 
 def sample_ou_paths(
@@ -221,7 +207,7 @@ def sample_ou_paths(
 ) -> np.ndarray:
     """Batch of OU paths, one per stream index, shape (n_points, n_paths).
 
-    Column ``j`` is bitwise-identical to ``sample_ou_path`` called with
+    Column ``j`` is driven by the Wiener stream
     ``SeedSpec(master_seed, stream_indices[j], component_index)``.
     """
     stream_indices = list(stream_indices)
@@ -240,3 +226,88 @@ def sample_ou_paths(
             v[k] + (params.mu - v[k] / params.gamma) * widths[k] + params.sigma * dW[k]
         )
     return v
+
+
+def _cells(times: np.ndarray, t) -> np.ndarray:
+    """Index k of the cell (t_k, t_{k+1}] containing each t (t=0 goes to cell 0)."""
+    k = np.searchsorted(times, t, side="left") - 1
+    return np.clip(k, 0, times.size - 2)
+
+
+@dataclass(frozen=True, eq=False)
+class PathInputs:
+    """Every random input of ``m`` trajectories on one grid.
+
+    ``dW`` holds the Wiener increments, (n_steps, m, d); ``u`` the input
+    current at the grid points, (n_points, m), zeros without one.  Jumps are
+    flat arrays ordered by (path, coord, time): ``path`` is the column
+    0..m-1 and ``coord`` the coordinate each drawn ``size`` applies to.
+
+    ``inputs[j]`` is the jump log of column ``j`` as :class:`JumpEvent`
+    tuples, built on demand.
+    """
+
+    dW: np.ndarray
+    u: np.ndarray
+    time: np.ndarray
+    size: np.ndarray
+    path: np.ndarray
+    coord: np.ndarray
+
+    def __len__(self) -> int:
+        return self.dW.shape[1]
+
+    def __getitem__(self, j: int) -> tuple[JumpEvent, ...]:
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        lo, hi = np.searchsorted(self.path, [j, j + 1])
+        return tuple(
+            JumpEvent(t, s, c)
+            for t, s, c in zip(self.time[lo:hi].tolist(),
+                               self.size[lo:hi].tolist(),
+                               self.coord[lo:hi].tolist())
+        )
+
+    def jump_sums(self, times: np.ndarray) -> np.ndarray:
+        """Jump sizes summed per cell of the grid ``times``, (n_steps, m, d)."""
+        _, m, d = self.dW.shape
+        sums = np.zeros((times.size - 1, m, d))
+        np.add.at(sums, (_cells(times, self.time), self.path, self.coord), self.size)
+        return sums
+
+
+def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInputs:
+    """Draw the inputs of the trajectories ``stream_indices`` on ``grid``.
+
+    ``model`` supplies ``dimension``, ``jump_specs`` and ``input_current``
+    and the component layout (``wiener_component``, ``jump_component``,
+    ``input_component``).  Column ``j`` holds exactly the draws of the
+    single streams ``SeedSpec(master_seed, stream_indices[j], component)``.
+    """
+    stream_indices = list(stream_indices)
+    m, d = len(stream_indices), model.dimension
+    specs = model.jump_specs or ()
+    dW = np.empty((grid.n_steps, m, d))
+    times, sizes, counts = [np.empty(0)], [np.empty(0)], []
+    for j, idx in enumerate(stream_indices):
+        for c in range(d):
+            dW[:, j, c] = sample_wiener_increments(
+                SeedSpec(master_seed, idx, model.wiener_component(c)), grid
+            )
+        for c, spec in enumerate(specs):
+            t, s = sample_compound_poisson_arrays(
+                SeedSpec(master_seed, idx, model.jump_component(c)),
+                spec, grid.horizon,
+            )
+            times.append(t)
+            sizes.append(s)
+            counts.append(t.size)
+    if model.input_current is not None:
+        u = sample_ou_paths(master_seed, model.input_current, grid,
+                            stream_indices, model.input_component)
+    else:
+        u = np.zeros((grid.n_steps + 1, m))
+    # index of each jump's (path, coord) stream, path-major
+    stream = np.repeat(np.arange(m * len(specs)), np.array(counts, dtype=np.intp))
+    path, coord = np.divmod(stream, max(len(specs), 1))
+    return PathInputs(dW, u, np.concatenate(times), np.concatenate(sizes), path, coord)

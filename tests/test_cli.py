@@ -193,6 +193,37 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.cfg"), "simulate") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "-1"),
+        ("--seed", "18446744073709551616"),
+        ("--paths", "0"),
+        ("--paths", "-3"),
+    ])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, SMALL)
+        assert run("--config", cfg, *flags, "--out", str(tmp_path / "x"),
+                   "simulate") == 1
+        assert "E_INVARIANT" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["-5", "18446744073709551616"])
+    def test_out_of_range_env_seed_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys, value):
+        cfg = write_config(tmp_path, SMALL)
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        assert run("--config", cfg, "--out", str(tmp_path / "x"), "simulate") == 1
+        assert "seed must lie in" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        assert run("--config", cfg, "--seed", "18446744073709551615",
+                   "--out", str(tmp_path / "x"), "simulate") == 0
+
+    def test_out_of_range_config_seed_names_its_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL + "[engine]\nseed = 18446744073709551616\n")
+        assert run("--config", cfg, "simulate") == 1
+        assert "line 5:" in capsys.readouterr().err
+
     def test_runtime_abort_on_unwritable_output(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         blocker = tmp_path / "blocked"

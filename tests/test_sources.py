@@ -7,12 +7,15 @@ from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
     OUParams,
+    PathInputs,
+    ReflectedJumpSDE,
+    ReflectionDomain,
     SeedSpec,
-    derive_stream_seed,
     sample_compound_poisson,
     sample_compound_poisson_arrays,
     sample_ou_path,
     sample_ou_paths,
+    sample_path_inputs,
     sample_wiener_increments,
     uniform_grid,
 )
@@ -26,12 +29,13 @@ class TestSeedSpec:
         assert np.array_equal(a, b)
 
     def test_distinct_components_distinct_streams(self):
-        a = derive_stream_seed(0, 0, 0).rng().standard_normal(100)
-        b = derive_stream_seed(0, 0, 1).rng().standard_normal(100)
+        a = SeedSpec(0, 0, 0).rng().standard_normal(100)
+        b = SeedSpec(0, 0, 1).rng().standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_derive_stream_seed_deterministic(self):
-        assert derive_stream_seed(0, 0, 0) == derive_stream_seed(0, 0, 0)
+    def test_equal_triples_equal_specs(self):
+        assert SeedSpec(0, 0, 0) == SeedSpec(0, 0, 0)
+        assert SeedSpec(0, 0, 0) != SeedSpec(0, 0, 1)
 
     def test_collision_scan(self):
         # 10^5 distinct triples must map to 10^5 distinct generator states.
@@ -198,3 +202,109 @@ class TestOUPath:
         for j, idx in enumerate([0, 5, 17]):
             single = sample_ou_path(SeedSpec(9, idx, 4), params, grid)
             assert np.array_equal(batch[:, j], single)
+
+
+def _two_coord_model(intensity=1.5, ou=OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1)):
+    jumps = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
+    return ReflectedJumpSDE(
+        dimension=2,
+        drift=lambda x, u: np.zeros_like(x),
+        diffusion=lambda x: np.zeros_like(x),
+        domain=ReflectionDomain.half_line(0.0, dim=2),
+        x0=np.zeros(2),
+        jump_coeff=lambda x: np.ones_like(x),
+        jump_specs=(jumps, jumps),
+        input_current=ou,
+    )
+
+
+def _ou_oracle(seed, params, grid):
+    """Euler recursion on Python floats, driven by the single stream."""
+    widths = np.diff(grid.times)
+    dW = seed.rng().standard_normal(widths.size) * np.sqrt(widths)
+    v = [float(params.v0)]
+    for w, dw in zip(widths.tolist(), dW.tolist()):
+        x = v[-1]
+        v.append(x + (params.mu - x / params.gamma) * w + params.sigma * dw)
+    return np.array(v)
+
+
+def _binned(events, times, d):
+    """Per-event binning into the cells (t_k, t_{k+1}], t = 0 in cell 0."""
+    sums = np.zeros((times.size - 1, d))
+    for ev in events:
+        k = int(np.searchsorted(times, ev.time, side="left")) - 1
+        sums[min(max(k, 0), times.size - 2), ev.component] += ev.size
+    return sums
+
+
+class TestPathInputs:
+    @pytest.mark.parametrize("width", [1, 200])
+    def test_columns_equal_single_stream_draws(self, width):
+        model = _two_coord_model()
+        grid = uniform_grid(0.1, 4.0)
+        streams = [3 * j + 1 for j in range(width)]
+        inputs = sample_path_inputs(model, grid, 17, streams)
+        assert len(inputs) == width
+        assert inputs.dW.shape == (grid.n_steps, width, 2)
+        assert inputs.u.shape == (grid.times.size, width)
+        sums = inputs.jump_sums(grid.times)
+        sqrt_dt = np.sqrt(np.diff(grid.times))
+        for j, idx in enumerate(streams):
+            events = []
+            for c in range(2):
+                draw = SeedSpec(17, idx, c).rng().standard_normal(grid.n_steps)
+                assert np.array_equal(inputs.dW[:, j, c], draw * sqrt_dt)
+                events += sample_compound_poisson(
+                    SeedSpec(17, idx, 2 + c), model.jump_specs[c], 4.0, component=c
+                )
+            ou = _ou_oracle(SeedSpec(17, idx, 4), model.input_current, grid)
+            assert np.array_equal(inputs.u[:, j], ou)
+            assert inputs[j] == tuple(events)
+            assert np.array_equal(sums[:, j, :], _binned(events, grid.times, 2))
+
+    def test_without_jumps_or_current(self):
+        model = ReflectedJumpSDE(
+            dimension=1,
+            drift=lambda x, u: np.zeros_like(x),
+            diffusion=lambda x: np.ones_like(x),
+            domain=ReflectionDomain.unreflected(1),
+            x0=np.zeros(1),
+        )
+        grid = uniform_grid(0.5, 2.0)
+        inputs = sample_path_inputs(model, grid, 5, range(3))
+        assert np.array_equal(inputs.u, np.zeros((5, 3)))
+        assert inputs.time.size == 0 and inputs[2] == ()
+        assert np.array_equal(inputs.jump_sums(grid.times), np.zeros((4, 3, 1)))
+        with pytest.raises(IndexError):
+            inputs[3]
+
+    def test_cell_boundaries(self):
+        # cells are (t_k, t_{k+1}]: t = k dt lands in cell k-1, t = 0 in cell 0
+        grid = uniform_grid(0.25, 1.0)
+        inputs = PathInputs(
+            dW=np.zeros((4, 2, 2)),
+            u=np.zeros((5, 2)),
+            time=np.array([0.0, 0.25, 0.5, 0.3, 1.0]),
+            size=np.array([1.0, 2.0, 4.0, 8.0, 16.0]),
+            path=np.array([0, 0, 0, 1, 1]),
+            coord=np.array([0, 0, 1, 0, 1]),
+        )
+        sums = inputs.jump_sums(grid.times)
+        expected = np.zeros((4, 2, 2))
+        expected[0, 0, 0] = 1.0 + 2.0
+        expected[1, 0, 1] = 4.0
+        expected[1, 1, 0] = 8.0
+        expected[3, 1, 1] = 16.0
+        assert np.array_equal(sums, expected)
+
+    def test_coarse_grid_sums_equal_per_event_binning(self):
+        # the convergence experiment bins one fine-grid draw on every level
+        model = _two_coord_model(intensity=4.0)
+        fine = uniform_grid(2.0**-7, 2.0)
+        inputs = sample_path_inputs(model, fine, 8, range(6))
+        for n_steps in (2, 8, 32, 256):
+            grid = uniform_grid(2.0 / n_steps, 2.0)
+            sums = inputs.jump_sums(grid.times)
+            for j in range(6):
+                assert np.array_equal(sums[:, j, :], _binned(inputs[j], grid.times, 2))
