@@ -20,10 +20,13 @@ from .analysis import (
     strong_convergence_experiment,
 )
 from .config import (
+    E_INVARIANT,
+    E_READ,
+    E_TYPE,
     ConfigDocument,
     ConfigError,
+    ConfigIssue,
     emit_config,
-    invariant_issues,
     parse_config,
 )
 from .engine import (
@@ -104,51 +107,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _load_config(args) -> ConfigDocument:
+    """The config file with the flags as overrides and the seed environment
+    variable as a fallback, validated once."""
+    text = ""
     if args.config is not None:
-        text = Path(args.config).read_text()
-    else:
-        text = ""
-    doc = parse_config(text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif not _text_sets_seed(text):
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                overrides["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(
-                    [_issue(f"{SEED_ENV_VAR}={env!r} is not an integer")]
-                )
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        doc = dataclasses.replace(doc, **overrides)
-        issues = invariant_issues(doc)
-        if issues:
-            raise ConfigError(issues)
-    return doc
-
-
-def _issue(message: str):
-    from .config import ConfigIssue, E_TYPE
-
-    return ConfigIssue(E_TYPE, 0, message)
-
-
-def _text_sets_seed(text: str) -> bool:
-    section = None
-    for line in text.splitlines():
-        stmt = line.split("#", 1)[0].strip()
-        if stmt.startswith("[") and stmt.endswith("]"):
-            section = stmt[1:-1].strip()
-        elif section == "engine" and "=" in stmt:
-            if stmt.split("=", 1)[0].strip() == "seed":
-                return True
-    return False
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([ConfigIssue(E_READ, 0, f"cannot read {args.config}: {exc}")])
+    flags = {("engine", "seed"): args.seed, ("engine", "n_paths"): args.paths,
+             ("outputs", "dir"): args.out}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    env = os.environ.get(SEED_ENV_VAR)
+    fallbacks = {} if env is None else {("engine", "seed"): env}
+    return parse_config(text, overrides, fallbacks)
 
 
 def _scenario_inputs(doc: ConfigDocument, mode: str | None = None):
@@ -180,12 +152,15 @@ def cmd_simulate(doc: ConfigDocument) -> int:
 
 
 def cmd_panels(doc: ConfigDocument) -> int:
+    try:
+        scenarios = {mode: _scenario_inputs(doc, mode) for mode in INPUT_MODES}
+    except ValueError as exc:  # x0 outside the domain of a reflected panel
+        raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
     out = Path(doc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     panels = {}
     summaries = {}
-    for mode in INPUT_MODES:
-        model, grid = _scenario_inputs(doc, mode)
+    for mode, (model, grid) in scenarios.items():
         result = simulate_ensemble(model, grid, 1, doc.seed, retain=1,
                                    jump_timing=doc.jump_timing)
         bundle = result.bundles[0]
@@ -200,8 +175,8 @@ def cmd_panels(doc: ConfigDocument) -> int:
 
 def _require_experiment(doc: ConfigDocument, kind: str) -> None:
     if doc.experiment.kind != kind:
-        raise ConfigError([_issue(
-            f"this command needs an [experiment] section with kind = {kind}"
+        raise ConfigError([ConfigIssue(
+            E_TYPE, 0, f"this command needs an [experiment] section with kind = {kind}"
         )])
 
 
@@ -292,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reflected jump-diffusion simulation toolkit",
     )
     parser.add_argument("--config", metavar="PATH", help="config document")
-    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--seed", help="master seed override")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
-    parser.add_argument("--paths", type=int, help="number of trajectories override")
+    parser.add_argument("--paths", help="number of trajectories override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("simulate", "run one scenario and write trajectory/summary files"),
@@ -324,9 +299,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (SimulationAbort, OSError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)

@@ -5,17 +5,35 @@ Grammar (one statement per line)::
     [section]
     key = value        # trailing comments allowed
 
-Unknown sections/keys are rejected, every value is type-checked and physical
-invariants are validated at load time; all problems are reported together
-with line numbers and stable error codes.  ``emit`` writes the canonical
-form, and ``parse_config(emit(cfg)) == cfg`` for every valid document.
+One table, ``_SCHEMA``, names every key: it drives parsing, type checks and
+``emit_config``.  Unknown sections/keys are rejected, every value is
+type-checked, and the document is validated once, by building what the
+commands build from it; all problems are reported together with line numbers
+and stable error codes.  ``emit`` writes the canonical form, and
+``parse_config(emit(cfg)) == cfg`` for every valid document.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from itertools import groupby
 
-from .engine import SimulationGrid, build_dyadic_partition, uniform_grid
-from .models import INPUT_MODES, ScenarioConfig, WilsonCowanParams
+from .analysis import REFERENCE_OFFSET
+from .engine import (
+    SimulationGrid,
+    build_dyadic_partition,
+    dyadic_steps,
+    uniform_grid,
+    uniform_steps,
+)
+from .models import (
+    INPUT_MODES,
+    ScenarioConfig,
+    ScenarioError,
+    WilsonCowanParams,
+    make_scenario,
+)
 from .sources import CompoundPoissonSpec, JumpSizeDist, OUParams
 
 __all__ = [
@@ -25,7 +43,6 @@ __all__ = [
     "ConfigIssue",
     "parse_config",
     "emit_config",
-    "invariant_issues",
 ]
 
 E_SYNTAX = "E_SYNTAX"
@@ -34,6 +51,7 @@ E_UNKNOWN_KEY = "E_UNKNOWN_KEY"
 E_TYPE = "E_TYPE"
 E_INVARIANT = "E_INVARIANT"
 E_CONTRADICTION = "E_CONTRADICTION"
+E_READ = "E_READ"
 
 JUMP_TIMINGS = ("end_of_step", "exact")
 EXPERIMENT_KINDS = ("none", "stability", "converge")
@@ -98,7 +116,7 @@ class ConfigDocument:
         return JumpSizeDist.uniform(self.jump_lo, self.jump_hi)
 
     def build_grid(self) -> SimulationGrid:
-        if self.level >= 1:
+        if self.level:
             return build_dyadic_partition(self.level, self.horizon)
         return uniform_grid(self.dt, self.horizon)
 
@@ -120,92 +138,134 @@ class ConfigDocument:
         )
 
 
-# section -> key -> (type tag, extra)
+_DEFAULT = ConfigDocument()
+
+
+def _get(doc: ConfigDocument, attr: str):
+    return reduce(getattr, attr.split("."), doc)
+
+
+def _fields(section: str, group: str):
+    """One row per field of a parameter dataclass, keyed by its lowercased name."""
+    return [(section, f.name.lower(), f"{group}.{f.name}")
+            for f in fields(getattr(_DEFAULT, group))]
+
+
+_CHOICES = {
+    "input_mode": INPUT_MODES,
+    "jump_dist": JUMP_DISTS,
+    "jump_timing": JUMP_TIMINGS,
+    "experiment.kind": EXPERIMENT_KINDS,
+}
+
+# (section, key) -> (ConfigDocument attribute path, default, choices), in the
+# order emit_config writes them.  A value has its default's type; a tuple
+# default means a comma-separated list of its elements' type.
 _SCHEMA = {
-    "scenario": {
-        "input_mode": ("choice", INPUT_MODES),
-        "tau_e": ("float",), "tau_i": ("float",),
-        "theta_e": ("float",), "theta_i": ("float",),
-        "a_e": ("float",), "a_i": ("float",),
-        "w_ee": ("float",), "w_ei": ("float",),
-        "w_ie": ("float",), "w_ii": ("float",),
-        "delta_e": ("float",), "delta_i": ("float",),
-        "sigma_ext_e": ("float",), "sigma_ext_i": ("float",),
-        "i_ext_e": ("float",), "i_ext_i": ("float",),
-        "x0_e": ("float",), "x0_i": ("float",),
-    },
-    "ou": {
-        "mu": ("float",), "gamma": ("float",),
-        "sigma": ("float",), "v0": ("float",),
-    },
-    "jumps": {
-        "intensity": ("float",),
-        "dist": ("choice", JUMP_DISTS),
-        "mean": ("float",), "value": ("float",),
-        "lo": ("float",), "hi": ("float",),
-        "rho": ("float",),
-    },
-    "grid": {
-        "horizon": ("float",), "dt": ("float",), "level": ("int",),
-    },
-    "engine": {
-        "seed": ("int",), "n_paths": ("int",),
-        "jump_timing": ("choice", JUMP_TIMINGS),
-    },
-    "outputs": {
-        "dir": ("str",), "retain": ("int",),
-    },
-    "experiment": {
-        "kind": ("choice", EXPERIMENT_KINDS),
-        "offsets": ("float_list",),
-        "levels": ("int_list",),
-        "n_paths": ("int",),
-        "horizon": ("float",),
-    },
+    (section, key): (attr, _get(_DEFAULT, attr), _CHOICES.get(attr, ()))
+    for section, key, attr in [
+        ("scenario", "input_mode", "input_mode"),
+        *_fields("scenario", "params"),
+        ("scenario", "x0_e", "x0_e"), ("scenario", "x0_i", "x0_i"),
+        *_fields("ou", "ou"),
+        ("jumps", "intensity", "jump_intensity"), ("jumps", "dist", "jump_dist"),
+        ("jumps", "mean", "jump_mean"), ("jumps", "value", "jump_value"),
+        ("jumps", "lo", "jump_lo"), ("jumps", "hi", "jump_hi"),
+        ("jumps", "rho", "rho"),
+        ("grid", "horizon", "horizon"), ("grid", "dt", "dt"), ("grid", "level", "level"),
+        ("engine", "seed", "seed"), ("engine", "n_paths", "n_paths"),
+        ("engine", "jump_timing", "jump_timing"),
+        ("outputs", "dir", "out_dir"), ("outputs", "retain", "retain"),
+        *_fields("experiment", "experiment"),
+    ]
 }
-
-_WC_KEYS = {
-    "tau_e": "tau_E", "tau_i": "tau_I", "theta_e": "theta_E",
-    "theta_i": "theta_I", "a_e": "a_E", "a_i": "a_I",
-    "w_ee": "w_EE", "w_ei": "w_EI", "w_ie": "w_IE", "w_ii": "w_II",
-    "delta_e": "delta_E", "delta_i": "delta_I",
-    "sigma_ext_e": "sigma_ext_E", "sigma_ext_i": "sigma_ext_I",
-    "i_ext_e": "I_ext_E", "i_ext_i": "I_ext_I",
-}
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
-def _convert(raw: str, spec, line: int, key: str, issues):
-    tag = spec[0]
+def _convert(raw: str, default, choices=()):
+    """``raw`` as a value of ``default``'s type; raises ValueError."""
+    if isinstance(default, tuple):
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("needs at least one value")
+        return tuple(_convert(p, default[0]) for p in parts)
+    kind = type(default)
     try:
-        if tag == "float":
-            return float(raw)
-        if tag == "int":
-            return int(raw)
-        if tag == "str":
-            return raw
-        if tag == "choice":
-            if raw not in spec[1]:
-                issues.append(ConfigIssue(
-                    E_TYPE, line,
-                    f"{key}: {raw!r} not one of {', '.join(spec[1])}"))
-                return None
-            return raw
-        if tag == "float_list":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        if tag == "int_list":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
+        value = kind(raw)
     except ValueError:
-        issues.append(ConfigIssue(E_TYPE, line, f"{key}: cannot parse {raw!r} as {tag}"))
-        return None
-    raise AssertionError(tag)
+        raise ValueError(f"cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    if choices and value not in choices:
+        raise ValueError(f"{raw!r} not one of {', '.join(choices)}")
+    return value
 
 
-def parse_config(text: str) -> ConfigDocument:
+def _build(values: dict) -> ConfigDocument:
+    """The document ``values`` ({(section, key): value}) describe, after
+    building from it what the commands build: the parameter dataclasses, the
+    grid, the jump law, the scenario model and the experiment grid.  Raises
+    the ValueError of the first build that rejects it."""
+    groups: dict[str, dict] = {}
+    for section_key, value in values.items():
+        head, _, name = _SCHEMA[section_key][0].rpartition(".")
+        groups.setdefault(head, {})[name] = value
+    top = groups.pop("", {})
+    mode = top.get("input_mode", _DEFAULT.input_mode)
+    if mode != "ou_reflected_jumps":
+        if top.get("jump_intensity", 0.0) > 0:
+            raise ScenarioError(f"jump intensity > 0 contradicts input_mode={mode}")
+        top["jump_intensity"] = 0.0  # canonical form of the jump-free modes
+    doc = replace(_DEFAULT, **top, **{
+        head: replace(getattr(_DEFAULT, head), **kwargs) for head, kwargs in groups.items()
+    })
+    if doc.level:
+        dyadic_steps(doc.level, doc.horizon)
+    else:
+        uniform_steps(doc.dt, doc.horizon)
+    # The model does not depend on the grid; a one-step grid keeps building
+    # it cheap however fine the configured grid is.
+    model = make_scenario(replace(doc, level=0, dt=doc.horizon).scenario_config())
+    if not 0 <= doc.seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in 0..{MAX_SEED}")
+    exp = doc.experiment
+    if doc.n_paths < 1 or exp.n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if doc.retain < 0:
+        raise ValueError("retain must be >= 0")
+    if exp.kind == "stability":
+        uniform_steps(doc.dt, exp.horizon)
+        for offset in exp.offsets:
+            model.with_x0(model.x0 + offset)
+    if exp.kind == "converge":
+        for level in (min(exp.levels), max(exp.levels) + REFERENCE_OFFSET):
+            dyadic_steps(level, exp.horizon)
+    return doc
+
+
+def parse_config(text: str, overrides=None, fallbacks=None) -> ConfigDocument:
     """Parse and validate a config document; raises :class:`ConfigError` with
-    every problem found.  The empty document yields the defaults."""
+    every problem found.  The empty document yields the defaults.
+
+    ``overrides`` and ``fallbacks`` map ``(section, key)`` to value text from
+    outside the document (line 0): an override replaces the document's value,
+    a fallback is used only for a key nothing else set.  Validation runs once,
+    on the result."""
     issues: list[ConfigIssue] = []
-    values: dict[tuple[str, str], object] = {}
+    values: dict[tuple[str, str], object] = {}  # in the order they were set
     lines: dict[tuple[str, str], int] = {}
+
+    def put(line, section_key, raw):
+        _, default, choices = _SCHEMA[section_key]
+        try:
+            value = _convert(raw, default, choices)
+        except ValueError as exc:
+            issues.append(ConfigIssue(E_TYPE, line, f"{section_key[1]}: {exc}"))
+            return
+        values.pop(section_key, None)
+        values[section_key] = value
+        lines[section_key] = line
+
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stmt = rawline.split("#", 1)[0].strip()
@@ -213,7 +273,7 @@ def parse_config(text: str) -> ConfigDocument:
             continue
         if stmt.startswith("[") and stmt.endswith("]"):
             section = stmt[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 issues.append(ConfigIssue(
                     E_UNKNOWN_SECTION, lineno, f"unknown section [{section}]"))
                 section = None
@@ -224,183 +284,48 @@ def parse_config(text: str) -> ConfigDocument:
         key, raw = (part.strip() for part in stmt.split("=", 1))
         if section is None:
             issues.append(ConfigIssue(E_SYNTAX, lineno, f"key {key!r} outside any section"))
-            continue
-        if key not in _SCHEMA[section]:
+        elif (section, key) not in _SCHEMA:
             issues.append(ConfigIssue(
                 E_UNKNOWN_KEY, lineno, f"unknown key {key!r} in section [{section}]"))
-            continue
-        converted = _convert(raw, _SCHEMA[section][key], lineno, key, issues)
-        if converted is not None:
-            values[(section, key)] = converted
-            lines[(section, key)] = lineno
+        else:
+            put(lineno, (section, key), raw)
+    for section_key, raw in (overrides or {}).items():
+        put(0, section_key, raw)
+    for section_key, raw in (fallbacks or {}).items():
+        if section_key not in values:
+            put(0, section_key, raw)
 
-    def get(section, key, default):
-        return values.get((section, key), default)
-
-    def line_of(section, key):
-        return lines.get((section, key), 0)
-
-    defaults = ConfigDocument()
-    wc_kwargs = {
-        target: get("scenario", key, getattr(defaults.params, target))
-        for key, target in _WC_KEYS.items()
-    }
-    try:
-        params = WilsonCowanParams(**wc_kwargs)
-    except ValueError as exc:
-        params = defaults.params
-        # attribute the failure to the offending key when one can be singled out
-        blamed = False
-        for key, target in _WC_KEYS.items():
-            if ("scenario", key) in values:
-                try:
-                    WilsonCowanParams(**{target: values[("scenario", key)]})
-                except ValueError as key_exc:
-                    issues.append(ConfigIssue(
-                        E_INVARIANT, line_of("scenario", key), str(key_exc)))
-                    blamed = True
-        if not blamed:
-            issues.append(ConfigIssue(E_INVARIANT, 0, str(exc)))
-
-    try:
-        ou = OUParams(
-            mu=get("ou", "mu", defaults.ou.mu),
-            gamma=get("ou", "gamma", defaults.ou.gamma),
-            sigma=get("ou", "sigma", defaults.ou.sigma),
-            v0=get("ou", "v0", defaults.ou.v0),
-        )
-    except ValueError as exc:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("ou", "gamma"), str(exc)))
-        ou = defaults.ou
-
-    experiment = ExperimentConfig(
-        kind=get("experiment", "kind", "none"),
-        offsets=get("experiment", "offsets", ExperimentConfig().offsets),
-        levels=get("experiment", "levels", ExperimentConfig().levels),
-        n_paths=get("experiment", "n_paths", ExperimentConfig().n_paths),
-        horizon=get("experiment", "horizon", ExperimentConfig().horizon),
-    )
-
-    input_mode = get("scenario", "input_mode", defaults.input_mode)
-    intensity = get("jumps", "intensity", defaults.jump_intensity)
-    if input_mode != "ou_reflected_jumps":
-        if ("jumps", "intensity") in values and intensity > 0:
-            issues.append(ConfigIssue(
-                E_CONTRADICTION, line_of("jumps", "intensity"),
-                f"jump intensity > 0 contradicts input_mode={input_mode}"))
-        # canonical form: jump-free modes carry zero intensity
-        intensity = 0.0
-
-    doc = ConfigDocument(
-        input_mode=input_mode,
-        params=params,
-        ou=ou,
-        x0_e=get("scenario", "x0_e", 0.0),
-        x0_i=get("scenario", "x0_i", 0.0),
-        jump_intensity=intensity,
-        jump_dist=get("jumps", "dist", defaults.jump_dist),
-        jump_mean=get("jumps", "mean", defaults.jump_mean),
-        jump_value=get("jumps", "value", defaults.jump_value),
-        jump_lo=get("jumps", "lo", defaults.jump_lo),
-        jump_hi=get("jumps", "hi", defaults.jump_hi),
-        rho=get("jumps", "rho", defaults.rho),
-        horizon=get("grid", "horizon", defaults.horizon),
-        dt=get("grid", "dt", defaults.dt),
-        level=get("grid", "level", defaults.level),
-        seed=get("engine", "seed", defaults.seed),
-        n_paths=get("engine", "n_paths", defaults.n_paths),
-        jump_timing=get("engine", "jump_timing", defaults.jump_timing),
-        out_dir=get("outputs", "dir", defaults.out_dir),
-        retain=get("outputs", "retain", defaults.retain),
-        experiment=experiment,
-    )
-
-    issues.extend(invariant_issues(doc, line_of))
+    items = list(values.items())
+    while True:
+        try:
+            doc = _build(dict(items))
+            break
+        except ValueError:
+            pass
+        # Blame the first statement after which the document no longer
+        # builds, set it aside, and look for the next problem.
+        for end in range(1, len(items) + 1):
+            try:
+                _build(dict(items[:end]))
+            except ValueError as exc:
+                section_key, _ = items.pop(end - 1)
+                code = E_CONTRADICTION if isinstance(exc, ScenarioError) else E_INVARIANT
+                issues.append(ConfigIssue(code, lines[section_key], str(exc)))
+                break
     if issues:
         raise ConfigError(sorted(issues, key=lambda i: i.line))
     return doc
 
 
-def invariant_issues(doc: ConfigDocument, line_of=lambda section, key: 0):
-    """Cross-field invariants of a document; ``line_of(section, key)`` gives
-    the line a key was set on (0 when it did not come from a line)."""
-    issues = []
-    if doc.jump_intensity < 0:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("jumps", "intensity"),
-                                  "jump intensity must be >= 0"))
-    try:
-        doc.jump_size_dist()
-    except ValueError as exc:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("jumps", "dist"), str(exc)))
-    if doc.horizon <= 0:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("grid", "horizon"),
-                                  "horizon must be positive"))
-    if doc.level == 0 and doc.dt <= 0:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("grid", "dt"),
-                                  "dt must be positive"))
-    if doc.level < 0 or doc.level > 30:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("grid", "level"),
-                                  "dyadic level must lie in 1..30 (0 = uniform)"))
-    if doc.n_paths < 1:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("engine", "n_paths"),
-                                  "n_paths must be >= 1"))
-    if doc.retain < 0:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("outputs", "retain"),
-                                  "retain must be >= 0"))
-    if not 0 <= doc.seed <= MAX_SEED:
-        issues.append(ConfigIssue(E_INVARIANT, line_of("engine", "seed"),
-                                  f"seed must lie in 0..{MAX_SEED}"))
-    return issues
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def emit_config(doc: ConfigDocument) -> str:
     """Canonical serialization: every section and key, fixed order."""
-    exp = doc.experiment
-    out = [
-        "[scenario]",
-        f"input_mode = {doc.input_mode}",
-    ]
-    for key, target in _WC_KEYS.items():
-        out.append(f"{key} = {getattr(doc.params, target)!r}")
-    out += [
-        f"x0_e = {doc.x0_e!r}",
-        f"x0_i = {doc.x0_i!r}",
-        "",
-        "[ou]",
-        f"mu = {doc.ou.mu!r}",
-        f"gamma = {doc.ou.gamma!r}",
-        f"sigma = {doc.ou.sigma!r}",
-        f"v0 = {doc.ou.v0!r}",
-        "",
-        "[jumps]",
-        f"intensity = {doc.jump_intensity!r}",
-        f"dist = {doc.jump_dist}",
-        f"mean = {doc.jump_mean!r}",
-        f"value = {doc.jump_value!r}",
-        f"lo = {doc.jump_lo!r}",
-        f"hi = {doc.jump_hi!r}",
-        f"rho = {doc.rho!r}",
-        "",
-        "[grid]",
-        f"horizon = {doc.horizon!r}",
-        f"dt = {doc.dt!r}",
-        f"level = {doc.level}",
-        "",
-        "[engine]",
-        f"seed = {doc.seed}",
-        f"n_paths = {doc.n_paths}",
-        f"jump_timing = {doc.jump_timing}",
-        "",
-        "[outputs]",
-        f"dir = {doc.out_dir}",
-        f"retain = {doc.retain}",
-        "",
-        "[experiment]",
-        f"kind = {exp.kind}",
-        "offsets = " + ",".join(repr(v) for v in exp.offsets),
-        "levels = " + ",".join(str(v) for v in exp.levels),
-        f"n_paths = {exp.n_paths}",
-        f"horizon = {exp.horizon!r}",
-        "",
-    ]
-    return "\n".join(out)
+    blocks = []
+    for section, rows in groupby(_SCHEMA.items(), key=lambda row: row[0][0]):
+        lines = [f"[{section}]"]
+        lines += [f"{key} = {_text(_get(doc, attr))}" for (_, key), (attr, _, _) in rows]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

@@ -27,7 +27,9 @@ from .sources import (
 __all__ = [
     "SimulationGrid",
     "build_dyadic_partition",
+    "dyadic_steps",
     "uniform_grid",
+    "uniform_steps",
     "ReflectedJumpSDE",
     "TrajectoryBundle",
     "EnsembleResult",
@@ -75,25 +77,39 @@ class SimulationGrid:
         return (k - 1) * self.dt
 
 
-def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
-    """Dyadic grid with 2^level steps: points k * 2^-level * horizon."""
+def dyadic_steps(level: int, horizon: float) -> int:
+    """Step count of the dyadic grid of ``level`` on [0, horizon], after the
+    checks :func:`build_dyadic_partition` makes."""
     if level < 1:
         raise ValueError("dyadic level must be >= 1")
     if level > MAX_DYADIC_LEVEL:
         raise ValueError(f"dyadic level capped at {MAX_DYADIC_LEVEL}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = 2**level
+    return 2**level
+
+
+def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
+    """Dyadic grid with 2^level steps: points k * 2^-level * horizon."""
+    n = dyadic_steps(level, horizon)
     times = np.linspace(0.0, horizon, n + 1)
     return SimulationGrid(times, float(horizon), horizon / n, "dyadic", level)
 
 
-def uniform_grid(dt: float, horizon: float) -> SimulationGrid:
+def uniform_steps(dt: float, horizon: float) -> int:
+    """Step count of the uniform grid of step ``dt`` on [0, horizon], after
+    the checks :func:`uniform_grid` makes."""
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
-    n = round(horizon / dt)
+    ratio = horizon / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer multiple of dt")
+    return n
+
+
+def uniform_grid(dt: float, horizon: float) -> SimulationGrid:
+    n = uniform_steps(dt, horizon)
     times = np.linspace(0.0, horizon, n + 1)
     return SimulationGrid(times, float(horizon), horizon / n, "uniform", None)
 

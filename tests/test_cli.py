@@ -261,3 +261,54 @@ class TestSummarize:
         summary = summarize(bundle)
         assert summary["max_rate"] == [0.7, 0.7]
         assert summary["reflection_local_time"] == [0.0, 0.0]
+
+
+class TestConfigSource:
+    def test_override_fixes_file_value(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL + "[engine]\nn_paths = 0\n")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--paths", "3", "--out", str(out), "simulate") == 0
+        assert json.loads((out / "summary.json").read_text())["n_paths"] == 3
+
+    def test_directory_as_config_is_config_error(self, tmp_path, capsys):
+        assert run("--config", str(tmp_path), "simulate") == 1
+        assert "E_READ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--seed", "abc"), ("--paths", "many")])
+    def test_non_integer_flag_is_config_error(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, SMALL)
+        assert run("--config", cfg, *flags, "--out", str(tmp_path / "x"), "simulate") == 1
+        assert "E_TYPE" in capsys.readouterr().err
+
+    def test_binary_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert run("--config", str(path), "simulate") == 1
+        assert "E_READ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("stability", "[experiment]\nkind = stability\nn_paths = 0\n", 3),
+        ("converge", "[experiment]\nkind = converge\nn_paths = 0\n", 3),
+        ("converge", "[experiment]\nkind = converge\nlevels = 0\n", 3),
+        ("converge", "[experiment]\nkind = converge\nlevels = 28\n", 3),
+        ("converge", "[experiment]\nkind = converge\nlevels =\n", 3),
+        ("stability", "[experiment]\nkind = stability\noffsets =\n", 3),
+        ("stability", "[experiment]\nkind = stability\n[grid]\ndt = 12.5\n", 4),
+        ("simulate", "[grid]\ndt = nan\n", 2),
+        ("simulate", "[grid]\nhorizon = inf\n", 2),
+        ("simulate", "[grid]\ndt = 0.3\n", 2),
+        ("simulate", "[scenario]\ninput_mode = ou_reflected\nx0_e = -1\n", 3),
+    ])
+    def test_bad_input_names_its_line(self, tmp_path, capsys, command, text, line):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        assert run("--config", cfg, "--out", str(out), command) == 1
+        assert f"line {line}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panel_outside_its_domain_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL + "[scenario]\ninput_mode = white_noise\nx0_e = -1\n")
+        out = tmp_path / "x"
+        assert run("--config", cfg, "--out", str(out), "panels") == 1
+        assert "outside the domain" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,6 +3,8 @@ errors with stable codes, canonical emission and round-tripping."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skorokhod_sde import ConfigDocument, ConfigError, emit_config, parse_config
 from skorokhod_sde.config import (
@@ -13,6 +15,7 @@ from skorokhod_sde.config import (
     E_UNKNOWN_KEY,
     E_UNKNOWN_SECTION,
     ExperimentConfig,
+    _SCHEMA,
 )
 
 
@@ -156,3 +159,79 @@ class TestScenarioAssembly:
         scenario = doc.scenario_config("ou_current")
         assert scenario.input_mode == "ou_current"
         assert scenario.jumps_E.intensity_alpha == 0.0
+
+
+class TestSinglePassValidation:
+    @pytest.mark.parametrize("text, line", [
+        ("[ou]\nsigma = -1\n", 2),
+        ("[experiment]\nkind = stability\nn_paths = 0\n", 3),
+        ("[experiment]\nkind = converge\nn_paths = 0\n", 3),
+        ("[experiment]\nkind = converge\nlevels = 0\n", 3),
+        ("[experiment]\nkind = converge\nlevels = 28\n", 3),
+        ("[experiment]\nkind = stability\n[grid]\ndt = 12.5\n", 4),
+        ("[experiment]\nkind = converge\nlevels =\n", 3),
+        ("[experiment]\nkind = stability\noffsets =\n", 3),
+        ("[experiment]\nkind = stability\noffsets = -0.5\n", 3),
+        ("[grid]\ndt = nan\n", 2),
+        ("[grid]\nhorizon = inf\n", 2),
+        ("[grid]\ndt = 0.3\n", 2),
+        ("[grid]\nlevel = -1\n", 2),
+        ("[scenario]\ninput_mode = ou_reflected\nx0_e = -1\n", 3),
+    ])
+    def test_rejected_on_its_line(self, text, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert [issue.line for issue in exc.value.issues] == [line]
+
+    def test_each_bad_key_named(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[scenario]\ntau_e = -1\ntheta_e = 3.0\nw_ee = -2\n")
+        assert [issue.line for issue in exc.value.issues] == [2, 4]
+
+    def test_override_applied_before_validation(self):
+        doc = parse_config("[engine]\nn_paths = 0\n",
+                           overrides={("engine", "n_paths"): "3"})
+        assert doc.n_paths == 3
+
+    def test_fallback_only_for_unset_keys(self):
+        fallback = {("engine", "seed"): "9"}
+        assert parse_config("", fallbacks=fallback).seed == 9
+        assert parse_config("[engine]\nseed = 5\n", fallbacks=fallback).seed == 5
+        assert parse_config("", {("engine", "seed"): "7"}, fallback).seed == 7
+
+
+_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "0.05", "0.5", "2.0", "20", "4,5", "0.1,0.01", "", ",",
+        "1e400", "white_noise", "ou_reflected", "uniform", "constant", "exact",
+        "stability", "converge", "none", "fast",
+    ]),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-2, 12), max_size=3).map(lambda v: ",".join(map(str, v))),
+)
+
+
+def _statement(section_key):
+    """``key = value`` under its section, the value either the key's default
+    or one drawn from ``_VALUES``."""
+    section, key = section_key
+    default = _SCHEMA[section_key][1]
+    text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    return st.one_of(st.just(text), _VALUES).map(lambda v: f"[{section}]\n{key} = {v}")
+
+
+_LINES = st.one_of(
+    st.sampled_from(sorted(_SCHEMA)).flatmap(_statement),
+    st.sampled_from(["[nowhere]", "stray = 1", "no equals sign", "# note", ""]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=8))
+def test_any_document_parses_or_raises_config_error(lines):
+    try:
+        doc = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert parse_config(emit_config(doc)) == doc
