@@ -23,7 +23,6 @@ from .engine import (
     SimulationGrid,
     TrajectoryBundle,
     build_dyadic_partition,
-    euler_step,
     simulate_ensemble,
     simulate_trajectory,
     uniform_grid,

@@ -300,8 +300,8 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
         return 1
-    except (SimulationAbort, OSError) as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
+    except (SimulationAbort, OSError, MemoryError) as exc:
+        print(f"runtime abort: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -21,6 +21,7 @@ from itertools import groupby
 
 from .analysis import REFERENCE_OFFSET
 from .engine import (
+    JUMP_TIMINGS,
     SimulationGrid,
     build_dyadic_partition,
     dyadic_steps,
@@ -53,7 +54,6 @@ E_INVARIANT = "E_INVARIANT"
 E_CONTRADICTION = "E_CONTRADICTION"
 E_READ = "E_READ"
 
-JUMP_TIMINGS = ("end_of_step", "exact")
 EXPERIMENT_KINDS = ("none", "stability", "converge")
 JUMP_DISTS = ("constant", "exponential", "uniform")
 MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
@@ -237,9 +237,13 @@ def _build(values: dict) -> ConfigDocument:
         uniform_steps(doc.dt, exp.horizon)
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
+        if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
+            raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
         for level in (min(exp.levels), max(exp.levels) + REFERENCE_OFFSET):
             dyadic_steps(level, exp.horizon)
+        if len(set(exp.levels)) < 2:
+            raise ValueError("levels need two distinct values to fit an order")
     return doc
 
 

@@ -1,14 +1,17 @@
 """Time stepping for coupled reflected jump-diffusions.
 
 The scheme freezes drift/diffusion/jump coefficients at the left endpoint of
-each grid cell, adds the compound-Poisson jumps that fall inside the cell at
-the end of the step, and applies the componentwise reflection last, so the
-recorded state always lies in the domain.
+each grid cell and applies the componentwise reflection last, so the recorded
+state always lies in the domain.  The compound-Poisson jumps that fall inside
+a cell are either added at the end of the step or, with exact jump timing,
+applied at their own times: the step is split there, each sub-step takes a
+Brownian-bridge share of the step's increment and is reflected.  One batched
+loop, :func:`integrate_batch`, runs both.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,13 +37,14 @@ __all__ = [
     "TrajectoryBundle",
     "EnsembleResult",
     "SimulationAbort",
-    "euler_step",
+    "JUMP_TIMINGS",
     "simulate_trajectory",
     "simulate_paths",
     "simulate_ensemble",
 ]
 
-MAX_DYADIC_LEVEL = 30
+MAX_DYADIC_LEVEL = 30  # grids have at most 2**MAX_DYADIC_LEVEL steps
+JUMP_TIMINGS = ("end_of_step", "exact")
 
 
 class SimulationAbort(RuntimeError):
@@ -64,17 +68,6 @@ class SimulationGrid:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def left_endpoint(self, t: float) -> float:
-        """Step function mapping t to the left endpoint of its grid cell
-        (cells are half-open on the left: ((k-1) dt, k dt])."""
-        if t < 0 or t > self.horizon * (1 + 1e-12):
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        if t <= 0:
-            return 0.0
-        k = math.ceil(t / self.dt - 1e-9)
-        k = min(max(k, 1), self.n_steps)
-        return (k - 1) * self.dt
 
 
 def dyadic_steps(level: int, horizon: float) -> int:
@@ -103,6 +96,8 @@ def uniform_steps(dt: float, horizon: float) -> int:
         raise ValueError("dt and horizon must be positive")
     ratio = horizon / dt
     n = round(ratio) if math.isfinite(ratio) else 0
+    if n > 2**MAX_DYADIC_LEVEL:
+        raise ValueError(f"grid capped at 2**{MAX_DYADIC_LEVEL} steps")
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer multiple of dt")
     return n
@@ -207,53 +202,38 @@ class EnsembleResult:
     bundles: tuple[TrajectoryBundle, ...] = ()
 
 
-def _proposal(model, state, u, dW, jump_sum, dt, step_index):
-    f = model.drift(state, u)
-    g = model.diffusion(state)
+def _coefficients(model, x, u, step_index, with_jumps):
+    """Drift, diffusion and, if ``with_jumps``, the jump coefficient, frozen
+    at the batch of states ``x``."""
+    f = model.drift(x, u)
+    g = model.diffusion(x)
     if not np.all(np.isfinite(f)):
         raise SimulationAbort(step_index, "drift")
     if not np.all(np.isfinite(g)):
         raise SimulationAbort(step_index, "diffusion")
-    prop = state + f * dt + g * dW
-    if jump_sum is not None and model.jump_coeff is not None:
-        rho = model.jump_coeff(state)
+    rho = None
+    if with_jumps and model.jump_coeff is not None:
+        rho = model.jump_coeff(x)
         if not np.all(np.isfinite(rho)):
             raise SimulationAbort(step_index, "jump coefficient")
-        prop = prop + rho * jump_sum
+    return f, g, rho
+
+
+def _reflect(model, prop, step_index):
     if not np.all(np.isfinite(prop)):
         raise SimulationAbort(step_index, "state proposal")
-    return prop
-
-
-def euler_step(model, state, dW, dt, jumps=None, u=None, step_index=0):
-    """One reflected Euler step from ``state`` (coefficients frozen there).
-
-    ``jumps`` may be a list of :class:`JumpEvent` or a per-coordinate array of
-    summed jump sizes.  Returns (next_state, lower_phi_inc, upper_phi_inc).
-    """
-    state = np.asarray(state, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    if u is None:
-        u = np.zeros(state.shape[:-1])
-    if jumps is None:
-        jump_sum = None
-    elif isinstance(jumps, (list, tuple)):
-        jump_sum = np.zeros(state.shape[-1])
-        for ev in jumps:
-            jump_sum[ev.component] += ev.size
-    else:
-        jump_sum = np.asarray(jumps, dtype=float)
-    prop = _proposal(model, state, u, dW, jump_sum, dt, step_index)
     return reflect_box(prop, model.domain)
 
 
 def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
-                    jump_sums, u: np.ndarray, x0s: np.ndarray):
+                    jump_sums, u: np.ndarray, x0s: np.ndarray, substeps=None):
     """Step a batch of paths through the grid.
 
-    dW: (n_steps, m, d); jump_sums: (n_steps, m, d) or None; u: (n_steps, m);
-    x0s: (m, d).  Returns (states, phi_lower, phi_upper), each
-    (n_points, m, d).
+    dW: (n_steps, m, d); u: (n_steps, m); x0s: (m, d).  Jumps come either as
+    ``jump_sums``, (n_steps, m, d) summed sizes added at the end of each
+    step, or as ``substeps`` from :func:`_exact_substeps`, which split each
+    step at its jump times; the other is None.  Returns (states, phi_lower,
+    phi_upper), each (n_points, m, d).
     """
     n_steps = times.size - 1
     m, d = x0s.shape
@@ -264,11 +244,31 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
     states[0] = x
     acc_lo = np.zeros((m, d))
     acc_hi = np.zeros((m, d))
+    substeps = substeps or {}
     for k in range(n_steps):
-        dt = times[k + 1] - times[k]
+        groups = substeps.get(k, ())
         js = None if jump_sums is None else jump_sums[k]
-        prop = _proposal(model, x, u[k], dW[k], js, dt, k)
-        x, linc, uinc = reflect_box(prop, model.domain)
+        f, g, rho = _coefficients(model, x, u[k], k, js is not None or bool(groups))
+        dt = times[k + 1] - times[k]
+        w = dW[k]
+        if groups:
+            # Coefficients stay frozen at the step's left endpoint (copy x,
+            # they may alias it); each group moves its rows to their next
+            # jump, applies it and reflects.
+            x, w, dt = x.copy(), w.copy(), np.full((m, 1), dt)
+            for rows, coord, size, sub, frac, noise, rest in groups:
+                dw = w[rows] * frac + noise
+                prop = x[rows] + f[rows] * sub + g[rows] * dw
+                prop[np.arange(rows.size), coord] += size * rho[rows, coord]
+                x[rows], linc, uinc = _reflect(model, prop, k)
+                acc_lo[rows] += linc
+                acc_hi[rows] += uinc
+                w[rows] -= dw
+                dt[rows] = rest
+        prop = x + f * dt + g * w
+        if rho is not None and js is not None:
+            prop = prop + rho * js
+        x, linc, uinc = _reflect(model, prop, k)
         acc_lo += linc
         acc_hi += uinc
         states[k + 1] = x
@@ -277,96 +277,77 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
     return states, phi_lower, phi_upper
 
 
+def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indices):
+    """The jumps of ``inputs`` as sub-steps of the grid ``times``.
+
+    Returns {step: [group, ...]}: group r holds the r-th jump in that step of
+    every path that has one, as arrays (rows, coord, size, sub, frac, noise,
+    rest).  ``sub`` is the time since the row's previous jump (or the step's
+    left endpoint) and ``rest`` the time left to the step's right endpoint.
+    The sub-step's Brownian increment is ``frac`` times what is left of the
+    step's increment plus ``noise``, a conditional Brownian-bridge draw from
+    the path's bridge stream, one draw per sub-step of positive length.
+    """
+    if inputs.time.size == 0:
+        return {}
+    # stable, so simultaneous jumps keep their coordinate order
+    order = np.lexsort((inputs.time, inputs.path))
+    time, size, path, coord = (
+        a[order] for a in (inputs.time, inputs.size, inputs.path, inputs.coord)
+    )
+    step = _cells(times, time)
+    first = np.ones(time.size, dtype=bool)
+    first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
+    rank = np.arange(time.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    end = np.maximum(time, times[step])
+    start = np.where(first, times[step], np.roll(end, 1))
+    sub = end - start
+    draw = sub > 0  # then the time left, total, is positive too
+    total = np.where(draw, times[step + 1] - start, 1.0)
+    d = model.dimension
+    counts = np.bincount(path[draw], minlength=len(inputs))
+    z = np.zeros((time.size, d))
+    z[draw] = np.concatenate([np.empty((0, d))] + [
+        SeedSpec(master_seed, idx, model.bridge_component).rng().standard_normal((n, d))
+        for idx, n in zip(stream_indices, counts) if n
+    ])
+    frac = np.where(draw, sub / total, 0.0)
+    noise = np.where(draw[:, None], np.sqrt(sub * (total - sub) / total)[:, None] * z, 0.0)
+    rest = times[step + 1] - end
+    fields = (path, coord, size, sub[:, None], frac[:, None], noise, rest[:, None])
+    by_group = np.lexsort((rank, step))
+    step, rank = step[by_group], rank[by_group]
+    cut = np.flatnonzero((np.diff(step) != 0) | (np.diff(rank) != 0)) + 1
+    groups: dict[int, list] = {}
+    pieces = zip(*(np.split(a[by_group], cut) for a in fields))
+    for k, group in zip(step[np.r_[0, cut]].tolist(), pieces):
+        groups.setdefault(k, []).append(group)
+    return groups
+
+
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
-                   master_seed: int, stream_indices: Sequence[int]):
+                   master_seed: int, stream_indices: Sequence[int],
+                   jump_timing: str = "end_of_step"):
     """Simulate the given trajectory streams; returns (states, phi_lower,
     phi_upper, inputs) with array shapes (n_points, m, d).  ``inputs`` is the
-    :class:`PathInputs` drawn for them; ``inputs[j]`` is path j's jump log."""
+    :class:`PathInputs` drawn for them; ``inputs[j]`` is path j's jump log.
+
+    ``jump_timing`` is ``"end_of_step"`` (each step's jumps are summed and
+    added at its end) or ``"exact"`` (each step is split at its jump times).
+    """
+    if jump_timing not in JUMP_TIMINGS:
+        raise ValueError(f"unknown jump_timing {jump_timing!r}")
     inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
-    jump_sums = inputs.jump_sums(grid.times) if model.jump_specs is not None else None
+    jump_sums = substeps = None
+    if jump_timing == "exact":
+        substeps = _exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
+    elif model.jump_specs is not None:
+        jump_sums = inputs.jump_sums(grid.times)
     x0s = np.tile(model.x0, (len(inputs), 1))
     states, phi_lower, phi_upper = integrate_batch(
-        model, grid.times, inputs.dW, jump_sums, inputs.u[:-1], x0s
+        model, grid.times, inputs.dW, jump_sums, inputs.u[:-1], x0s, substeps
     )
     return states, phi_lower, phi_upper, inputs
-
-
-def _simulate_path_exact(model: ReflectedJumpSDE, grid: SimulationGrid,
-                         master_seed: int, stream_index: int):
-    """Variant of :func:`simulate_paths` for one path that splits steps at
-    jump times.
-
-    Within a jump step the Brownian increment is partitioned by conditional
-    Brownian-bridge draws from a dedicated stream; coefficients stay frozen at
-    the step's left-endpoint state and reflection is applied after every
-    sub-interval.
-    """
-    inputs = sample_path_inputs(model, grid, master_seed, [stream_index])
-    bridge_rng = SeedSpec(master_seed, stream_index, model.bridge_component).rng()
-    times = grid.times
-    dW, u = inputs.dW[:, 0], inputs.u[:, 0]
-    # stable in time, so simultaneous jumps keep coordinate order
-    events = sorted(inputs[0], key=lambda e: e.time)
-    events_by_step: dict[int, list[JumpEvent]] = {}
-    for k, ev in zip(_cells(times, [e.time for e in events]).tolist(), events):
-        events_by_step.setdefault(k, []).append(ev)
-    d = model.dimension
-    states = np.empty((times.size, d))
-    phi_lower = np.zeros((times.size, d))
-    phi_upper = np.zeros((times.size, d))
-    x = model.x0.copy()
-    states[0] = x
-    acc_lo = np.zeros(d)
-    acc_hi = np.zeros(d)
-    for k in range(times.size - 1):
-        t0, t1 = times[k], times[k + 1]
-        frozen = x.copy()
-        f = model.drift(frozen[None, :], u[k : k + 1])[0]
-        g = model.diffusion(frozen[None, :])[0]
-        rho = (
-            model.jump_coeff(frozen[None, :])[0]
-            if model.jump_coeff is not None
-            else None
-        )
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise SimulationAbort(k, "coefficients")
-        s = t0
-        remaining = dW[k].copy()
-        for ev in events_by_step.get(k, ()):
-            sub = max(ev.time, s) - s
-            total = t1 - s
-            if total > 0 and sub > 0:
-                mean = remaining * (sub / total)
-                std = math.sqrt(sub * (total - sub) / total)
-                dw_sub = mean + std * bridge_rng.standard_normal(d)
-            else:
-                dw_sub = np.zeros(d)
-            prop = x + f * sub + g * dw_sub
-            prop[ev.component] += ev.size * (rho[ev.component] if rho is not None else 0.0)
-            x, linc, uinc = reflect_box(prop, model.domain)
-            acc_lo += linc
-            acc_hi += uinc
-            remaining = remaining - dw_sub
-            s = max(ev.time, s)
-        prop = x + f * (t1 - s) + g * remaining
-        if not np.all(np.isfinite(prop)):
-            raise SimulationAbort(k, "state proposal")
-        x, linc, uinc = reflect_box(prop, model.domain)
-        acc_lo += linc
-        acc_hi += uinc
-        states[k + 1] = x
-        phi_lower[k + 1] = acc_lo
-        phi_upper[k + 1] = acc_hi
-    return states[:, None], phi_lower[:, None], phi_upper[:, None], inputs
-
-
-def _simulate(model, grid, master_seed, stream_indices, jump_timing):
-    if jump_timing == "exact":
-        (stream_index,) = stream_indices
-        return _simulate_path_exact(model, grid, master_seed, stream_index)
-    if jump_timing != "end_of_step":
-        raise ValueError(f"unknown jump_timing {jump_timing!r}")
-    return simulate_paths(model, grid, master_seed, stream_indices)
 
 
 def _bundle(grid, states, phi_lower, phi_upper, inputs: PathInputs, j,
@@ -388,7 +369,7 @@ def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
                         master_seed: int, stream_index: int = 0,
                         jump_timing: str = "end_of_step") -> TrajectoryBundle:
     """Full trajectory on the grid, deterministic in the seed triple."""
-    states, phi_lower, phi_upper, inputs = _simulate(
+    states, phi_lower, phi_upper, inputs = simulate_paths(
         model, grid, master_seed, [stream_index], jump_timing
     )
     return _bundle(grid, states, phi_lower, phi_upper, inputs, 0,
@@ -402,22 +383,13 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
     returns per-time-point mean/variance plus the first ``retain`` bundles."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    retain = min(retain, n_paths)
-    if jump_timing == "exact":
-        bundles = [
-            simulate_trajectory(model, grid, master_seed, i, jump_timing="exact")
-            for i in range(n_paths)
-        ]
-        states = np.stack([b.states for b in bundles], axis=1)
-        kept = tuple(bundles[:retain])
-    else:
-        states, phi_lower, phi_upper, inputs = _simulate(
-            model, grid, master_seed, range(n_paths), jump_timing
-        )
-        kept = tuple(
-            _bundle(grid, states, phi_lower, phi_upper, inputs, j, master_seed, j)
-            for j in range(retain)
-        )
+    states, phi_lower, phi_upper, inputs = simulate_paths(
+        model, grid, master_seed, range(n_paths), jump_timing
+    )
+    kept = tuple(
+        _bundle(grid, states, phi_lower, phi_upper, inputs, j, master_seed, j)
+        for j in range(min(retain, n_paths))
+    )
     mean = states.mean(axis=1)
     if n_paths > 1:
         variance = states.var(axis=1, ddof=1)

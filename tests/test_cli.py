@@ -12,6 +12,7 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
+from skorokhod_sde import cli
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
 
 SMALL = "[grid]\nhorizon = 5.0\ndt = 0.1\n"
@@ -230,6 +231,15 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert run("--config", cfg, "--out", str(blocker), "simulate") == 2
 
+    def test_runtime_abort_on_memory_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "simulate_ensemble", exhausted)
+        cfg = write_config(tmp_path, SMALL)
+        assert run("--config", cfg, "--out", str(tmp_path / "x"), "simulate") == 2
+        assert "runtime abort: MemoryError" in capsys.readouterr().err
+
 
 class TestSummarize:
     def test_hand_built_bundle(self):
@@ -297,6 +307,9 @@ class TestConfigSource:
         ("simulate", "[grid]\ndt = nan\n", 2),
         ("simulate", "[grid]\nhorizon = inf\n", 2),
         ("simulate", "[grid]\ndt = 0.3\n", 2),
+        ("simulate", "[grid]\ndt = 1e-13\n", 2),
+        ("stability", "[experiment]\nkind = stability\noffsets = 0.1\n", 3),
+        ("converge", "[experiment]\nkind = converge\nlevels = 5\n", 3),
         ("simulate", "[scenario]\ninput_mode = ou_reflected\nx0_e = -1\n", 3),
     ])
     def test_bad_input_names_its_line(self, tmp_path, capsys, command, text, line):

@@ -172,6 +172,11 @@ class TestSinglePassValidation:
         ("[experiment]\nkind = converge\nlevels =\n", 3),
         ("[experiment]\nkind = stability\noffsets =\n", 3),
         ("[experiment]\nkind = stability\noffsets = -0.5\n", 3),
+        ("[experiment]\nkind = stability\noffsets = 0.1\n", 3),
+        ("[experiment]\nkind = stability\noffsets = 0.1,-0.1,0\n", 3),
+        ("[experiment]\nkind = converge\nlevels = 5\n", 3),
+        ("[experiment]\nkind = converge\nlevels = 5,5\n", 3),
+        ("[grid]\ndt = 1e-13\n", 2),
         ("[grid]\ndt = nan\n", 2),
         ("[grid]\nhorizon = inf\n", 2),
         ("[grid]\ndt = 0.3\n", 2),

@@ -1,5 +1,8 @@
 """Tests for grids and the reflected Euler stepper: freezing of coefficients
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,16 @@ from skorokhod_sde import (
     ReflectedJumpSDE,
     ReflectionDomain,
     SimulationAbort,
+    SeedSpec,
     build_dyadic_partition,
-    euler_step,
+    sample_path_inputs,
     simulate_ensemble,
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde.sources import JumpEvent
+from skorokhod_sde.engine import integrate_batch, uniform_steps
+from skorokhod_sde.skorokhod import reflect_box
+from skorokhod_sde.sources import _cells
 
 
 def linear_model_1d(x0=1.0, drift_rate=-1.0, sigma=0.0, domain=None, **kw):
@@ -34,29 +40,26 @@ class TestGrids:
     def test_dyadic_level_one(self):
         grid = build_dyadic_partition(1, 1.0)
         assert np.array_equal(grid.times, [0.0, 0.5, 1.0])
-        assert grid.left_endpoint(0.7) == 0.5
+        assert _cells(grid.times, 0.7) == 1
 
-    def test_left_endpoint_zero(self):
+    def test_cell_of_zero(self):
         for level in (1, 3, 7):
-            assert build_dyadic_partition(level, 1.0).left_endpoint(0.0) == 0.0
+            assert _cells(build_dyadic_partition(level, 1.0).times, 0.0) == 0
 
-    def test_left_endpoint_level_three(self):
+    def test_cells_level_three(self):
         grid = build_dyadic_partition(3, 1.0)
-        assert grid.left_endpoint(0.2) == pytest.approx(0.125)
         # cells are half-open on the left, so grid points map to the cell below
-        assert grid.left_endpoint(0.25) == pytest.approx(0.125)
-        assert grid.left_endpoint(1.0) == pytest.approx(0.875)
+        assert _cells(grid.times, [0.2, 0.25, 1.0]).tolist() == [1, 1, 7]
+
+    def test_cell_just_past_a_grid_point(self):
+        grid = uniform_grid(0.1, 1.0)
+        assert _cells(grid.times, 0.1 * (1 + 1e-11)) == 1
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             build_dyadic_partition(0, 1.0)
         with pytest.raises(ValueError):
             build_dyadic_partition(31, 1.0)
-
-    def test_left_endpoint_out_of_range(self):
-        grid = build_dyadic_partition(2, 1.0)
-        with pytest.raises(ValueError):
-            grid.left_endpoint(1.5)
 
     def test_uniform_grid(self):
         grid = uniform_grid(0.1, 1.0)
@@ -67,17 +70,34 @@ class TestGrids:
         with pytest.raises(ValueError):
             uniform_grid(-0.1, 1.0)
 
+    def test_uniform_grid_shares_the_dyadic_step_cap(self):
+        assert uniform_steps(1.0, 2.0**30) == 2**30
+        for dt, horizon in ((1.0, 2.0**30 + 1), (1e-13, 100.0)):
+            with pytest.raises(ValueError, match="capped"):
+                uniform_steps(dt, horizon)
+
+
+def one_step(model, state, dW, dt, jump_sum=None):
+    """One reflected Euler step of ``integrate_batch`` from a single state;
+    returns (state, lower phi increment, upper phi increment)."""
+    sums = None if jump_sum is None else np.array([[jump_sum]], dtype=float)
+    states, lower, upper = integrate_batch(
+        model, np.array([0.0, dt]), np.array([[dW]], dtype=float), sums,
+        np.zeros((1, 1)), np.array([state], dtype=float),
+    )
+    return states[1, 0], lower[1, 0], upper[1, 0]
+
 
 class TestEulerStep:
     def test_identity_dynamics(self):
         model = linear_model_1d(x0=0.5, drift_rate=0.0)
-        state, lo_inc, hi_inc = euler_step(model, [0.5], [0.3], 0.1)
+        state, lo_inc, hi_inc = one_step(model, [0.5], [0.3], 0.1)
         assert state[0] == 0.5
         assert lo_inc[0] == 0.0 and hi_inc[0] == 0.0
 
     def test_reflected_drift_step(self):
         model = linear_model_1d(x0=0.0, drift_rate=-1.0)
-        state, lo_inc, _ = euler_step(model, [0.0], [0.0], 0.1)
+        state, lo_inc, _ = one_step(model, [0.0], [0.0], 0.1)
         assert state[0] == 0.0
         assert lo_inc[0] == pytest.approx(0.1)
 
@@ -88,20 +108,23 @@ class TestEulerStep:
             jump_coeff=lambda state: np.ones_like(state),
             jump_specs=(CompoundPoissonSpec(1.0, JumpSizeDist.constant(2.0)),),
         )
-        jumps = [JumpEvent(time=0.05, size=2.0, component=0)]
-        state, _, _ = euler_step(model, [0.5], [0.0], 0.1, jumps=jumps)
+        state, _, _ = one_step(model, [0.5], [0.0], 0.1, jump_sum=[2.0])
         assert state[0] == pytest.approx(2.5)
 
     def test_abort_on_nonfinite_drift(self):
+        # the input current makes the drift non-finite in step 7 only
         model = ReflectedJumpSDE(
             dimension=1,
-            drift=lambda state, u: np.full_like(state, np.nan),
+            drift=lambda state, u: np.where(u[:, None] > 0, np.nan, 0.0),
             diffusion=lambda state: np.zeros_like(state),
             domain=ReflectionDomain.unreflected(1),
             x0=np.array([0.0]),
         )
+        u = np.zeros((10, 1))
+        u[7] = 1.0
         with pytest.raises(SimulationAbort) as exc:
-            euler_step(model, [0.0], [0.0], 0.1, step_index=7)
+            integrate_batch(model, np.linspace(0.0, 1.0, 11), np.zeros((10, 1, 1)),
+                            None, u, np.zeros((1, 1)))
         assert exc.value.step_index == 7
 
 
@@ -242,6 +265,104 @@ class TestExactJumpTiming:
         # terminal value differs only through the bridge redistribution of
         # Brownian mass, which sums back to the same step increment
         assert exact.states[-1, 0] == pytest.approx(end.states[-1, 0], abs=1e-9)
+
+
+def exact_oracle(model, grid, master_seed, stream_index):
+    """Exact jump timing for one path, one jump at a time in plain Python.
+
+    Each step is split at its jump times; coefficients stay frozen at the
+    step's left endpoint, the step's Brownian increment is shared out by
+    conditional Brownian-bridge draws taken one at a time from the path's
+    bridge stream, and every sub-step is reflected.
+    """
+    inputs = sample_path_inputs(model, grid, master_seed, [stream_index])
+    bridge_rng = SeedSpec(master_seed, stream_index, model.bridge_component).rng()
+    times = grid.times
+    dW, u = inputs.dW[:, 0], inputs.u[:, 0]
+    # stable in time, so simultaneous jumps keep coordinate order
+    events = sorted(inputs[0], key=lambda e: e.time)
+    events_by_step = {}
+    points = times.tolist()
+    for ev in events:
+        k = min(max(bisect.bisect_left(points, ev.time) - 1, 0), grid.n_steps - 1)
+        events_by_step.setdefault(k, []).append(ev)
+    d = model.dimension
+    states = np.empty((times.size, d))
+    phi_lower = np.zeros((times.size, d))
+    phi_upper = np.zeros((times.size, d))
+    x = model.x0.copy()
+    states[0] = x
+    acc_lo = np.zeros(d)
+    acc_hi = np.zeros(d)
+    for k in range(times.size - 1):
+        t0, t1 = times[k], times[k + 1]
+        f = model.drift(x[None, :], u[k : k + 1])[0]
+        g = model.diffusion(x[None, :])[0]
+        rho = model.jump_coeff(x[None, :])[0] if model.jump_coeff is not None else None
+        s = t0
+        remaining = dW[k].copy()
+        for ev in events_by_step.get(k, ()):
+            sub = max(ev.time, s) - s
+            total = t1 - s
+            if total > 0 and sub > 0:
+                mean = remaining * (sub / total)
+                std = math.sqrt(sub * (total - sub) / total)
+                dw_sub = mean + std * bridge_rng.standard_normal(d)
+            else:
+                dw_sub = np.zeros(d)
+            prop = x + f * sub + g * dw_sub
+            prop[ev.component] += ev.size * rho[ev.component]
+            x, linc, uinc = reflect_box(prop, model.domain)
+            acc_lo += linc
+            acc_hi += uinc
+            remaining = remaining - dw_sub
+            s = max(ev.time, s)
+        prop = x + f * (t1 - s) + g * remaining
+        x, linc, uinc = reflect_box(prop, model.domain)
+        acc_lo += linc
+        acc_hi += uinc
+        states[k + 1] = x
+        phi_lower[k + 1] = acc_lo
+        phi_upper[k + 1] = acc_hi
+    return states, phi_lower, phi_upper
+
+
+def busy_jump_model(jump_coeff=lambda state: 0.5 + 0.2 * state):
+    """2d box-reflected model with an input current and several jumps per
+    step on a dt = 0.5 grid."""
+    size = JumpSizeDist.uniform(-1.0, 1.0)
+    return ReflectedJumpSDE(
+        dimension=2,
+        drift=lambda state, u: u[..., None] - state,
+        diffusion=lambda state: 0.3 + 0.1 * state,
+        domain=ReflectionDomain.box([(0.0, 1.0), (-0.5, 0.5)]),
+        x0=np.array([0.5, 0.0]),
+        jump_coeff=jump_coeff,
+        jump_specs=(CompoundPoissonSpec(6.0, size), CompoundPoissonSpec(3.0, size)),
+        input_current=OUParams(mu=0.2, gamma=1.0, sigma=0.5),
+    )
+
+
+class TestExactAgainstOracle:
+    @pytest.mark.parametrize("n_paths", [1, 9])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_columns_match_oracle_bitwise(self, n_paths, seed):
+        model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
+        result = simulate_ensemble(model, grid, n_paths, seed, retain=n_paths,
+                                   jump_timing="exact")
+        for j, bundle in enumerate(result.bundles):
+            states, lower, upper = exact_oracle(model, grid, seed, j)
+            assert np.array_equal(bundle.states, states)
+            assert np.array_equal(bundle.phi_lower, lower)
+            assert np.array_equal(bundle.phi_upper, upper)
+        jump_steps = _cells(grid.times, [e.time for e in result.bundles[0].jumps])
+        assert np.bincount(jump_steps).max() >= 3  # several jumps share a step
+        assert result.bundles[-1].phi_lower.any() and result.bundles[-1].phi_upper.any()
+
+    def test_nonfinite_jump_coefficient_aborts(self):
+        model = busy_jump_model(jump_coeff=lambda state: np.full_like(state, np.nan))
+        with pytest.raises(SimulationAbort, match="jump coefficient"):
+            simulate_ensemble(model, uniform_grid(0.5, 5.0), 4, 0, jump_timing="exact")
 
 
 class TestEnsemble:
