@@ -13,9 +13,8 @@ from .engine import (
     SimulationGrid,
     build_dyadic_partition,
     integrate_batch,
-    simulate_paths,
 )
-from .sources import sample_path_inputs
+from .sources import PathInputs, sample_path_inputs
 
 __all__ = [
     "SeminormReport",
@@ -31,6 +30,7 @@ __all__ = [
 ]
 
 REFERENCE_OFFSET = 3  # the convergence reference is this many levels finer
+_PAIR_BLOCK = 2**16  # pairs per row block of the seminorms
 
 
 def _as_2d(path) -> np.ndarray:
@@ -47,6 +47,29 @@ def sup_norm(path) -> float:
     return float(np.abs(_as_2d(path)).sum(axis=1).max())
 
 
+def _pair_inputs(path, times):
+    values = _as_2d(path)
+    times = np.asarray(times, dtype=float)
+    if values.shape[0] != times.size or times.size < 2:
+        raise ValueError("need >= 2 grid points with matching times")
+    return values, times
+
+
+def _pair_blocks(values, times, upper: bool):
+    """Row blocks of the pairwise differences of a path on its grid: yields
+    (rows, dist, gap) with |h(t_j) - h(t_i)| (1-norm) and t_j - t_i for the
+    points i in ``rows`` and every j, or j >= rows[0] if ``upper``.  About
+    ``_PAIR_BLOCK`` pairs per block keep memory linear in the path length."""
+    n = times.size
+    last = n - 1 if upper else n
+    step = max(1, _PAIR_BLOCK // n)
+    for i0 in range(0, last, step):
+        rows = np.arange(i0, min(i0 + step, last))
+        j0 = i0 if upper else 0
+        dist = np.abs(values[j0:] - values[rows, None]).sum(axis=2)
+        yield rows, dist, times[j0:] - times[rows, None]
+
+
 def holder_seminorm(path, times, alpha: float) -> float:
     """max over grid pairs of |h(t) - h(s)| / |t - s|^alpha.
 
@@ -54,23 +77,11 @@ def holder_seminorm(path, times, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    values = np.ascontiguousarray(_as_2d(path))
-    times = np.ascontiguousarray(times, dtype=float)
-    if values.shape[0] != times.size or times.size < 2:
-        raise ValueError("need >= 2 grid points with matching times")
-    return _holder_pair_max(values, times, alpha)
-
-
-def _holder_pair_max(values, times, alpha):
-    # Row-at-a-time to keep memory linear in the path length.
-    n = values.shape[0]
+    values, times = _pair_inputs(path, times)
     best = 0.0
-    for i in range(n - 1):
-        num = np.abs(values[i + 1 :] - values[i]).sum(axis=1)
-        ratio = num / (times[i + 1 :] - times[i]) ** alpha
-        m = float(ratio.max())
-        if m > best:
-            best = m
+    for rows, dist, gap in _pair_blocks(values, times, upper=True):
+        later = np.arange(rows[0], times.size) > rows[:, None]
+        best = max(best, float((dist[later] / gap[later] ** alpha).max()))
     return best
 
 
@@ -79,16 +90,14 @@ def sobolev_seminorm(path, times, alpha: float, p: float) -> float:
     trapezoid quadrature with the diagonal excluded."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    values = _as_2d(path)
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("need >= 2 grid points")
-    diff = np.abs(values[:, None, :] - values[None, :, :]).sum(axis=2)
-    gap = np.abs(times[:, None] - times[None, :])
-    integrand = np.zeros_like(gap)
-    off = gap > 0
-    integrand[off] = diff[off] ** p / gap[off] ** (1.0 + alpha * p)
-    inner = np.trapezoid(integrand, times, axis=1)
+    values, times = _pair_inputs(path, times)
+    inner = np.empty(times.size)
+    for rows, dist, gap in _pair_blocks(values, times, upper=False):
+        gap = np.abs(gap)
+        integrand = np.zeros_like(gap)
+        off = gap > 0
+        integrand[off] = dist[off] ** p / gap[off] ** (1.0 + alpha * p)
+        inner[rows] = np.trapezoid(integrand, times, axis=1)
     return float(np.trapezoid(inner, times))
 
 
@@ -138,34 +147,52 @@ class StabilityReport:
     n_paths: int
 
 
+def _log_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x over the points where
+    both are positive; NaN with fewer than two such points."""
+    points = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    if len(points) < 2:
+        return float("nan")
+    lx = np.log([x for x, _ in points])
+    ly = np.log([y for _, y in points])
+    return float(np.polyfit(lx, ly, 1)[0])
+
+
+def _step_paths(model: ReflectedJumpSDE, times, inputs: PathInputs, stride: int = 1):
+    """States (n_points, m, d) of every path of ``inputs`` started at
+    ``model.x0`` on ``times``, the grid the inputs were drawn on coarsened by
+    ``stride``: Wiener increments summed over each step, the input current
+    taken at its left endpoint and the jumps added at its end."""
+    m, d = len(inputs), model.dimension
+    dW = inputs.dW
+    if stride > 1:
+        dW = dW.reshape(times.size - 1, stride, m, d).sum(axis=1)
+    sums = inputs.jump_sums(times) if model.jump_specs is not None else None
+    x0s = np.tile(model.x0, (m, 1))
+    return integrate_batch(model, times, dW, sums, inputs.u[::stride][:-1], x0s)[0]
+
+
 def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
                          perturbations, n_paths: int, master_seed: int):
     """Initial-condition sensitivity under common random numbers.
 
-    Each perturbed ensemble shares every noise stream with the reference
-    (same master seed and stream indices); only the initial state is offset
-    by ``offset`` in each coordinate.  Errors use the 1-norm squared.
+    The inputs are drawn once and every ensemble is stepped on them, so each
+    perturbed ensemble shares every noise stream with the reference; only the
+    initial state is offset by ``offset`` in each coordinate.  Errors use the
+    1-norm squared.
     """
     perturbations = [float(p) for p in perturbations]
-    streams = range(n_paths)
-    ref_states, _, _, _ = simulate_paths(model, grid, master_seed, streams)
-    sizes = []
-    errors = []
+    inputs = sample_path_inputs(model, grid, master_seed, range(n_paths))
+    ref_states = _step_paths(model, grid.times, inputs)
+    sizes, errors = [], []
     d = model.dimension
     for offset in perturbations:
-        perturbed = model.with_x0(model.x0 + offset)
-        states, _, _, _ = simulate_paths(perturbed, grid, master_seed, streams)
+        states = _step_paths(model.with_x0(model.x0 + offset), grid.times, inputs)
         diff = np.abs(states - ref_states).sum(axis=2)  # (n_points, m)
         errors.append(float((diff.max(axis=0) ** 2).mean()))
         sizes.append((d * offset) ** 2)
-    positive = [(s, e) for s, e in zip(sizes, errors) if s > 0 and e > 0]
-    if len(positive) >= 2:
-        ls = np.log([s for s, _ in positive])
-        le = np.log([e for _, e in positive])
-        slope = float(np.polyfit(ls, le, 1)[0])
-    else:
-        slope = float("nan")
-    return StabilityReport(tuple(sizes), tuple(errors), slope, n_paths)
+    return StabilityReport(tuple(sizes), tuple(errors),
+                           _log_slope(sizes, errors), n_paths)
 
 
 @dataclass(frozen=True)
@@ -191,35 +218,16 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     ref_level = levels[-1] + reference_offset
     fine_grid = build_dyadic_partition(ref_level, horizon)
     inputs = sample_path_inputs(model, fine_grid, master_seed, range(n_paths))
-    m, d = n_paths, model.dimension
-    x0s = np.tile(model.x0, (m, 1))
 
-    def run_level(level):
+    def terminal(level):
         grid = build_dyadic_partition(level, horizon)
-        stride = 2 ** (ref_level - level)
-        n_steps = grid.n_steps
-        dW = inputs.dW.reshape(n_steps, stride, m, d).sum(axis=1)
-        u = inputs.u[::stride][:-1]
-        sums = inputs.jump_sums(grid.times) if model.jump_specs is not None else None
-        states, _, _ = integrate_batch(model, grid.times, dW, sums, u, x0s)
-        return states[-1]
+        return _step_paths(model, grid.times, inputs, 2 ** (ref_level - level))[-1]
 
-    terminal_ref = run_level(ref_level)
-    dts = []
-    errs = []
+    terminal_ref = terminal(ref_level)
+    dts, errs = [], []
     for level in levels:
-        terminal = run_level(level)
-        diff = np.abs(terminal - terminal_ref).sum(axis=1)
+        diff = np.abs(terminal(level) - terminal_ref).sum(axis=1)
         errs.append(float(np.sqrt(np.mean(diff**2))))
         dts.append(horizon * 2.0**-level)
-    positive = [(dt, e) for dt, e in zip(dts, errs) if e > 0]
-    if len(positive) >= 2:
-        order = float(
-            np.polyfit(np.log([d_ for d_, _ in positive]),
-                       np.log([e for _, e in positive]), 1)[0]
-        )
-    else:
-        order = float("nan")
-    return ConvergenceReport(
-        tuple(levels), tuple(dts), tuple(errs), order, ref_level, n_paths
-    )
+    return ConvergenceReport(tuple(levels), tuple(dts), tuple(errs),
+                             _log_slope(dts, errs), ref_level, n_paths)

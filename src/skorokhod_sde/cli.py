@@ -106,6 +106,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _out_dir(doc: ConfigDocument) -> Path:
+    out = Path(doc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_config(args) -> ConfigDocument:
     """The config file with the flags as overrides and the seed environment
     variable as a fallback, validated once."""
@@ -134,8 +140,7 @@ def cmd_simulate(doc: ConfigDocument) -> int:
         model, grid, doc.n_paths, doc.seed,
         retain=max(doc.retain, 1), jump_timing=doc.jump_timing,
     )
-    out = Path(doc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(doc)
     for bundle in result.bundles:
         write_trajectory_csv(out / f"trajectory_{bundle.stream_index:03d}.csv", bundle)
     write_long_csv(out / "long.csv", {doc.input_mode: result.bundles[0]})
@@ -156,8 +161,7 @@ def cmd_panels(doc: ConfigDocument) -> int:
         scenarios = {mode: _scenario_inputs(doc, mode) for mode in INPUT_MODES}
     except ValueError as exc:  # x0 outside the domain of a reflected panel
         raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
-    out = Path(doc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(doc)
     panels = {}
     summaries = {}
     for mode, (model, grid) in scenarios.items():
@@ -186,15 +190,8 @@ def cmd_stability(doc: ConfigDocument) -> int:
     model, _ = _scenario_inputs(doc)
     grid = uniform_grid(doc.dt, exp.horizon)
     report = stability_experiment(model, grid, exp.offsets, exp.n_paths, doc.seed)
-    out = Path(doc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "stability.json", {
-        "config": emit_config(doc),
-        "perturbation_sizes": list(report.perturbation_sizes),
-        "errors": list(report.errors),
-        "fitted_slope": report.fitted_slope,
-        "n_paths": report.n_paths,
-    })
+    _write_json(_out_dir(doc) / "stability.json",
+                {"config": emit_config(doc), **dataclasses.asdict(report)})
     return 0
 
 
@@ -205,17 +202,8 @@ def cmd_converge(doc: ConfigDocument) -> int:
     report = strong_convergence_experiment(
         model, exp.levels, exp.n_paths, doc.seed, exp.horizon
     )
-    out = Path(doc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "convergence.json", {
-        "config": emit_config(doc),
-        "levels": list(report.levels),
-        "dts": list(report.dts),
-        "rms_errors": list(report.rms_errors),
-        "empirical_order": report.empirical_order,
-        "reference_level": report.reference_level,
-        "n_paths": report.n_paths,
-    })
+    _write_json(_out_dir(doc) / "convergence.json",
+                {"config": emit_config(doc), **dataclasses.asdict(report)})
     return 0
 
 
@@ -239,8 +227,7 @@ def cmd_validate(doc: ConfigDocument) -> int:
         lambda x, xi: rho_amp * xi, doc.scenario_config().jumps_E, box,
         n_samples=n,
     )
-    out = Path(doc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(doc)
     payload = {
         "config": emit_config(doc),
         "lipschitz": {

@@ -48,7 +48,8 @@ JUMP_TIMINGS = ("end_of_step", "exact")
 
 
 class SimulationAbort(RuntimeError):
-    """Raised when a coefficient evaluation produced a non-finite value."""
+    """Raised when a coefficient evaluation or a state proposal produced a
+    non-finite value."""
 
     def __init__(self, step_index: int, what: str):
         super().__init__(f"non-finite {what} at step {step_index}")

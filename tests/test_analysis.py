@@ -1,9 +1,13 @@
 """Tests for the path seminorms, ensemble statistics and the stability and
 strong-convergence experiments."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from skorokhod_sde import (
+    CompoundPoissonSpec,
+    JumpSizeDist,
     OUParams,
     ReflectedJumpSDE,
     ReflectionDomain,
@@ -16,6 +20,8 @@ from skorokhod_sde import (
     sup_norm,
     uniform_grid,
 )
+from skorokhod_sde import analysis
+from skorokhod_sde.engine import simulate_paths
 
 
 def linear_model(drift_rate=-1.0, sigma=0.0, x0=(0.0,), domain=None, **kw):
@@ -47,6 +53,71 @@ class TestSupNorm:
             sup_norm(np.empty(0))
 
 
+def holder_pair_oracle(path, t, alpha):
+    """Maximum over all pairs of the full n x n difference matrix."""
+    path = np.asarray(path, dtype=float).reshape(len(t), -1)
+    diff = np.abs(path[:, None, :] - path[None, :, :]).sum(axis=2)
+    gap = np.abs(t[:, None] - t[None, :])
+    mask = gap > 0
+    return float((diff[mask] / gap[mask] ** alpha).max())
+
+
+def sobolev_full_matrix_oracle(path, t, alpha, p):
+    """The seminorm on full n x n matrices, inner trapezoid per row."""
+    values = np.asarray(path, dtype=float).reshape(len(t), -1)
+    diff = np.abs(values[:, None, :] - values[None, :, :]).sum(axis=2)
+    gap = np.abs(t[:, None] - t[None, :])
+    integrand = np.zeros_like(gap)
+    off = gap > 0
+    integrand[off] = diff[off] ** p / gap[off] ** (1.0 + alpha * p)
+    inner = np.trapezoid(integrand, t, axis=1)
+    return float(np.trapezoid(inner, t))
+
+
+def random_path(n, d, seed):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 2.0, size=n))
+    t[0], t[-1] = 0.0, 2.0
+    path = rng.standard_normal((n, d)).cumsum(axis=0)
+    return (path[:, 0] if d == 1 else path), t
+
+
+class TestPairBlocks:
+    """Row blocks of every size give the full-matrix values exactly."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    @pytest.mark.parametrize("n", [2, 8, 9, 65, 130])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_match_full_matrix(self, monkeypatch, block, n, d):
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
+        path, t = random_path(n, d, seed=n * 10 + d)
+        assert holder_seminorm(path, t, 0.3) == holder_pair_oracle(path, t, 0.3)
+        for p in (2.0, 2.5):
+            assert sobolev_seminorm(path, t, 0.25, p) == sobolev_full_matrix_oracle(
+                path, t, 0.25, p
+            )
+
+    def test_memory_linear_in_path_length(self):
+        # the full-matrix form peaks near 784 MB here
+        t = np.linspace(0.0, 40.0, 4001)
+        path = np.random.default_rng(3).standard_normal((4001, 2)).cumsum(axis=0)
+        tracemalloc.start()
+        try:
+            sobolev_seminorm(path, t, 0.25, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("seminorm", [
+        lambda h, t: holder_seminorm(h, t, 0.25),
+        lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
+    ])
+    def test_mismatched_times_rejected(self, seminorm):
+        with pytest.raises(ValueError, match="matching times"):
+            seminorm([0.0, 1.0, 2.0], [0.0, 1.0])
+
+
 class TestHolderSeminorm:
     def test_constant_path(self):
         t = np.linspace(0.0, 1.0, 20)
@@ -73,10 +144,7 @@ class TestHolderSeminorm:
             t = np.sort(rng.uniform(0.0, 2.0, size=n))
             t[0], t[-1] = 0.0, 2.0
             path = rng.standard_normal((n, 2))
-            diff = np.abs(path[:, None, :] - path[None, :, :]).sum(axis=2)
-            gap = np.abs(t[:, None] - t[None, :])
-            mask = gap > 0
-            expected = float((diff[mask] / gap[mask] ** 0.3).max())
+            expected = holder_pair_oracle(path, t, 0.3)
             assert holder_seminorm(path, t, 0.3) == pytest.approx(expected, rel=1e-12)
 
     def test_grid_refinement_monotone(self):
@@ -176,6 +244,39 @@ class TestStabilityExperiment:
             model, uniform_grid(0.05, 2.0), [0.2, 0.02, 0.002], 64, 5
         )
         assert report.errors[0] > report.errors[1] > report.errors[2]
+
+    def test_one_input_draw_matches_separate_ensembles(self, monkeypatch):
+        model = ReflectedJumpSDE(
+            dimension=2,
+            drift=lambda state, u: u[..., None] - state,
+            diffusion=lambda state: 0.3 * np.ones_like(state),
+            domain=ReflectionDomain.box([(0.0, 1.0), (0.0, 1.0)]),
+            x0=np.array([0.4, 0.5]),
+            jump_coeff=lambda state: 0.5 - state,
+            jump_specs=(CompoundPoissonSpec(3.0, JumpSizeDist.exponential(0.2)),
+                        CompoundPoissonSpec(2.0, JumpSizeDist.constant(0.1))),
+            input_current=OUParams(mu=0.3, gamma=0.5, sigma=0.4),
+        )
+        grid = uniform_grid(0.05, 2.0)
+        offsets = [0.2, 0.02, -0.1]
+        draws = []
+        sample = analysis.sample_path_inputs
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "sample_path_inputs", counted)
+        report = stability_experiment(model, grid, offsets, 6, 11)
+        assert len(draws) == 1
+        ref = simulate_paths(model, grid, 11, range(6))[0]
+        expected = []
+        for offset in offsets:
+            states = simulate_paths(model.with_x0(model.x0 + offset), grid, 11, range(6))[0]
+            diff = np.abs(states - ref).sum(axis=2)
+            expected.append(float((diff.max(axis=0) ** 2).mean()))
+        assert report.errors == tuple(expected)
+        assert all(e > 0 for e in expected)
 
 
 class TestStrongConvergence:
