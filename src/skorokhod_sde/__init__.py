@@ -7,7 +7,6 @@ from .analysis import (
     ConvergenceReport,
     SeminormReport,
     StabilityReport,
-    ensemble_moments,
     holder_seminorm,
     seminorm_report,
     sobolev_seminorm,

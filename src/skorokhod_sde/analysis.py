@@ -24,7 +24,6 @@ __all__ = [
     "holder_seminorm",
     "sobolev_seminorm",
     "seminorm_report",
-    "ensemble_moments",
     "stability_experiment",
     "strong_convergence_experiment",
 ]
@@ -121,22 +120,6 @@ def seminorm_report(path, times, holder_alpha: float = 0.25,
         sobolev_p=sobolev_p,
         sobolev_seminorm=sobolev_seminorm(path, times, sobolev_alpha, sobolev_p),
     )
-
-
-def ensemble_moments(states: np.ndarray):
-    """Unbiased per-time mean/variance and the mean max-process statistic.
-
-    ``states`` has shape (n_points, m, d); the max-process statistic is the
-    per-path grid maximum of the 1-norm, averaged over paths.
-    """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[1] == 0:
-        raise ValueError("states must be (n_points, m, d) with m >= 1")
-    m = states.shape[1]
-    mean = states.mean(axis=1)
-    variance = states.var(axis=1, ddof=1) if m > 1 else np.zeros_like(mean)
-    max_process = float(np.abs(states).sum(axis=2).max(axis=0).mean())
-    return mean, variance, max_process
 
 
 @dataclass(frozen=True)

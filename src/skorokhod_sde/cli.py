@@ -129,15 +129,10 @@ def _load_config(args) -> ConfigDocument:
     return parse_config(text, overrides, fallbacks)
 
 
-def _scenario_inputs(doc: ConfigDocument, mode: str | None = None):
-    scenario = doc.scenario_config(mode)
-    return make_scenario(scenario), scenario.grid
-
-
 def cmd_simulate(doc: ConfigDocument) -> int:
-    model, grid = _scenario_inputs(doc)
+    model = make_scenario(doc.scenario_config())
     result = simulate_ensemble(
-        model, grid, doc.n_paths, doc.seed,
+        model, doc.build_grid(), doc.n_paths, doc.seed,
         retain=max(doc.retain, 1), jump_timing=doc.jump_timing,
     )
     out = _out_dir(doc)
@@ -158,13 +153,14 @@ def cmd_simulate(doc: ConfigDocument) -> int:
 
 def cmd_panels(doc: ConfigDocument) -> int:
     try:
-        scenarios = {mode: _scenario_inputs(doc, mode) for mode in INPUT_MODES}
+        scenarios = {mode: make_scenario(doc.scenario_config(mode)) for mode in INPUT_MODES}
     except ValueError as exc:  # x0 outside the domain of a reflected panel
         raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
+    grid = doc.build_grid()
     out = _out_dir(doc)
     panels = {}
     summaries = {}
-    for mode, (model, grid) in scenarios.items():
+    for mode, model in scenarios.items():
         result = simulate_ensemble(model, grid, 1, doc.seed, retain=1,
                                    jump_timing=doc.jump_timing)
         bundle = result.bundles[0]
@@ -187,7 +183,7 @@ def _require_experiment(doc: ConfigDocument, kind: str) -> None:
 def cmd_stability(doc: ConfigDocument) -> int:
     _require_experiment(doc, "stability")
     exp = doc.experiment
-    model, _ = _scenario_inputs(doc)
+    model = make_scenario(doc.scenario_config())
     grid = uniform_grid(doc.dt, exp.horizon)
     report = stability_experiment(model, grid, exp.offsets, exp.n_paths, doc.seed)
     _write_json(_out_dir(doc) / "stability.json",
@@ -198,7 +194,7 @@ def cmd_stability(doc: ConfigDocument) -> int:
 def cmd_converge(doc: ConfigDocument) -> int:
     _require_experiment(doc, "converge")
     exp = doc.experiment
-    model, _ = _scenario_inputs(doc)
+    model = make_scenario(doc.scenario_config())
     report = strong_convergence_experiment(
         model, exp.levels, exp.n_paths, doc.seed, exp.horizon
     )

@@ -35,7 +35,7 @@ from .models import (
     WilsonCowanParams,
     make_scenario,
 )
-from .sources import CompoundPoissonSpec, JumpSizeDist, OUParams
+from .sources import MAX_SEED, CompoundPoissonSpec, JumpSizeDist, OUParams
 
 __all__ = [
     "ConfigDocument",
@@ -56,7 +56,6 @@ E_READ = "E_READ"
 
 EXPERIMENT_KINDS = ("none", "stability", "converge")
 JUMP_DISTS = ("constant", "exponential", "uniform")
-MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class ConfigDocument:
             jumps_E=spec,
             jumps_I=spec,
             rho=self.rho,
-            grid=self.build_grid(),
             x0=(self.x0_e, self.x0_i),
         )
 
@@ -223,9 +221,7 @@ def _build(values: dict) -> ConfigDocument:
         dyadic_steps(doc.level, doc.horizon)
     else:
         uniform_steps(doc.dt, doc.horizon)
-    # The model does not depend on the grid; a one-step grid keeps building
-    # it cheap however fine the configured grid is.
-    model = make_scenario(replace(doc, level=0, dt=doc.horizon).scenario_config())
+    model = make_scenario(doc.scenario_config())
     if not 0 <= doc.seed <= MAX_SEED:
         raise ValueError(f"seed must lie in 0..{MAX_SEED}")
     exp = doc.experiment

@@ -25,6 +25,7 @@ from .sources import (
     SeedSpec,
     _cells,
     sample_path_inputs,
+    stream_layout,
 )
 
 __all__ = [
@@ -63,8 +64,6 @@ class SimulationGrid:
     times: np.ndarray
     horizon: float
     dt: float
-    mode: str = "uniform"
-    level: Optional[int] = None
 
     @property
     def n_steps(self) -> int:
@@ -78,8 +77,8 @@ def dyadic_steps(level: int, horizon: float) -> int:
         raise ValueError("dyadic level must be >= 1")
     if level > MAX_DYADIC_LEVEL:
         raise ValueError(f"dyadic level capped at {MAX_DYADIC_LEVEL}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     return 2**level
 
 
@@ -87,7 +86,7 @@ def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
     """Dyadic grid with 2^level steps: points k * 2^-level * horizon."""
     n = dyadic_steps(level, horizon)
     times = np.linspace(0.0, horizon, n + 1)
-    return SimulationGrid(times, float(horizon), horizon / n, "dyadic", level)
+    return SimulationGrid(times, float(horizon), horizon / n)
 
 
 def uniform_steps(dt: float, horizon: float) -> int:
@@ -107,7 +106,7 @@ def uniform_steps(dt: float, horizon: float) -> int:
 def uniform_grid(dt: float, horizon: float) -> SimulationGrid:
     n = uniform_steps(dt, horizon)
     times = np.linspace(0.0, horizon, n + 1)
-    return SimulationGrid(times, float(horizon), horizon / n, "uniform", None)
+    return SimulationGrid(times, float(horizon), horizon / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,21 +150,6 @@ class ReflectedJumpSDE:
 
     def with_x0(self, x0) -> "ReflectedJumpSDE":
         return replace(self, x0=np.asarray(x0, dtype=float))
-
-    # component_index layout used by the samplers
-    def wiener_component(self, coord: int) -> int:
-        return coord
-
-    def jump_component(self, coord: int) -> int:
-        return self.dimension + coord
-
-    @property
-    def input_component(self) -> int:
-        return 2 * self.dimension
-
-    @property
-    def bridge_component(self) -> int:
-        return 2 * self.dimension + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,10 +290,11 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
     draw = sub > 0  # then the time left, total, is positive too
     total = np.where(draw, times[step + 1] - start, 1.0)
     d = model.dimension
+    bridge = stream_layout(d)[3]
     counts = np.bincount(path[draw], minlength=len(inputs))
     z = np.zeros((time.size, d))
     z[draw] = np.concatenate([np.empty((0, d))] + [
-        SeedSpec(master_seed, idx, model.bridge_component).rng().standard_normal((n, d))
+        SeedSpec(master_seed, idx, bridge).rng().standard_normal((n, d))
         for idx, n in zip(stream_indices, counts) if n
     ])
     frac = np.where(draw, sub / total, 0.0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .engine import ReflectedJumpSDE, SimulationGrid, uniform_grid
+from .engine import ReflectedJumpSDE
 from .skorokhod import ReflectionDomain
 from .sources import CompoundPoissonSpec, JumpSizeDist, OUParams
 
@@ -126,7 +126,6 @@ class ScenarioConfig:
     jumps_E: CompoundPoissonSpec = field(default_factory=default_jump_spec)
     jumps_I: CompoundPoissonSpec = field(default_factory=default_jump_spec)
     rho: float = 0.01
-    grid: SimulationGrid = field(default_factory=lambda: uniform_grid(0.1, 100.0))
     x0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):

@@ -68,35 +68,31 @@ class ReflectionDomain:
 
 @dataclass(frozen=True)
 class ReflectedPath:
-    """Reflected path with its local-time decomposition on a grid."""
+    """Reflected path with its local-time decomposition."""
 
-    times: np.ndarray
     xi: np.ndarray
     phi: np.ndarray
     phi_tv: np.ndarray
 
 
-def reflect_path_1d(w, lo: float = 0.0, times=None) -> ReflectedPath:
+def reflect_path_1d(w, lo: float = 0.0) -> ReflectedPath:
     """Exact lower reflection of a scalar path.
 
     phi(t) = -min(0, min_{s<=t} (w(s) - lo)) and xi = w + phi, so xi >= lo at
     every grid point, phi(0) = 0 and phi is nondecreasing.
     """
+    xi, phi = _reflect_scan(w, lo)
+    return ReflectedPath(xi=xi, phi=phi, phi_tv=total_variation(phi))
+
+
+def _reflect_scan(w, lo: float):
+    """Running-minimum form of the reflection map: returns (xi, phi) of a
+    nonempty 1d path ``w`` that starts at or above ``lo``."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("w must be a nonempty 1d path")
     if w[0] < lo:
         raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
-    if times is None:
-        times = np.arange(w.size, dtype=float)
-    else:
-        times = np.asarray(times, dtype=float)
-    xi, phi = _reflect_scan(w, lo)
-    return ReflectedPath(times=times, xi=xi, phi=phi, phi_tv=total_variation(phi))
-
-
-def _reflect_scan(w: np.ndarray, lo: float):
-    """Running-minimum form of the reflection map: returns (xi, phi)."""
     phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
     return w + phi, phi
 
@@ -124,9 +120,6 @@ class ReflectionAccumulator1D:
 
 def reflect_stream_1d(w, lo: float = 0.0):
     """Whole-array scan of the running minimum: returns (xi, phi)."""
-    w = np.ascontiguousarray(w, dtype=float)
-    if w[0] < lo:
-        raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
     return _reflect_scan(w, lo)
 
 

@@ -26,13 +26,19 @@ __all__ = [
     "sample_ou_paths",
     "PathInputs",
     "sample_path_inputs",
+    "stream_layout",
 ]
 
-# component_index conventions for a d-dimensional model:
-#   0 .. d-1      Wiener stream of coordinate i
-#   d .. 2d-1     jump stream of coordinate i
-#   2d            shared input-current stream
-#   2d + 1        auxiliary bridge stream (exact jump-time splitting)
+MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
+
+
+def stream_layout(d: int) -> tuple[range, range, int, int]:
+    """Component indices of a d-dimensional model's streams: (Wiener, jump,
+    input current, bridge).  Coordinate c draws its Wiener increments from
+    component ``wiener[c]`` and its jumps from ``jump[c]``; the input current
+    is shared by all coordinates, and the bridge stream feeds exact
+    jump-time splitting."""
+    return range(d), range(d, 2 * d), 2 * d, 2 * d + 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class SeedSpec:
     component_index: int = 0
 
     def __post_init__(self):
-        if self.master_seed < 0 or self.master_seed > 2**64 - 1:
+        if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         if self.stream_index < 0 or self.component_index < 0:
             raise ValueError("stream and component indices must be nonnegative")
@@ -152,7 +158,7 @@ def sample_wiener_increments(seed: SeedSpec, grid) -> np.ndarray:
     widths = np.diff(np.asarray(grid.times, dtype=float))
     if widths.size == 0:
         raise ValueError("grid needs at least one step")
-    if np.any(widths <= 0):
+    if not np.all(widths > 0):
         raise ValueError("grid step widths must be positive")
     rng = seed.rng()
     return rng.standard_normal(widths.size) * np.sqrt(widths)
@@ -212,7 +218,7 @@ def sample_ou_paths(
     """
     stream_indices = list(stream_indices)
     widths = np.diff(np.asarray(grid.times, dtype=float))
-    if widths.size == 0 or np.any(widths <= 0):
+    if widths.size == 0 or not np.all(widths > 0):
         raise ValueError("grid step widths must be positive")
     dW = np.empty((widths.size, len(stream_indices)))
     for j, idx in enumerate(stream_indices):
@@ -279,32 +285,32 @@ class PathInputs:
 def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInputs:
     """Draw the inputs of the trajectories ``stream_indices`` on ``grid``.
 
-    ``model`` supplies ``dimension``, ``jump_specs`` and ``input_current``
-    and the component layout (``wiener_component``, ``jump_component``,
-    ``input_component``).  Column ``j`` holds exactly the draws of the
-    single streams ``SeedSpec(master_seed, stream_indices[j], component)``.
+    ``model`` supplies ``dimension``, ``jump_specs`` and ``input_current``.
+    Column ``j`` holds exactly the draws of the single streams
+    ``SeedSpec(master_seed, stream_indices[j], component)``, with the
+    components of :func:`stream_layout`.
     """
     stream_indices = list(stream_indices)
     m, d = len(stream_indices), model.dimension
+    wiener, jump, current, _ = stream_layout(d)
     specs = model.jump_specs or ()
     dW = np.empty((grid.n_steps, m, d))
     times, sizes, counts = [np.empty(0)], [np.empty(0)], []
     for j, idx in enumerate(stream_indices):
-        for c in range(d):
+        for c, component in enumerate(wiener):
             dW[:, j, c] = sample_wiener_increments(
-                SeedSpec(master_seed, idx, model.wiener_component(c)), grid
+                SeedSpec(master_seed, idx, component), grid
             )
-        for c, spec in enumerate(specs):
+        for spec, component in zip(specs, jump):
             t, s = sample_compound_poisson_arrays(
-                SeedSpec(master_seed, idx, model.jump_component(c)),
-                spec, grid.horizon,
+                SeedSpec(master_seed, idx, component), spec, grid.horizon
             )
             times.append(t)
             sizes.append(s)
             counts.append(t.size)
     if model.input_current is not None:
         u = sample_ou_paths(master_seed, model.input_current, grid,
-                            stream_indices, model.input_component)
+                            stream_indices, current)
     else:
         u = np.zeros((grid.n_steps + 1, m))
     # index of each jump's (path, coord) stream, path-major

@@ -45,10 +45,9 @@ def scenario_model(mode, horizon=100.0, **kw):
             0.5 if mode == "ou_reflected_jumps" else 0.0,
             JumpSizeDist.exponential(1.0),
         ),
-        grid=uniform_grid(0.1, horizon),
         **kw,
     )
-    return make_scenario(config), config.grid
+    return make_scenario(config), uniform_grid(0.1, horizon)
 
 
 def test_criterion_1_skorokhod_exactness():

@@ -1,5 +1,6 @@
-"""Tests for the path seminorms, ensemble statistics and the stability and
-strong-convergence experiments."""
+"""Tests for the path seminorms and the stability and strong-convergence
+experiments."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from skorokhod_sde import (
     OUParams,
     ReflectedJumpSDE,
     ReflectionDomain,
-    ensemble_moments,
     holder_seminorm,
     seminorm_report,
     sobolev_seminorm,
@@ -194,32 +194,6 @@ class TestSobolevSeminorm:
         assert report.sobolev_seminorm > 0
 
 
-class TestEnsembleMoments:
-    def test_single_constant_path(self):
-        states = np.full((5, 1, 2), 1.5)
-        mean, var, max_proc = ensemble_moments(states)
-        assert np.all(mean == 1.5)
-        assert not var.any()
-        assert max_proc == pytest.approx(3.0)
-
-    def test_two_constant_paths(self):
-        states = np.zeros((4, 2, 1))
-        states[:, 1, 0] = 2.0
-        mean, var, _ = ensemble_moments(states)
-        assert np.all(mean == 1.0)
-        assert np.all(var == 2.0)
-
-    def test_normal_sample_variance(self):
-        rng = np.random.default_rng(0)
-        states = rng.standard_normal((1, 10**4, 1))
-        _, var, _ = ensemble_moments(states)
-        assert var[0, 0] == pytest.approx(1.0, rel=0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_moments(np.empty((3, 0, 1)))
-
-
 class TestStabilityExperiment:
     def test_zero_perturbation_zero_error(self):
         model = linear_model(sigma=0.3, x0=(0.5,))
@@ -309,6 +283,11 @@ class TestStrongConvergence:
         report = strong_convergence_experiment(model, [3, 5], 2, 0, 4.0)
         assert report.reference_level == 8
         assert report.dts == (4.0 * 2.0**-3, 4.0 * 2.0**-5)
+
+    def test_nonfinite_horizon_rejected(self):
+        model = linear_model(drift_rate=-1.0, sigma=0.1, x0=(1.0,))
+        with pytest.raises(ValueError, match="horizon"):
+            strong_convergence_experiment(model, [3, 5], 2, 0, math.inf)
 
     def test_shared_noise_with_input_current(self):
         model = ReflectedJumpSDE(

@@ -2,6 +2,7 @@
 errors with stable codes, canonical emission and round-tripping."""
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,7 +138,7 @@ class TestRoundTrip:
         )
         doc = parse_config(text)
         assert parse_config(emit_config(doc)) == doc
-        assert doc.build_grid().mode == "dyadic"
+        assert np.array_equal(doc.build_grid().times, np.linspace(0.0, 8.0, 65))
         assert doc.build_grid().n_steps == 64
 
 

@@ -20,7 +20,7 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde.engine import integrate_batch, uniform_steps
+from skorokhod_sde.engine import integrate_batch, simulate_paths, uniform_steps
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
 
@@ -60,6 +60,11 @@ class TestGrids:
             build_dyadic_partition(0, 1.0)
         with pytest.raises(ValueError):
             build_dyadic_partition(31, 1.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_dyadic_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            build_dyadic_partition(3, horizon)
 
     def test_uniform_grid(self):
         grid = uniform_grid(0.1, 1.0)
@@ -276,7 +281,7 @@ def exact_oracle(model, grid, master_seed, stream_index):
     bridge stream, and every sub-step is reflected.
     """
     inputs = sample_path_inputs(model, grid, master_seed, [stream_index])
-    bridge_rng = SeedSpec(master_seed, stream_index, model.bridge_component).rng()
+    bridge_rng = SeedSpec(master_seed, stream_index, 2 * model.dimension + 1).rng()
     times = grid.times
     dW, u = inputs.dW[:, 0], inputs.u[:, 0]
     # stable in time, so simultaneous jumps keep coordinate order
@@ -412,6 +417,14 @@ class TestEnsemble:
             expected.append(ex)
         se = np.sqrt(result.variance[-1, 0] / n_paths)
         assert abs(result.mean[-1, 0] - expected[-1]) < 3.0 * se
+
+    def test_moments_are_those_of_the_paths(self):
+        model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
+        result = simulate_ensemble(model, grid, 5, master_seed=3)
+        states = simulate_paths(model, grid, 3, range(5))[0]
+        assert result.variance[1:].all()  # the paths differ
+        assert np.array_equal(result.mean, states.mean(axis=1))
+        assert np.array_equal(result.variance, states.var(axis=1, ddof=1))
 
     def test_invalid_path_count(self):
         model = linear_model_1d()

@@ -15,7 +15,6 @@ from skorokhod_sde import (
     estimate_lipschitz_constant,
     make_scenario,
     sigmoid_F,
-    uniform_grid,
     wilson_cowan_diffusion,
     wilson_cowan_drift,
 )
@@ -141,7 +140,6 @@ class TestScenarios:
         spec = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
         return ScenarioConfig(
             input_mode=mode, jumps_E=spec, jumps_I=spec,
-            grid=uniform_grid(0.1, 10.0),
         )
 
     def test_white_noise_mode(self):

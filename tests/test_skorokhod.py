@@ -36,7 +36,7 @@ class TestReflectPath1D:
 
     def test_boundary_sliding(self):
         times = np.linspace(0.0, 1.0, 101)
-        out = reflect_path_1d(-times, lo=0.0, times=times)
+        out = reflect_path_1d(-times, lo=0.0)
         assert np.array_equal(out.phi, times)
         assert np.array_equal(out.xi, np.zeros_like(times))
 
@@ -122,6 +122,17 @@ class TestStreaming:
     def test_initial_point_rejected(self):
         with pytest.raises(ValueError):
             ReflectionAccumulator1D(-0.1, lo=0.0)
+
+
+@pytest.mark.parametrize("reflect", [reflect_path_1d, reflect_stream_1d])
+@pytest.mark.parametrize("w, message", [
+    ([], "nonempty 1d path"),
+    ([[0.0, 1.0], [2.0, 3.0]], "nonempty 1d path"),
+    ([-0.5, 1.0], "below the boundary"),
+])
+def test_malformed_path_rejected(reflect, w, message):
+    with pytest.raises(ValueError, match=message):
+        reflect(w, 0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,6 +20,7 @@ from skorokhod_sde import (
     uniform_grid,
 )
 from skorokhod_sde.engine import SimulationGrid
+from skorokhod_sde.sources import stream_layout
 
 
 class TestSeedSpec:
@@ -67,6 +68,13 @@ class TestWienerIncrements:
         grid = SimulationGrid(np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
         with pytest.raises(ValueError):
             sample_wiener_increments(SeedSpec(0), grid)
+
+    def test_nan_step_width_rejected(self):
+        grid = SimulationGrid(np.array([0.0, np.nan, 1.0]), 1.0, 0.5)
+        with pytest.raises(ValueError, match="widths"):
+            sample_wiener_increments(SeedSpec(0), grid)
+        with pytest.raises(ValueError, match="widths"):
+            sample_ou_paths(0, OUParams(), grid, [0], component_index=0)
 
     def test_empty_grid_rejected(self):
         grid = SimulationGrid(np.array([0.0]), 0.0, 0.0)
@@ -239,6 +247,9 @@ def _binned(events, times, d):
 
 
 class TestPathInputs:
+    def test_stream_layout(self):
+        assert stream_layout(2) == (range(0, 2), range(2, 4), 4, 5)
+
     @pytest.mark.parametrize("width", [1, 200])
     def test_columns_equal_single_stream_draws(self, width):
         model = _two_coord_model()
