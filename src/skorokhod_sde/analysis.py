@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 REFERENCE_OFFSET = 3  # the convergence reference is this many levels finer
+HOLDER_ALPHA, SOBOLEV_ALPHA, SOBOLEV_P = 0.25, 0.25, 2.0  # seminorm_report's exponents
 _PAIR_BLOCK = 2**16  # pairs per row block of the seminorms
 
 
@@ -110,15 +111,14 @@ class SeminormReport:
     sobolev_seminorm: float
 
 
-def seminorm_report(path, times, holder_alpha: float = 0.25,
-                    sobolev_alpha: float = 0.25, sobolev_p: float = 2.0):
+def seminorm_report(path, times):
     return SeminormReport(
         sup_norm=sup_norm(path),
-        holder_alpha=holder_alpha,
-        holder_seminorm=holder_seminorm(path, times, holder_alpha),
-        sobolev_alpha=sobolev_alpha,
-        sobolev_p=sobolev_p,
-        sobolev_seminorm=sobolev_seminorm(path, times, sobolev_alpha, sobolev_p),
+        holder_alpha=HOLDER_ALPHA,
+        holder_seminorm=holder_seminorm(path, times, HOLDER_ALPHA),
+        sobolev_alpha=SOBOLEV_ALPHA,
+        sobolev_p=SOBOLEV_P,
+        sobolev_seminorm=sobolev_seminorm(path, times, SOBOLEV_ALPHA, SOBOLEV_P),
     )
 
 
@@ -189,8 +189,7 @@ class ConvergenceReport:
 
 
 def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
-                                  master_seed: int, horizon: float,
-                                  reference_offset: int = REFERENCE_OFFSET):
+                                  master_seed: int, horizon: float):
     """RMS terminal error of the dyadic scheme against a fine reference.
 
     All levels share one noise realization: Brownian increments (and the
@@ -198,7 +197,7 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     aggregated down to each coarser grid.
     """
     levels = sorted(int(n) for n in levels)
-    ref_level = levels[-1] + reference_offset
+    ref_level = levels[-1] + REFERENCE_OFFSET
     fine_grid = build_dyadic_partition(ref_level, horizon)
     inputs = sample_path_inputs(model, fine_grid, master_seed, range(n_paths))
 

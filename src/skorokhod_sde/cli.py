@@ -178,6 +178,10 @@ def _require_experiment(doc: ConfigDocument, kind: str) -> None:
         raise ConfigError([ConfigIssue(
             E_TYPE, 0, f"this command needs an [experiment] section with kind = {kind}"
         )])
+    if doc.jump_timing != "end_of_step":  # the experiments add jumps at step ends
+        raise ConfigError([ConfigIssue(
+            E_INVARIANT, 0, f"{kind} needs [engine] jump_timing = end_of_step"
+        )])
 
 
 def cmd_stability(doc: ConfigDocument) -> int:

@@ -11,7 +11,7 @@ loop, :func:`integrate_batch`, runs both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,15 +59,29 @@ class SimulationAbort(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SimulationGrid:
-    """Uniform or dyadic time grid on [0, horizon]."""
+    """Time grid 0 = t_0 < t_1 < ... < t_n, checked once here: ``times`` is
+    1-d, finite and strictly increasing from 0; ``widths`` are its steps."""
 
     times: np.ndarray
-    horizon: float
-    dt: float
+    widths: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
+            raise ValueError("grid times must be 1-d, start at 0 and have >= 2 points")
+        widths = np.diff(times)
+        if not (np.isfinite(times).all() and (widths > 0).all()):
+            raise ValueError("grid times must be finite and strictly increasing")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "widths", widths)
+
+    @property
+    def horizon(self) -> float:
+        return float(self.times[-1])
 
     @property
     def n_steps(self) -> int:
-        return self.times.size - 1
+        return self.widths.size
 
 
 def dyadic_steps(level: int, horizon: float) -> int:
@@ -84,9 +98,7 @@ def dyadic_steps(level: int, horizon: float) -> int:
 
 def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
     """Dyadic grid with 2^level steps: points k * 2^-level * horizon."""
-    n = dyadic_steps(level, horizon)
-    times = np.linspace(0.0, horizon, n + 1)
-    return SimulationGrid(times, float(horizon), horizon / n)
+    return SimulationGrid(np.linspace(0.0, horizon, dyadic_steps(level, horizon) + 1))
 
 
 def uniform_steps(dt: float, horizon: float) -> int:
@@ -104,9 +116,7 @@ def uniform_steps(dt: float, horizon: float) -> int:
 
 
 def uniform_grid(dt: float, horizon: float) -> SimulationGrid:
-    n = uniform_steps(dt, horizon)
-    times = np.linspace(0.0, horizon, n + 1)
-    return SimulationGrid(times, float(horizon), horizon / n)
+    return SimulationGrid(np.linspace(0.0, horizon, uniform_steps(dt, horizon) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,29 +197,18 @@ class EnsembleResult:
     bundles: tuple[TrajectoryBundle, ...] = ()
 
 
-def _coefficients(model, x, u, step_index, with_jumps):
-    """Drift, diffusion and, if ``with_jumps``, the jump coefficient, frozen
-    at the batch of states ``x``."""
-    f = model.drift(x, u)
-    g = model.diffusion(x)
-    if not np.all(np.isfinite(f)):
-        raise SimulationAbort(step_index, "drift")
-    if not np.all(np.isfinite(g)):
-        raise SimulationAbort(step_index, "diffusion")
-    rho = None
-    if with_jumps and model.jump_coeff is not None:
-        rho = model.jump_coeff(x)
-        if not np.all(np.isfinite(rho)):
-            raise SimulationAbort(step_index, "jump coefficient")
-    return f, g, rho
+def _check_finite(step_index, f, g, rho, prop=None):
+    """Raise :class:`SimulationAbort` for the first of drift, diffusion, jump
+    coefficient and state proposal that is non-finite in any row."""
+    for what, value in (("drift", f), ("diffusion", g), ("jump coefficient", rho),
+                        ("state proposal", prop)):
+        if value is not None and not np.isfinite(value).all():
+            raise SimulationAbort(step_index, what)
 
 
-def _reflect(model, prop, step_index):
-    if not np.all(np.isfinite(prop)):
-        raise SimulationAbort(step_index, "state proposal")
-    return reflect_box(prop, model.domain)
-
-
+# A non-finite f, g or rho makes the step's whole proposal non-finite (inf * 0
+# is NaN), so the proposal's check catches it; that NaN is not worth a warning.
+@np.errstate(invalid="ignore")
 def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
                     jump_sums, u: np.ndarray, x0s: np.ndarray, substeps=None):
     """Step a batch of paths through the grid.
@@ -233,27 +232,35 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
     for k in range(n_steps):
         groups = substeps.get(k, ())
         js = None if jump_sums is None else jump_sums[k]
-        f, g, rho = _coefficients(model, x, u[k], k, js is not None or bool(groups))
+        f = model.drift(x, u[k])
+        g = model.diffusion(x)
+        rho = model.jump_coeff(x) if js is not None or groups else None
         dt = times[k + 1] - times[k]
         w = dW[k]
         if groups:
-            # Coefficients stay frozen at the step's left endpoint (copy x,
-            # they may alias it); each group moves its rows to their next
-            # jump, applies it and reflects.
+            # rho of a row without a jump never reaches a proposal, so it is
+            # checked here.  Coefficients stay frozen at the step's left
+            # endpoint (copy x, they may alias it); each group moves its
+            # rows to their next jump, applies it and reflects.
+            _check_finite(k, f, g, rho)
             x, w, dt = x.copy(), w.copy(), np.full((m, 1), dt)
             for rows, coord, size, sub, frac, noise, rest in groups:
                 dw = w[rows] * frac + noise
                 prop = x[rows] + f[rows] * sub + g[rows] * dw
                 prop[np.arange(rows.size), coord] += size * rho[rows, coord]
-                x[rows], linc, uinc = _reflect(model, prop, k)
+                if not np.isfinite(prop).all():
+                    _check_finite(k, f, g, rho, prop)
+                x[rows], linc, uinc = reflect_box(prop, model.domain)
                 acc_lo[rows] += linc
                 acc_hi[rows] += uinc
                 w[rows] -= dw
                 dt[rows] = rest
         prop = x + f * dt + g * w
-        if rho is not None and js is not None:
+        if js is not None:
             prop = prop + rho * js
-        x, linc, uinc = _reflect(model, prop, k)
+        if not np.isfinite(prop).all():
+            _check_finite(k, f, g, rho, prop)
+        x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
         acc_hi += uinc
         states[k + 1] = x

@@ -58,18 +58,18 @@ class WilsonCowanParams:
     I_ext_I: float = 0.0
 
     def __post_init__(self):
-        if self.tau_E <= 0 or self.tau_I <= 0:
+        if not (self.tau_E > 0 and self.tau_I > 0):
             raise ValueError("time constants must be positive")
-        if self.a_E <= 0 or self.a_I <= 0:
+        if not (self.a_E > 0 and self.a_I > 0):
             raise ValueError("sigmoid slopes must be positive")
         for name in ("delta_E", "delta_I"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("w_EE", "w_EI", "w_IE", "w_II"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.sigma_ext_E < 0 or self.sigma_ext_I < 0:
+        if not (self.sigma_ext_E >= 0 and self.sigma_ext_I >= 0):
             raise ValueError("noise amplitudes must be nonnegative")
 
 

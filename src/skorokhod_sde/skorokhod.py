@@ -5,7 +5,7 @@ local-time bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +26,21 @@ TOL_BOUNDARY = 1e-12
 @dataclass(frozen=True)
 class ReflectionDomain:
     """Axis-aligned product domain: per-coordinate [lo, hi] with hi possibly
-    +inf (half-line) and lo possibly -inf (coordinate not reflected)."""
+    +inf (half-line) and lo possibly -inf (coordinate not reflected).
+    ``lower`` and ``upper`` are the bounds as read-only arrays."""
 
     bounds: tuple[tuple[float, float], ...]
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"need lo < hi per coordinate, got [{lo}, {hi}]")
+        for name, side in (("lower", 0), ("upper", 1)):
+            a = np.array([b[side] for b in self.bounds], dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":
@@ -51,19 +58,9 @@ class ReflectionDomain:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds])
-
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
-        )
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,12 @@ def reflect_box(proposal, domain: ReflectionDomain):
     """Per-step componentwise projection into the domain.
 
     Returns (reflected point, lower-face increments, upper-face increments).
-    Works on a single point (d,) or a batch (m, d).
+    Works on a single point (d,) or a batch (m, d).  The proposal must be
+    finite: then an infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
     """
     p = np.asarray(proposal, dtype=float)
-    lo = domain.lower
-    hi = domain.upper
-    lower_inc = np.where(np.isfinite(lo), np.maximum(lo - p, 0.0), 0.0)
-    upper_inc = np.where(np.isfinite(hi), np.maximum(p - hi, 0.0), 0.0)
+    lower_inc = np.maximum(domain.lower - p, 0.0)
+    upper_inc = np.maximum(p - domain.upper, 0.0)
     return p + lower_inc - upper_inc, lower_inc, upper_inc
 
 

@@ -77,6 +77,8 @@ class JumpSizeDist:
     def __post_init__(self):
         if self.kind not in ("constant", "exponential", "uniform"):
             raise ValueError(f"unknown jump distribution {self.kind!r}")
+        if not np.isfinite((self.a, self.b)).all():
+            raise ValueError("jump size parameters must be finite")
         if self.kind == "exponential" and self.a <= 0:
             raise ValueError("exponential jump mean must be positive")
         if self.kind == "uniform" and not self.a < self.b:
@@ -124,7 +126,7 @@ class CompoundPoissonSpec:
     jump_dist: JumpSizeDist
 
     def __post_init__(self):
-        if self.intensity_alpha < 0:
+        if not self.intensity_alpha >= 0:
             raise ValueError("jump intensity must be >= 0")
 
 
@@ -147,21 +149,15 @@ class OUParams:
     v0: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
 
 
 def sample_wiener_increments(seed: SeedSpec, grid) -> np.ndarray:
     """Gaussian increments N(0, dt_i), one per grid step."""
-    widths = np.diff(np.asarray(grid.times, dtype=float))
-    if widths.size == 0:
-        raise ValueError("grid needs at least one step")
-    if not np.all(widths > 0):
-        raise ValueError("grid step widths must be positive")
-    rng = seed.rng()
-    return rng.standard_normal(widths.size) * np.sqrt(widths)
+    return seed.rng().standard_normal(grid.n_steps) * np.sqrt(grid.widths)
 
 
 def _sample_jump_arrays(rng, spec: CompoundPoissonSpec, horizon: float):
@@ -217,20 +213,15 @@ def sample_ou_paths(
     ``SeedSpec(master_seed, stream_indices[j], component_index)``.
     """
     stream_indices = list(stream_indices)
-    widths = np.diff(np.asarray(grid.times, dtype=float))
-    if widths.size == 0 or not np.all(widths > 0):
-        raise ValueError("grid step widths must be positive")
-    dW = np.empty((widths.size, len(stream_indices)))
+    dW = np.empty((grid.n_steps, len(stream_indices)))
     for j, idx in enumerate(stream_indices):
         dW[:, j] = sample_wiener_increments(
             SeedSpec(master_seed, idx, component_index), grid
         )
-    v = np.empty((widths.size + 1, len(stream_indices)))
+    v = np.empty((grid.n_steps + 1, len(stream_indices)))
     v[0] = params.v0
-    for k in range(widths.size):
-        v[k + 1] = (
-            v[k] + (params.mu - v[k] / params.gamma) * widths[k] + params.sigma * dW[k]
-        )
+    for k, width in enumerate(grid.widths):
+        v[k + 1] = v[k] + (params.mu - v[k] / params.gamma) * width + params.sigma * dW[k]
     return v
 
 

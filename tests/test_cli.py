@@ -177,6 +177,14 @@ class TestExperimentCommands:
         assert report["reference_level"] == 8
         assert report["rms_errors"][-1] < report["rms_errors"][0]
 
+    @pytest.mark.parametrize("kind", ["stability", "converge"])
+    def test_exact_jump_timing_rejected(self, tmp_path, capsys, kind):
+        text = SMALL + f"[engine]\njump_timing = exact\n[experiment]\nkind = {kind}\n"
+        out = tmp_path / "x"
+        assert run("--config", write_config(tmp_path, text), "--out", str(out), kind) == 1
+        assert "jump_timing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "val"

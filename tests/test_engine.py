@@ -2,6 +2,7 @@
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from skorokhod_sde import (
     ReflectedJumpSDE,
     ReflectionDomain,
     SimulationAbort,
+    SimulationGrid,
     SeedSpec,
     build_dyadic_partition,
     sample_path_inputs,
@@ -20,7 +22,7 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde.engine import integrate_batch, simulate_paths, uniform_steps
+from skorokhod_sde.engine import JUMP_TIMINGS, integrate_batch, simulate_paths, uniform_steps
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
 
@@ -66,10 +68,21 @@ class TestGrids:
         with pytest.raises(ValueError, match="horizon"):
             build_dyadic_partition(3, horizon)
 
+    @pytest.mark.parametrize("times", [
+        [[0.0, 1.0], [2.0, 3.0]],
+        [0.5, 1.0],
+        [0.0, 1.0, np.inf],
+        [0.0, 2.0, 1.0],
+    ])
+    def test_invalid_times_rejected(self, times):
+        with pytest.raises(ValueError, match="grid times"):
+            SimulationGrid(np.array(times))
+
     def test_uniform_grid(self):
         grid = uniform_grid(0.1, 1.0)
         assert grid.n_steps == 10
-        assert grid.dt == pytest.approx(0.1)
+        assert grid.horizon == 1.0
+        assert np.allclose(grid.widths, 0.1)
         with pytest.raises(ValueError):
             uniform_grid(0.3, 1.0)
         with pytest.raises(ValueError):
@@ -370,6 +383,51 @@ class TestExactAgainstOracle:
             simulate_ensemble(model, uniform_grid(0.5, 5.0), 4, 0, jump_timing="exact")
 
 
+class TestAbortOnPoisonedRows:
+    """A coefficient that turns non-finite on the rows past a threshold aborts
+    at the first step that evaluates it there, naming it.  Under exact timing
+    the jump coefficient is evaluated only in steps with a jump and checked
+    on every row, whether or not that row jumps; with this seed and threshold
+    the poisoned rows do not jump in the step that aborts."""
+
+    THRESHOLD = 0.8
+
+    def poison(self, coeff, bad):
+        def poisoned(state, *args):
+            out = np.array(coeff(state, *args), dtype=float)
+            out[state[:, 0] > self.THRESHOLD] = bad
+            return out
+        return poisoned
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what, field", [
+        ("drift", "drift"), ("diffusion", "diffusion"), ("jump coefficient", "jump_coeff"),
+    ])
+    def test_first_poisoned_step_aborts(self, what, field, bad, timing):
+        size = JumpSizeDist.uniform(-1.0, 1.0)
+        clean = replace(busy_jump_model(), jump_specs=(
+            CompoundPoissonSpec(0.3, size), CompoundPoissonSpec(0.2, size)))
+        grid, m, seed = uniform_grid(0.5, 20.0), 6, 2
+        states = simulate_paths(clean, grid, seed, range(m), timing)[0]
+        over = states[:-1, :, 0] > self.THRESHOLD  # (n_steps, m)
+        hit = over.any(axis=1)
+        cells = None
+        if (field, timing) == ("jump_coeff", "exact"):
+            inputs = sample_path_inputs(clean, grid, seed, range(m))
+            cells = _cells(grid.times, inputs.time)
+            hit &= np.isin(np.arange(grid.n_steps), cells)
+        step = int(np.argmax(hit))
+        assert hit[step]
+        if cells is not None:
+            assert not over[step, inputs.path[cells == step]].any()
+        model = replace(clean, **{field: self.poison(getattr(clean, field), bad)})
+        with pytest.raises(SimulationAbort, match=f"^non-finite {what} at step {step}$") as exc:
+            simulate_paths(model, grid, seed, range(m), timing)
+        assert exc.value.step_index == step
+
+
 class TestEnsemble:
     def test_single_path_statistics(self):
         model = linear_model_1d(x0=1.0, sigma=0.4)
@@ -406,14 +464,15 @@ class TestEnsemble:
             x0=np.array([0.0]),
             input_current=ou,
         )
-        grid = uniform_grid(0.05, 5.0)
+        dt = 0.05
+        grid = uniform_grid(dt, 5.0)
         n_paths = 2000
         result = simulate_ensemble(model, grid, n_paths, master_seed=13)
         ev, ex = ou.v0, 0.0
         expected = [ex]
         for _ in range(grid.n_steps):
-            ex = ex + (ev - ex) * grid.dt
-            ev = ev + (ou.mu - ev / ou.gamma) * grid.dt
+            ex = ex + (ev - ex) * dt
+            ev = ev + (ou.mu - ev / ou.gamma) * dt
             expected.append(ex)
         se = np.sqrt(result.variance[-1, 0] / n_paths)
         assert abs(result.mean[-1, 0] - expected[-1]) < 3.0 * se

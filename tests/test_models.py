@@ -8,6 +8,7 @@ import pytest
 from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
+    OUParams,
     ScenarioConfig,
     ScenarioError,
     WilsonCowanParams,
@@ -77,6 +78,25 @@ class TestParams:
             WilsonCowanParams(w_EI=-2.0)
         with pytest.raises(ValueError):
             WilsonCowanParams(sigma_ext_I=-0.1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: OUParams(gamma=math.nan),
+        lambda: OUParams(sigma=math.nan),
+        lambda: CompoundPoissonSpec(math.nan, JumpSizeDist.constant(1.0)),
+        lambda: JumpSizeDist.constant(math.nan),
+        lambda: JumpSizeDist.constant(math.inf),
+        lambda: JumpSizeDist.exponential(math.nan),
+        lambda: JumpSizeDist.exponential(math.inf),
+        lambda: JumpSizeDist.uniform(0.0, math.inf),
+        lambda: JumpSizeDist.uniform(-math.inf, 0.0),
+        lambda: WilsonCowanParams(tau_E=math.nan),
+        lambda: WilsonCowanParams(a_E=math.nan),
+        lambda: WilsonCowanParams(w_EE=math.nan),
+        lambda: WilsonCowanParams(sigma_ext_E=math.nan),
+    ])
+    def test_nonfinite_parameters_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestDrift:

@@ -197,7 +197,15 @@ class TestDomain:
         domain = ReflectionDomain.box([(0.0, 1.0)])
         assert domain.contains([0.5])
         assert not domain.contains([1.5])
-        assert domain.contains([1.0 + 1e-12], tol=1e-9)
+        assert not domain.contains([1.0 + 1e-12])
+
+    def test_bound_arrays_are_read_only(self):
+        domain = ReflectionDomain.half_line(0.0, dim=2)
+        assert np.array_equal(domain.lower, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            domain.lower[0] = 1.0
+        with pytest.raises(ValueError):
+            domain.upper[:] = 0.0
 
 
 class TestTotalVariation:

@@ -65,21 +65,16 @@ class TestSeedSpec:
 
 class TestWienerIncrements:
     def test_degenerate_grid_rejected(self):
-        grid = SimulationGrid(np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
-        with pytest.raises(ValueError):
-            sample_wiener_increments(SeedSpec(0), grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SimulationGrid(np.array([0.0, 0.0, 1.0]))
 
     def test_nan_step_width_rejected(self):
-        grid = SimulationGrid(np.array([0.0, np.nan, 1.0]), 1.0, 0.5)
-        with pytest.raises(ValueError, match="widths"):
-            sample_wiener_increments(SeedSpec(0), grid)
-        with pytest.raises(ValueError, match="widths"):
-            sample_ou_paths(0, OUParams(), grid, [0], component_index=0)
+        with pytest.raises(ValueError, match="finite"):
+            SimulationGrid(np.array([0.0, np.nan, 1.0]))
 
     def test_empty_grid_rejected(self):
-        grid = SimulationGrid(np.array([0.0]), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            sample_wiener_increments(SeedSpec(0), grid)
+        with pytest.raises(ValueError, match="2 points"):
+            SimulationGrid(np.array([0.0]))
 
     def test_determinism(self):
         grid = uniform_grid(0.1, 10.0)
