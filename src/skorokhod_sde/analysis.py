@@ -30,13 +30,15 @@ __all__ = [
 
 REFERENCE_OFFSET = 3  # the convergence reference is this many levels finer
 HOLDER_ALPHA, SOBOLEV_ALPHA, SOBOLEV_P = 0.25, 0.25, 2.0  # seminorm_report's exponents
-_PAIR_BLOCK = 2**16  # pairs per row block of the seminorms
+_PAIR_BLOCK = 2**16  # pairs per row block of the Sobolev seminorm
 
 
 def _as_2d(path) -> np.ndarray:
     path = np.asarray(path, dtype=float)
     if path.size == 0:
         raise ValueError("empty path")
+    if not np.isfinite(path).all():
+        raise ValueError("path values must be finite")
     if path.ndim == 1:
         return path[:, None]
     return path
@@ -52,51 +54,44 @@ def _pair_inputs(path, times):
     times = np.asarray(times, dtype=float)
     if values.shape[0] != times.size or times.size < 2:
         raise ValueError("need >= 2 grid points with matching times")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("times must be finite and strictly increasing")
     return values, times
 
 
-def _pair_blocks(values, times, upper: bool):
-    """Row blocks of the pairwise differences of a path on its grid: yields
-    (rows, dist, gap) with |h(t_j) - h(t_i)| (1-norm) and t_j - t_i for the
-    points i in ``rows`` and every j, or j >= rows[0] if ``upper``.  About
-    ``_PAIR_BLOCK`` pairs per block keep memory linear in the path length."""
-    n = times.size
-    last = n - 1 if upper else n
-    step = max(1, _PAIR_BLOCK // n)
-    for i0 in range(0, last, step):
-        rows = np.arange(i0, min(i0 + step, last))
-        j0 = i0 if upper else 0
-        dist = np.abs(values[j0:] - values[rows, None]).sum(axis=2)
-        yield rows, dist, times[j0:] - times[rows, None]
-
-
 def holder_seminorm(path, times, alpha: float) -> float:
-    """max over grid pairs of |h(t) - h(s)| / |t - s|^alpha.
+    """max over grid pairs of |h(t) - h(s)| / |t - s|^alpha, one lag at a time.
 
     Exact on the grid; a lower bound for the continuum seminorm.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values, times = _pair_inputs(path, times)
-    best = 0.0
-    for rows, dist, gap in _pair_blocks(values, times, upper=True):
-        later = np.arange(rows[0], times.size) > rows[:, None]
-        best = max(best, float((dist[later] / gap[later] ** alpha).max()))
-    return best
+    return max(
+        float((np.abs(values[lag:] - values[:-lag]).sum(axis=1)
+               / (times[lag:] - times[:-lag]) ** alpha).max())
+        for lag in range(1, times.size)
+    )
 
 
 def sobolev_seminorm(path, times, alpha: float, p: float) -> float:
     """Double-integral seminorm int int |h(t)-h(s)|^p / |t-s|^{1+alpha p},
-    trapezoid quadrature with the diagonal excluded."""
+    trapezoid quadrature with the diagonal excluded.  Rows are taken in
+    blocks of about ``_PAIR_BLOCK`` pairs, so memory is linear in the path
+    length."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     values, times = _pair_inputs(path, times)
-    inner = np.empty(times.size)
-    for rows, dist, gap in _pair_blocks(values, times, upper=False):
-        gap = np.abs(gap)
-        integrand = np.zeros_like(gap)
-        off = gap > 0
-        integrand[off] = dist[off] ** p / gap[off] ** (1.0 + alpha * p)
+    n = times.size
+    step = max(1, _PAIR_BLOCK // n)
+    inner = np.empty(n)
+    for i0 in range(0, n, step):
+        rows = np.arange(i0, min(i0 + step, n))
+        dist = np.abs(values - values[rows, None]).sum(axis=2)
+        gap = np.abs(times - times[rows, None])
+        with np.errstate(invalid="ignore"):  # 0/0 on the diagonal
+            integrand = dist**p / gap ** (1.0 + alpha * p)
+        integrand[rows - i0, rows] = 0.0
         inner[rows] = np.trapezoid(integrand, times, axis=1)
     return float(np.trapezoid(inner, times))
 

@@ -137,12 +137,13 @@ class ReflectedJumpSDE:
     jump_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jump_specs: Optional[tuple[CompoundPoissonSpec, ...]] = None
     input_current: Optional[OUParams] = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.shape != (self.dimension,):
             raise ValueError("x0 must have shape (dimension,)")
+        if not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
         if self.domain.dim != self.dimension:
             raise ValueError("domain dimension mismatch")
         if not self.domain.contains(self.x0):
@@ -151,12 +152,6 @@ class ReflectedJumpSDE:
             raise ValueError("jump_specs and jump_coeff must be given together")
         if self.jump_specs is not None and len(self.jump_specs) != self.dimension:
             raise ValueError("need one CompoundPoissonSpec per coordinate")
-
-    @property
-    def has_jumps(self) -> bool:
-        return self.jump_specs is not None and any(
-            s.intensity_alpha > 0 for s in self.jump_specs
-        )
 
     def with_x0(self, x0) -> "ReflectedJumpSDE":
         return replace(self, x0=np.asarray(x0, dtype=float))
@@ -190,8 +185,6 @@ class TrajectoryBundle:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    grid: SimulationGrid
-    n_paths: int
     mean: np.ndarray       # (n_points, d)
     variance: np.ndarray   # unbiased, (n_points, d)
     bundles: tuple[TrajectoryBundle, ...] = ()
@@ -388,4 +381,4 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
         variance = states.var(axis=1, ddof=1)
     else:
         variance = np.zeros_like(mean)
-    return EnsembleResult(grid, n_paths, mean, variance, kept)
+    return EnsembleResult(mean, variance, kept)

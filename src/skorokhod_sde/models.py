@@ -4,7 +4,7 @@ jump-coefficient assumptions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -58,6 +58,8 @@ class WilsonCowanParams:
     I_ext_I: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError("Wilson-Cowan parameters must be finite")
         if not (self.tau_E > 0 and self.tau_I > 0):
             raise ValueError("time constants must be positive")
         if not (self.a_E > 0 and self.a_I > 0):
@@ -200,7 +202,6 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         jump_coeff=jump_coeff,
         jump_specs=jump_specs,
         input_current=input_current,
-        name=f"wilson_cowan[{mode}]",
     )
 
 

@@ -126,8 +126,8 @@ class CompoundPoissonSpec:
     jump_dist: JumpSizeDist
 
     def __post_init__(self):
-        if not self.intensity_alpha >= 0:
-            raise ValueError("jump intensity must be >= 0")
+        if not 0 <= self.intensity_alpha < np.inf:
+            raise ValueError("jump intensity must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,8 @@ class OUParams:
     v0: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite((self.mu, self.gamma, self.sigma, self.v0)).all():
+            raise ValueError("OU parameters must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not self.sigma >= 0:

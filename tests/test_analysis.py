@@ -82,38 +82,123 @@ def random_path(n, d, seed):
     return (path[:, 0] if d == 1 else path), t
 
 
-class TestPairBlocks:
-    """Row blocks of every size give the full-matrix values exactly."""
+def lag_one_step(n=40):
+    """Unit step between two neighbours on a random grid: the maximum sits at
+    lag 1, across the step."""
+    _, t = random_path(n, 1, seed=5)
+    return np.where(np.arange(n) >= n // 2, 1.0, 0.0), t
+
+
+def last_lag_wiggle(n=101):
+    """Trend plus a wiggle that vanishes at both ends: not monotone, maximum
+    at the last lag."""
+    t = np.linspace(0.0, 1.0, n)
+    return t + 0.1 * np.sin(20.0 * np.pi * t) * t * (1.0 - t), t
+
+
+def ramp(n=120):
+    """Monotone ramp, the case where every lag must be visited."""
+    _, t = random_path(n, 1, seed=6)
+    return np.stack([t, -2.0 * t], axis=1), t
+
+
+SHAPED = {"lag_one": lag_one_step, "last_lag": last_lag_wiggle, "ramp": ramp}
+
+
+class TestOracles:
+    """Both seminorms equal their full-matrix oracles exactly."""
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 65, 130])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_holder_matches_pair_oracle(self, n, d):
+        path, t = random_path(n, d, seed=n * 10 + d)
+        assert holder_seminorm(path, t, 0.3) == holder_pair_oracle(path, t, 0.3)
 
     @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
     @pytest.mark.parametrize("n", [2, 8, 9, 65, 130])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_blocks_match_full_matrix(self, monkeypatch, block, n, d):
+    def test_sobolev_blocks_match_full_matrix(self, monkeypatch, block, n, d):
         monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
         path, t = random_path(n, d, seed=n * 10 + d)
-        assert holder_seminorm(path, t, 0.3) == holder_pair_oracle(path, t, 0.3)
         for p in (2.0, 2.5):
             assert sobolev_seminorm(path, t, 0.25, p) == sobolev_full_matrix_oracle(
                 path, t, 0.25, p
             )
 
-    def test_memory_linear_in_path_length(self):
-        # the full-matrix form peaks near 784 MB here
-        t = np.linspace(0.0, 40.0, 4001)
-        path = np.random.default_rng(3).standard_normal((4001, 2)).cumsum(axis=0)
+    @pytest.mark.parametrize("shape", SHAPED)
+    def test_shaped_paths_match_oracles(self, shape):
+        path, t = SHAPED[shape]()
+        assert holder_seminorm(path, t, 0.25) == holder_pair_oracle(path, t, 0.25)
+        assert sobolev_seminorm(path, t, 0.25, 2.0) == sobolev_full_matrix_oracle(
+            path, t, 0.25, 2.0
+        )
+
+    def test_lag_one_maximum(self):
+        path, t = lag_one_step()
+        k = path.size // 2
+        assert holder_seminorm(path, t, 0.25) == 1.0 / (t[k] - t[k - 1]) ** 0.25
+
+    @pytest.mark.parametrize("shape", ["last_lag", "ramp"])
+    def test_last_lag_maximum(self, shape):
+        path, t = SHAPED[shape]()
+        if shape == "last_lag":
+            assert (np.diff(path) < 0).any()
+        values = np.asarray(path).reshape(t.size, -1)
+        end = np.abs(values[-1] - values[0]).sum() / (t[-1] - t[0]) ** 0.25
+        assert holder_seminorm(path, t, 0.25) == end
+
+    @pytest.mark.parametrize("seminorm, n, budget", [
+        # the full-matrix forms peak near 784 MB at 4001 points and 2.4 GB
+        # at 10 001 points; the lag sweep holds a few arrays of n x d
+        (lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0), 4001, 16 * 2**20),
+        (lambda h, t: holder_seminorm(h, t, 0.25), 10001, 2**20),
+    ], ids=["sobolev", "holder"])
+    def test_memory_linear_in_path_length(self, seminorm, n, budget):
+        t = np.linspace(0.0, 40.0, n)
+        path = np.random.default_rng(3).standard_normal((n, 2)).cumsum(axis=0)
         tracemalloc.start()
         try:
-            sobolev_seminorm(path, t, 0.25, 2.0)
+            seminorm(path, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < budget
 
-    @pytest.mark.parametrize("seminorm", [
-        lambda h, t: holder_seminorm(h, t, 0.25),
-        lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
-    ])
-    def test_mismatched_times_rejected(self, seminorm):
+
+@pytest.mark.parametrize("seminorm", [
+    lambda h, t: sup_norm(h),
+    lambda h, t: holder_seminorm(h, t, 0.25),
+    lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
+], ids=["sup", "holder", "sobolev"])
+class TestBadInputRejected:
+    @pytest.mark.parametrize("path", [
+        [0.0, 1.0, math.nan, 0.5, 0.2, 0.1],
+        [0.0, 1.0, math.inf, 0.5, 0.2, 0.1],
+        [0.0, 1.0, -math.inf, 0.5, 0.2, 0.1],
+        np.where(np.arange(12).reshape(6, 2) == 7, math.nan, 0.0),
+    ], ids=["nan", "inf", "-inf", "nan_in_2d"])
+    def test_nonfinite_values(self, seminorm, path):
+        # Python's max(0.0, nan) is 0.0, so a NaN must not reach a reduction
+        with pytest.raises(ValueError, match="finite"):
+            seminorm(path, np.linspace(0.0, 1.0, 6))
+
+
+@pytest.mark.parametrize("seminorm", [
+    lambda h, t: holder_seminorm(h, t, 0.25),
+    lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
+], ids=["holder", "sobolev"])
+class TestBadTimesRejected:
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.2, math.nan, 0.6],
+        [0.0, 0.2, 0.4, math.inf],
+        [0.0, 0.2, 0.2, 0.6],
+        [0.0, 0.4, 0.2, 0.6],
+    ], ids=["nan", "inf", "repeated", "decreasing"])
+    def test_times_must_increase(self, seminorm, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            seminorm([0.0, 1.0, 0.5, 0.2], times)
+
+    def test_mismatched_times(self, seminorm):
         with pytest.raises(ValueError, match="matching times"):
             seminorm([0.0, 1.0, 2.0], [0.0, 1.0])
 

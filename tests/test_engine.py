@@ -151,6 +151,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             linear_model_1d(x0=-1.0)
 
+    @pytest.mark.parametrize("x0", [math.inf, math.nan])
+    def test_nonfinite_x0_rejected(self, x0):
+        # an infinite face would otherwise "contain" an infinite state
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            linear_model_1d(x0=x0)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            linear_model_1d().with_x0([x0])
+
     def test_jump_spec_pairing(self):
         with pytest.raises(ValueError):
             linear_model_1d(jump_coeff=lambda s: s)

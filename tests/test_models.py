@@ -93,6 +93,14 @@ class TestParams:
         lambda: WilsonCowanParams(a_E=math.nan),
         lambda: WilsonCowanParams(w_EE=math.nan),
         lambda: WilsonCowanParams(sigma_ext_E=math.nan),
+        lambda: OUParams(mu=math.nan),
+        lambda: OUParams(v0=math.inf),
+        lambda: OUParams(sigma=math.inf),
+        lambda: WilsonCowanParams(theta_E=math.nan),
+        lambda: WilsonCowanParams(I_ext_E=math.inf),
+        lambda: WilsonCowanParams(w_EE=math.inf),
+        lambda: WilsonCowanParams(tau_E=math.inf),
+        lambda: CompoundPoissonSpec(math.inf, JumpSizeDist.constant(1.0)),
     ])
     def test_nonfinite_parameters_rejected(self, build):
         with pytest.raises(ValueError):
