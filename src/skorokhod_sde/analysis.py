@@ -136,18 +136,20 @@ def _log_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _step_paths(model: ReflectedJumpSDE, times, inputs: PathInputs, stride: int = 1):
-    """States (n_points, m, d) of every path of ``inputs`` started at
-    ``model.x0`` on ``times``, the grid the inputs were drawn on coarsened by
-    ``stride``: Wiener increments summed over each step, the input current
-    taken at its left endpoint and the jumps added at its end."""
+def _step_paths(model: ReflectedJumpSDE, times, inputs: PathInputs, stride: int = 1,
+                keep=None):
+    """The :func:`integrate_batch` record of every path of ``inputs`` started
+    at ``model.x0`` on ``times``, the grid the inputs were drawn on coarsened
+    by ``stride``: Wiener increments summed over each step, the input current
+    taken at its left endpoint and the jumps added at its end.  The first
+    ``keep`` paths' histories are kept (all by default)."""
     m, d = len(inputs), model.dimension
     dW = inputs.dW
     if stride > 1:
         dW = dW.reshape(times.size - 1, stride, m, d).sum(axis=1)
     sums = inputs.jump_sums(times) if model.jump_specs is not None else None
     x0s = np.tile(model.x0, (m, 1))
-    return integrate_batch(model, times, dW, sums, inputs.u[::stride][:-1], x0s)[0]
+    return integrate_batch(model, times, dW, sums, inputs.u[::stride][:-1], x0s, keep=keep)
 
 
 def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -161,11 +163,11 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     """
     perturbations = [float(p) for p in perturbations]
     inputs = sample_path_inputs(model, grid, master_seed, range(n_paths))
-    ref_states = _step_paths(model, grid.times, inputs)
+    ref_states = _step_paths(model, grid.times, inputs).states
     sizes, errors = [], []
     d = model.dimension
     for offset in perturbations:
-        states = _step_paths(model.with_x0(model.x0 + offset), grid.times, inputs)
+        states = _step_paths(model.with_x0(model.x0 + offset), grid.times, inputs).states
         diff = np.abs(states - ref_states).sum(axis=2)  # (n_points, m)
         errors.append(float((diff.max(axis=0) ** 2).mean()))
         sizes.append((d * offset) ** 2)
@@ -198,7 +200,7 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
 
     def terminal(level):
         grid = build_dyadic_partition(level, horizon)
-        return _step_paths(model, grid.times, inputs, 2 ** (ref_level - level))[-1]
+        return _step_paths(model, grid.times, inputs, 2 ** (ref_level - level), keep=0).terminal
 
     terminal_ref = terminal(ref_level)
     dts, errs = [], []

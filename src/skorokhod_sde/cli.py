@@ -21,8 +21,8 @@ from .analysis import (
 )
 from .config import (
     E_INVARIANT,
+    E_MISSING_SECTION,
     E_READ,
-    E_TYPE,
     ConfigDocument,
     ConfigError,
     ConfigIssue,
@@ -176,7 +176,7 @@ def cmd_panels(doc: ConfigDocument) -> int:
 def _require_experiment(doc: ConfigDocument, kind: str) -> None:
     if doc.experiment.kind != kind:
         raise ConfigError([ConfigIssue(
-            E_TYPE, 0, f"this command needs an [experiment] section with kind = {kind}"
+            E_MISSING_SECTION, 0, f"{kind} needs an [experiment] section with kind = {kind}"
         )])
     if doc.jump_timing != "end_of_step":  # the experiments add jumps at step ends
         raise ConfigError([ConfigIssue(

@@ -24,6 +24,7 @@ from .engine import (
     JUMP_TIMINGS,
     SimulationGrid,
     build_dyadic_partition,
+    check_budget,
     dyadic_steps,
     uniform_grid,
     uniform_steps,
@@ -53,6 +54,7 @@ E_TYPE = "E_TYPE"
 E_INVARIANT = "E_INVARIANT"
 E_CONTRADICTION = "E_CONTRADICTION"
 E_READ = "E_READ"
+E_MISSING_SECTION = "E_MISSING_SECTION"
 
 EXPERIMENT_KINDS = ("none", "stability", "converge")
 JUMP_DISTS = ("constant", "exponential", "uniform")
@@ -60,12 +62,16 @@ JUMP_DISTS = ("constant", "exponential", "uniform")
 
 @dataclass(frozen=True)
 class ConfigIssue:
+    """One problem; ``line`` 0 means the value came from outside the
+    document (a flag, the environment or the command itself)."""
+
     code: str
     line: int
     message: str
 
     def __str__(self):
-        return f"line {self.line}: [{self.code}] {self.message}"
+        where = f"line {self.line}: " if self.line else ""
+        return f"{where}[{self.code}] {self.message}"
 
 
 class ConfigError(ValueError):
@@ -202,8 +208,10 @@ def _convert(raw: str, default, choices=()):
 def _build(values: dict) -> ConfigDocument:
     """The document ``values`` ({(section, key): value}) describe, after
     building from it what the commands build: the parameter dataclasses, the
-    grid, the jump law, the scenario model and the experiment grid.  Raises
-    the ValueError of the first build that rejects it."""
+    grid, the jump law, the scenario model and the experiment grid, and
+    checks the arrays of each command it configures against the engine's
+    memory budget.  Raises the ValueError of the first build that rejects
+    it."""
     groups: dict[str, dict] = {}
     for section_key, value in values.items():
         head, _, name = _SCHEMA[section_key][0].rpartition(".")
@@ -218,9 +226,9 @@ def _build(values: dict) -> ConfigDocument:
         head: replace(getattr(_DEFAULT, head), **kwargs) for head, kwargs in groups.items()
     })
     if doc.level:
-        dyadic_steps(doc.level, doc.horizon)
+        n_steps = dyadic_steps(doc.level, doc.horizon)
     else:
-        uniform_steps(doc.dt, doc.horizon)
+        n_steps = uniform_steps(doc.dt, doc.horizon)
     model = make_scenario(doc.scenario_config())
     if not 0 <= doc.seed <= MAX_SEED:
         raise ValueError(f"seed must lie in 0..{MAX_SEED}")
@@ -229,15 +237,20 @@ def _build(values: dict) -> ConfigDocument:
         raise ValueError("n_paths must be >= 1")
     if doc.retain < 0:
         raise ValueError("retain must be >= 0")
+    d = model.dimension
+    check_budget("simulate", n_steps, doc.n_paths, d, min(max(doc.retain, 1), doc.n_paths))
     if exp.kind == "stability":
-        uniform_steps(doc.dt, exp.horizon)
+        # the reference ensemble's and one perturbed ensemble's histories
+        check_budget("stability", uniform_steps(doc.dt, exp.horizon), exp.n_paths, d,
+                     2 * exp.n_paths)
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
             raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
-        for level in (min(exp.levels), max(exp.levels) + REFERENCE_OFFSET):
-            dyadic_steps(level, exp.horizon)
+        dyadic_steps(min(exp.levels), exp.horizon)
+        check_budget("converge", dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon),
+                     exp.n_paths, d, 0)
         if len(set(exp.levels)) < 2:
             raise ValueError("levels need two distinct values to fit an order")
     return doc

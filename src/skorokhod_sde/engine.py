@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .sources import (
 
 __all__ = [
     "SimulationGrid",
+    "MEMORY_BUDGET",
+    "check_budget",
     "build_dyadic_partition",
     "dyadic_steps",
     "uniform_grid",
@@ -45,7 +47,9 @@ __all__ = [
 ]
 
 MAX_DYADIC_LEVEL = 30  # grids have at most 2**MAX_DYADIC_LEVEL steps
+MEMORY_BUDGET = 2**30  # bytes of arrays one command may hold; see check_budget
 JUMP_TIMINGS = ("end_of_step", "exact")
+_MOMENT_BLOCK = 64  # grid points per block of the per-point moment reduction
 
 
 class SimulationAbort(RuntimeError):
@@ -94,6 +98,19 @@ def dyadic_steps(level: int, horizon: float) -> int:
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     return 2**level
+
+
+def check_budget(command: str, n_steps: int, n_paths: int, d: int, keep: int) -> None:
+    """Raise ValueError when ``n_paths`` paths on ``n_steps`` steps need more
+    than ``MEMORY_BUDGET`` bytes of arrays: the Wiener increments and jump
+    sums, (n_steps, n_paths, d) each, the input current, (n_points, n_paths),
+    and the states and reflection terms of ``keep`` kept paths, (n_points,
+    keep, d) each."""
+    n_points = n_steps + 1
+    need = 8 * (2 * n_steps * n_paths * d + n_points * n_paths + 3 * n_points * keep * d)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
+                         f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
 
 
 def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
@@ -190,6 +207,26 @@ class EnsembleResult:
     bundles: tuple[TrajectoryBundle, ...] = ()
 
 
+class BatchRecord(NamedTuple):
+    """What :func:`integrate_batch` recorded of a batch of m paths."""
+
+    states: np.ndarray               # (n_points, keep, d): leading ``keep`` rows
+    phi_lower: np.ndarray            # (n_points, keep, d)
+    phi_upper: np.ndarray            # (n_points, keep, d)
+    terminal: np.ndarray             # (m, d): every row's state at the last point
+    mean: Optional[np.ndarray]       # (n_points, d) over all rows, or None
+    variance: Optional[np.ndarray]   # unbiased, (n_points, d), or None
+
+
+def _moments(rows: np.ndarray):
+    """Mean and unbiased variance over the paths (axis 1) of ``rows``,
+    (n, m, d); the variance of a single path is 0."""
+    mean = rows.mean(axis=1)
+    if rows.shape[1] == 1:
+        return mean, np.zeros_like(mean)
+    return mean, rows.var(axis=1, ddof=1)
+
+
 def _check_finite(step_index, f, g, rho, prop=None):
     """Raise :class:`SimulationAbort` for the first of drift, diffusion, jump
     coefficient and state proposal that is non-finite in any row."""
@@ -203,22 +240,35 @@ def _check_finite(step_index, f, g, rho, prop=None):
 # is NaN), so the proposal's check catches it; that NaN is not worth a warning.
 @np.errstate(invalid="ignore")
 def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
-                    jump_sums, u: np.ndarray, x0s: np.ndarray, substeps=None):
+                    jump_sums, u: np.ndarray, x0s: np.ndarray, substeps=None,
+                    keep: Optional[int] = None, moments: bool = False) -> BatchRecord:
     """Step a batch of paths through the grid.
 
     dW: (n_steps, m, d); u: (n_steps, m); x0s: (m, d).  Jumps come either as
     ``jump_sums``, (n_steps, m, d) summed sizes added at the end of each
     step, or as ``substeps`` from :func:`_exact_substeps`, which split each
-    step at its jump times; the other is None.  Returns (states, phi_lower,
-    phi_upper), each (n_points, m, d).
+    step at its jump times; the other is None.
+
+    Only the first ``keep`` rows (all by default) have their states and
+    reflection terms recorded at every grid point; every row's terminal
+    state is returned.  With ``moments`` the per-point mean and unbiased
+    variance over all m rows are returned too: from the kept history when it
+    holds every row, else from a buffer of ``_MOMENT_BLOCK`` grid points
+    reduced whenever it fills, which gives the same floats.
     """
     n_steps = times.size - 1
     m, d = x0s.shape
-    states = np.empty((n_steps + 1, m, d))
-    phi_lower = np.zeros((n_steps + 1, m, d))
-    phi_upper = np.zeros((n_steps + 1, m, d))
+    keep = m if keep is None else keep
+    states = np.empty((n_steps + 1, keep, d))
+    phi_lower = np.zeros((n_steps + 1, keep, d))
+    phi_upper = np.zeros((n_steps + 1, keep, d))
     x = x0s.copy()
-    states[0] = x
+    states[0] = x[:keep]
+    block = mean = variance = None
+    if moments and keep < m:
+        block = np.empty((min(_MOMENT_BLOCK, n_steps), m, d))  # row k % size: point k + 1
+        mean, variance = np.empty((n_steps + 1, d)), np.empty((n_steps + 1, d))
+        mean[:1], variance[:1] = _moments(x[None])
     acc_lo = np.zeros((m, d))
     acc_hi = np.zeros((m, d))
     substeps = substeps or {}
@@ -256,10 +306,19 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
         x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
         acc_hi += uinc
-        states[k + 1] = x
-        phi_lower[k + 1] = acc_lo
-        phi_upper[k + 1] = acc_hi
-    return states, phi_lower, phi_upper
+        if keep:
+            states[k + 1] = x[:keep]
+            phi_lower[k + 1] = acc_lo[:keep]
+            phi_upper[k + 1] = acc_hi[:keep]
+        if block is not None:
+            row = k % block.shape[0]
+            block[row] = x
+            if row == block.shape[0] - 1 or k == n_steps - 1:
+                done = slice(k + 1 - row, k + 2)
+                mean[done], variance[done] = _moments(block[:row + 1])
+    if moments and block is None:
+        mean, variance = _moments(states)
+    return BatchRecord(states, phi_lower, phi_upper, x, mean, variance)
 
 
 def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indices):
@@ -311,6 +370,25 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
     return groups
 
 
+def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
+                  stream_indices: Sequence[int], jump_timing: str,
+                  keep: Optional[int] = None, moments: bool = False):
+    """Draw the inputs of the given trajectory streams and step them; returns
+    the :func:`integrate_batch` record and the :class:`PathInputs`."""
+    if jump_timing not in JUMP_TIMINGS:
+        raise ValueError(f"unknown jump_timing {jump_timing!r}")
+    inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
+    jump_sums = substeps = None
+    if jump_timing == "exact":
+        substeps = _exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
+    elif model.jump_specs is not None:
+        jump_sums = inputs.jump_sums(grid.times)
+    x0s = np.tile(model.x0, (len(inputs), 1))
+    record = integrate_batch(model, grid.times, inputs.dW, jump_sums, inputs.u[:-1],
+                             x0s, substeps, keep, moments)
+    return record, inputs
+
+
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
                    master_seed: int, stream_indices: Sequence[int],
                    jump_timing: str = "end_of_step"):
@@ -321,27 +399,15 @@ def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
     ``jump_timing`` is ``"end_of_step"`` (each step's jumps are summed and
     added at its end) or ``"exact"`` (each step is split at its jump times).
     """
-    if jump_timing not in JUMP_TIMINGS:
-        raise ValueError(f"unknown jump_timing {jump_timing!r}")
-    inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
-    jump_sums = substeps = None
-    if jump_timing == "exact":
-        substeps = _exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
-    elif model.jump_specs is not None:
-        jump_sums = inputs.jump_sums(grid.times)
-    x0s = np.tile(model.x0, (len(inputs), 1))
-    states, phi_lower, phi_upper = integrate_batch(
-        model, grid.times, inputs.dW, jump_sums, inputs.u[:-1], x0s, substeps
-    )
-    return states, phi_lower, phi_upper, inputs
+    record, inputs = _step_streams(model, grid, master_seed, stream_indices, jump_timing)
+    return record.states, record.phi_lower, record.phi_upper, inputs
 
 
-def _bundle(grid, states, phi_lower, phi_upper, inputs: PathInputs, j,
-            master_seed, stream_index):
-    lower, upper = phi_lower[:, j, :], phi_upper[:, j, :]
+def _bundle(grid, record: BatchRecord, inputs: PathInputs, j, master_seed, stream_index):
+    lower, upper = record.phi_lower[:, j, :], record.phi_upper[:, j, :]
     return TrajectoryBundle(
         grid=grid,
-        states=states[:, j, :],
+        states=record.states[:, j, :],
         phi=lower - upper,
         phi_lower=lower,
         phi_upper=upper,
@@ -355,30 +421,20 @@ def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
                         master_seed: int, stream_index: int = 0,
                         jump_timing: str = "end_of_step") -> TrajectoryBundle:
     """Full trajectory on the grid, deterministic in the seed triple."""
-    states, phi_lower, phi_upper, inputs = simulate_paths(
-        model, grid, master_seed, [stream_index], jump_timing
-    )
-    return _bundle(grid, states, phi_lower, phi_upper, inputs, 0,
-                   master_seed, stream_index)
+    record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
+    return _bundle(grid, record, inputs, 0, master_seed, stream_index)
 
 
 def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
                       n_paths: int, master_seed: int, retain: int = 0,
                       jump_timing: str = "end_of_step") -> EnsembleResult:
     """Independent trajectories via disjoint stream indices 0..n_paths-1;
-    returns per-time-point mean/variance plus the first ``retain`` bundles."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    states, phi_lower, phi_upper, inputs = simulate_paths(
-        model, grid, master_seed, range(n_paths), jump_timing
-    )
-    kept = tuple(
-        _bundle(grid, states, phi_lower, phi_upper, inputs, j, master_seed, j)
-        for j in range(min(retain, n_paths))
-    )
-    mean = states.mean(axis=1)
-    if n_paths > 1:
-        variance = states.var(axis=1, ddof=1)
-    else:
-        variance = np.zeros_like(mean)
-    return EnsembleResult(mean, variance, kept)
+    returns per-time-point mean/variance plus the first ``retain`` bundles.
+    Only the retained paths' histories are held."""
+    if n_paths < 1 or retain < 0:
+        raise ValueError("need n_paths >= 1 and retain >= 0")
+    keep = min(retain, n_paths)
+    record, inputs = _step_streams(model, grid, master_seed, range(n_paths),
+                                   jump_timing, keep, moments=True)
+    kept = tuple(_bundle(grid, record, inputs, j, master_seed, j) for j in range(keep))
+    return EnsembleResult(record.mean, record.variance, kept)

@@ -12,6 +12,7 @@ from skorokhod_sde import (
     OUParams,
     ReflectedJumpSDE,
     ReflectionDomain,
+    build_dyadic_partition,
     holder_seminorm,
     seminorm_report,
     sobolev_seminorm,
@@ -279,6 +280,21 @@ class TestSobolevSeminorm:
         assert report.sobolev_seminorm > 0
 
 
+def box_jump_model():
+    """2d box-reflected model with jumps and an input current."""
+    return ReflectedJumpSDE(
+        dimension=2,
+        drift=lambda state, u: u[..., None] - state,
+        diffusion=lambda state: 0.3 * np.ones_like(state),
+        domain=ReflectionDomain.box([(0.0, 1.0), (0.0, 1.0)]),
+        x0=np.array([0.4, 0.5]),
+        jump_coeff=lambda state: 0.5 - state,
+        jump_specs=(CompoundPoissonSpec(3.0, JumpSizeDist.exponential(0.2)),
+                    CompoundPoissonSpec(2.0, JumpSizeDist.constant(0.1))),
+        input_current=OUParams(mu=0.3, gamma=0.5, sigma=0.4),
+    )
+
+
 class TestStabilityExperiment:
     def test_zero_perturbation_zero_error(self):
         model = linear_model(sigma=0.3, x0=(0.5,))
@@ -305,17 +321,7 @@ class TestStabilityExperiment:
         assert report.errors[0] > report.errors[1] > report.errors[2]
 
     def test_one_input_draw_matches_separate_ensembles(self, monkeypatch):
-        model = ReflectedJumpSDE(
-            dimension=2,
-            drift=lambda state, u: u[..., None] - state,
-            diffusion=lambda state: 0.3 * np.ones_like(state),
-            domain=ReflectionDomain.box([(0.0, 1.0), (0.0, 1.0)]),
-            x0=np.array([0.4, 0.5]),
-            jump_coeff=lambda state: 0.5 - state,
-            jump_specs=(CompoundPoissonSpec(3.0, JumpSizeDist.exponential(0.2)),
-                        CompoundPoissonSpec(2.0, JumpSizeDist.constant(0.1))),
-            input_current=OUParams(mu=0.3, gamma=0.5, sigma=0.4),
-        )
+        model = box_jump_model()
         grid = uniform_grid(0.05, 2.0)
         offsets = [0.2, 0.02, -0.1]
         draws = []
@@ -339,6 +345,20 @@ class TestStabilityExperiment:
 
 
 class TestStrongConvergence:
+    @pytest.mark.parametrize("n_paths", [1, 6])
+    def test_terminal_states_are_the_full_histories_last_points(self, n_paths):
+        # what converge compares: the terminal states, with no history kept
+        model, fine = box_jump_model(), 6
+        inputs = analysis.sample_path_inputs(
+            model, build_dyadic_partition(fine, 2.0), 9, range(n_paths))
+        for level in (2, 4, fine):
+            times, stride = build_dyadic_partition(level, 2.0).times, 2 ** (fine - level)
+            full = analysis._step_paths(model, times, inputs, stride)
+            terminal = analysis._step_paths(model, times, inputs, stride, keep=0)
+            assert terminal.states.size == 0
+            assert np.array_equal(terminal.terminal, full.states[-1])
+        assert full.phi_lower.any()  # the paths reflect
+
     def test_zero_dynamics_zero_error(self):
         model = linear_model(drift_rate=0.0, sigma=0.0, x0=(0.4,))
         report = strong_convergence_experiment(model, [3, 4, 5], 4, 0, 1.0)

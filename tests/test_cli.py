@@ -298,6 +298,27 @@ class TestConfigSource:
         assert run("--config", cfg, *flags, "--out", str(tmp_path / "x"), "simulate") == 1
         assert "E_TYPE" in capsys.readouterr().err
 
+    def test_missing_experiment_section(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--seed", "7", "--out", str(out), "stability") == 1
+        err = capsys.readouterr().err
+        assert "[E_MISSING_SECTION] stability needs an [experiment] section" in err
+        assert "line 0" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags, where", [
+        ("[grid]\ndt = 1e-7\n", (), "line 2: "),
+        (SMALL, ("--paths", "1000000000000"), ""),
+    ])
+    def test_over_memory_budget_is_config_error(self, tmp_path, capsys, text, flags, where):
+        out = tmp_path / "x"
+        cfg = write_config(tmp_path, text)
+        assert run("--config", cfg, *flags, "--out", str(out), "simulate") == 1
+        err = capsys.readouterr().err
+        assert f"config error: {where}[E_INVARIANT] simulate needs" in err
+        assert "memory budget" in err and "line 0" not in err
+        assert not out.exists()
+
     def test_binary_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"\xff\xfe\x00")

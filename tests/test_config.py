@@ -178,6 +178,10 @@ class TestSinglePassValidation:
         ("[experiment]\nkind = converge\nlevels = 5\n", 3),
         ("[experiment]\nkind = converge\nlevels = 5,5\n", 3),
         ("[grid]\ndt = 1e-13\n", 2),
+        ("[grid]\ndt = 1e-7\n", 2),
+        ("[engine]\nn_paths = 1000000000000\n", 2),
+        ("[experiment]\nkind = stability\nn_paths = 10000000\n", 3),
+        ("[experiment]\nkind = converge\nn_paths = 100000\n", 3),
         ("[grid]\ndt = nan\n", 2),
         ("[grid]\nhorizon = inf\n", 2),
         ("[grid]\ndt = 0.3\n", 2),
@@ -188,6 +192,12 @@ class TestSinglePassValidation:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert [issue.line for issue in exc.value.issues] == [line]
+
+    def test_memory_budget(self):
+        assert parse_config("[engine]\nn_paths = 4000\n").n_paths == 4000
+        with pytest.raises(ConfigError, match="memory budget") as exc:
+            parse_config("", overrides={("engine", "n_paths"): "1000000000000"})
+        assert [str(issue)[:14] for issue in exc.value.issues] == ["[E_INVARIANT] "]
 
     def test_each_bad_key_named(self):
         with pytest.raises(ConfigError) as exc:

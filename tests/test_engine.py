@@ -2,6 +2,7 @@
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
 import bisect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,15 +14,18 @@ from skorokhod_sde import (
     OUParams,
     ReflectedJumpSDE,
     ReflectionDomain,
+    ScenarioConfig,
     SimulationAbort,
     SimulationGrid,
     SeedSpec,
     build_dyadic_partition,
+    make_scenario,
     sample_path_inputs,
     simulate_ensemble,
     simulate_trajectory,
     uniform_grid,
 )
+from skorokhod_sde import engine
 from skorokhod_sde.engine import JUMP_TIMINGS, integrate_batch, simulate_paths, uniform_steps
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
@@ -99,11 +103,11 @@ def one_step(model, state, dW, dt, jump_sum=None):
     """One reflected Euler step of ``integrate_batch`` from a single state;
     returns (state, lower phi increment, upper phi increment)."""
     sums = None if jump_sum is None else np.array([[jump_sum]], dtype=float)
-    states, lower, upper = integrate_batch(
+    record = integrate_batch(
         model, np.array([0.0, dt]), np.array([[dW]], dtype=float), sums,
         np.zeros((1, 1)), np.array([state], dtype=float),
     )
-    return states[1, 0], lower[1, 0], upper[1, 0]
+    return record.states[1, 0], record.phi_lower[1, 0], record.phi_upper[1, 0]
 
 
 class TestEulerStep:
@@ -437,28 +441,11 @@ class TestAbortOnPoisonedRows:
 
 
 class TestEnsemble:
-    def test_single_path_statistics(self):
-        model = linear_model_1d(x0=1.0, sigma=0.4)
-        grid = uniform_grid(0.1, 3.0)
-        result = simulate_ensemble(model, grid, 1, master_seed=6, retain=1)
-        single = simulate_trajectory(model, grid, master_seed=6, stream_index=0)
-        assert np.array_equal(result.mean, single.states)
-        assert not result.variance.any()
-        assert np.array_equal(result.bundles[0].states, single.states)
-
     def test_zero_dynamics_zero_variance(self):
         model = linear_model_1d(x0=0.3, drift_rate=0.0)
         result = simulate_ensemble(model, uniform_grid(0.1, 2.0), 16, master_seed=0)
         assert not result.variance.any()
         assert np.all(result.mean == 0.3)
-
-    def test_ensemble_path_matches_trajectory(self):
-        model = linear_model_1d(x0=1.0, drift_rate=-0.2, sigma=0.5)
-        grid = uniform_grid(0.1, 3.0)
-        result = simulate_ensemble(model, grid, 8, master_seed=11, retain=8)
-        for j in range(8):
-            single = simulate_trajectory(model, grid, master_seed=11, stream_index=j)
-            assert np.array_equal(result.bundles[j].states, single.states)
 
     def test_ou_driven_linear_mean_matches_moment_recursion(self):
         # dX = (V - X) dt with V the OU input; the ensemble mean must track
@@ -485,15 +472,79 @@ class TestEnsemble:
         se = np.sqrt(result.variance[-1, 0] / n_paths)
         assert abs(result.mean[-1, 0] - expected[-1]) < 3.0 * se
 
-    def test_moments_are_those_of_the_paths(self):
-        model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
-        result = simulate_ensemble(model, grid, 5, master_seed=3)
-        states = simulate_paths(model, grid, 3, range(5))[0]
-        assert result.variance[1:].all()  # the paths differ
-        assert np.array_equal(result.mean, states.mean(axis=1))
-        assert np.array_equal(result.variance, states.var(axis=1, ddof=1))
-
     def test_invalid_path_count(self):
         model = linear_model_1d()
         with pytest.raises(ValueError):
             simulate_ensemble(model, uniform_grid(0.1, 1.0), 0, master_seed=0)
+        with pytest.raises(ValueError):
+            simulate_ensemble(model, uniform_grid(0.1, 1.0), 2, master_seed=0, retain=-1)
+
+
+class TestReducers:
+    """``simulate_ensemble`` holds only the retained paths' histories and
+    reduces every path to per-point moments, block by block; what it returns
+    is bitwise what the full-history run of the same streams gives."""
+
+    # the 10-step grid has 11 points: blocks of 1, of 3 (the last one short)
+    # and of the default size, which is clamped to the 11 points
+    @pytest.mark.parametrize("block", [1, 3, engine._MOMENT_BLOCK])
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("n_paths, retain", [
+        (1, 0), (1, 1), (1, 4), (5, 0), (5, 2), (5, 5), (5, 8),
+    ])
+    def test_matches_full_history(self, monkeypatch, block, timing, n_paths, retain):
+        monkeypatch.setattr(engine, "_MOMENT_BLOCK", block)
+        model, grid, seed = busy_jump_model(), uniform_grid(0.5, 5.0), 3
+        result = simulate_ensemble(model, grid, n_paths, seed, retain, timing)
+        states = simulate_paths(model, grid, seed, range(n_paths), timing)[0]
+        assert np.array_equal(result.mean, states.mean(axis=1))
+        if n_paths > 1:
+            assert result.variance[1:].all()  # the paths differ
+            assert np.array_equal(result.variance, states.var(axis=1, ddof=1))
+        else:
+            assert not result.variance.any()
+        assert len(result.bundles) == min(retain, n_paths)
+        for j, bundle in enumerate(result.bundles):
+            single = simulate_trajectory(model, grid, seed, j, timing)
+            assert bundle.stream_index == j and bundle.jumps == single.jumps
+            for name in ("states", "phi", "phi_lower", "phi_upper"):
+                assert np.array_equal(getattr(bundle, name), getattr(single, name)), name
+
+    @pytest.mark.parametrize("keep", [None, 0, 2])
+    def test_terminal_is_the_last_point(self, keep):
+        model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
+        inputs = sample_path_inputs(model, grid, 4, range(5))
+        args = (model, grid.times, inputs.dW, inputs.jump_sums(grid.times), inputs.u[:-1],
+                np.tile(model.x0, (5, 1)))
+        full, record = integrate_batch(*args), integrate_batch(*args, keep=keep)
+        assert np.array_equal(record.terminal, full.states[-1])
+        kept = 5 if keep is None else keep
+        assert record.states.shape == (grid.n_steps + 1, kept, 2)
+        assert np.array_equal(record.states, full.states[:, :kept])
+        assert record.mean is None and record.variance is None
+
+    def test_memory_does_not_grow_by_histories(self):
+        """Doubling the paths at a fixed ``retain`` adds the inputs and jump
+        sums of the new paths, not their (n_points, m, d) histories."""
+        model = make_scenario(ScenarioConfig())
+        grid = uniform_grid(0.1, 100.0)
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                simulate_ensemble(model, grid, n_paths, 5, retain=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def input_bytes(n_paths):
+            inputs = sample_path_inputs(model, grid, 5, range(n_paths))
+            arrays = (inputs.dW, inputs.u, inputs.time, inputs.size, inputs.path, inputs.coord)
+            return sum(a.nbytes for a in arrays) + inputs.jump_sums(grid.times).nbytes
+
+        m = 100
+        added = input_bytes(2 * m) - input_bytes(m)
+        histories = 3 * (grid.n_steps + 1) * m * model.dimension * 8
+        slack = 2**19
+        assert slack < histories / 8
+        assert peak(2 * m) - peak(m) < added + slack
