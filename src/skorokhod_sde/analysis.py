@@ -14,7 +14,7 @@ from .engine import (
     build_dyadic_partition,
     integrate_batch,
 )
-from .sources import PathInputs, sample_path_inputs
+from .sources import sample_path_inputs
 
 __all__ = [
     "SeminormReport",
@@ -136,22 +136,6 @@ def _log_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _step_paths(model: ReflectedJumpSDE, times, inputs: PathInputs, stride: int = 1,
-                keep=None):
-    """The :func:`integrate_batch` record of every path of ``inputs`` started
-    at ``model.x0`` on ``times``, the grid the inputs were drawn on coarsened
-    by ``stride``: Wiener increments summed over each step, the input current
-    taken at its left endpoint and the jumps added at its end.  The first
-    ``keep`` paths' histories are kept (all by default)."""
-    m, d = len(inputs), model.dimension
-    dW = inputs.dW
-    if stride > 1:
-        dW = dW.reshape(times.size - 1, stride, m, d).sum(axis=1)
-    sums = inputs.jump_sums(times) if model.jump_specs is not None else None
-    x0s = np.tile(model.x0, (m, 1))
-    return integrate_batch(model, times, dW, sums, inputs.u[::stride][:-1], x0s, keep=keep)
-
-
 def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
                          perturbations, n_paths: int, master_seed: int):
     """Initial-condition sensitivity under common random numbers.
@@ -163,11 +147,11 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     """
     perturbations = [float(p) for p in perturbations]
     inputs = sample_path_inputs(model, grid, master_seed, range(n_paths))
-    ref_states = _step_paths(model, grid.times, inputs).states
+    ref_states = integrate_batch(model, grid.times, inputs).states
     sizes, errors = [], []
     d = model.dimension
     for offset in perturbations:
-        states = _step_paths(model.with_x0(model.x0 + offset), grid.times, inputs).states
+        states = integrate_batch(model.with_x0(model.x0 + offset), grid.times, inputs).states
         diff = np.abs(states - ref_states).sum(axis=2)  # (n_points, m)
         errors.append(float((diff.max(axis=0) ** 2).mean()))
         sizes.append((d * offset) ** 2)
@@ -199,8 +183,9 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     inputs = sample_path_inputs(model, fine_grid, master_seed, range(n_paths))
 
     def terminal(level):
-        grid = build_dyadic_partition(level, horizon)
-        return _step_paths(model, grid.times, inputs, 2 ** (ref_level - level), keep=0).terminal
+        times = build_dyadic_partition(level, horizon).times
+        coarse = inputs.coarsened(2 ** (ref_level - level))
+        return integrate_batch(model, times, coarse, keep=0).terminal
 
     terminal_ref = terminal(ref_level)
     dts, errs = [], []

@@ -33,6 +33,7 @@ from .engine import (
     SimulationAbort,
     TrajectoryBundle,
     simulate_ensemble,
+    simulate_trajectory,
     uniform_grid,
 )
 from .models import (
@@ -103,7 +104,11 @@ def summarize(bundle: TrajectoryBundle) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity, which JSON cannot hold
+        raise OSError(f"{path} not written: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _out_dir(doc: ConfigDocument) -> Path:
@@ -144,8 +149,8 @@ def cmd_simulate(doc: ConfigDocument) -> int:
         "scenario": doc.input_mode,
         "n_paths": doc.n_paths,
         "trajectories": [summarize(b) for b in result.bundles],
-        "ensemble_terminal_mean": [float(v) for v in result.mean[-1]],
-        "ensemble_terminal_variance": [float(v) for v in result.variance[-1]],
+        "ensemble_terminal_mean": [float(v) for v in result.terminal_mean],
+        "ensemble_terminal_variance": [float(v) for v in result.terminal_variance],
     }
     _write_json(out / "summary.json", summary)
     return 0
@@ -161,9 +166,7 @@ def cmd_panels(doc: ConfigDocument) -> int:
     panels = {}
     summaries = {}
     for mode, model in scenarios.items():
-        result = simulate_ensemble(model, grid, 1, doc.seed, retain=1,
-                                   jump_timing=doc.jump_timing)
-        bundle = result.bundles[0]
+        bundle = simulate_trajectory(model, grid, doc.seed, jump_timing=doc.jump_timing)
         panels[mode] = bundle
         summaries[mode] = summarize(bundle)
         write_trajectory_csv(out / f"panel_{mode}.csv", bundle)

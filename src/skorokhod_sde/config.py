@@ -237,20 +237,20 @@ def _build(values: dict) -> ConfigDocument:
         raise ValueError("n_paths must be >= 1")
     if doc.retain < 0:
         raise ValueError("retain must be >= 0")
-    d = model.dimension
-    check_budget("simulate", n_steps, doc.n_paths, d, min(max(doc.retain, 1), doc.n_paths))
+    check_budget("simulate", model, doc.horizon, n_steps, doc.n_paths,
+                 min(max(doc.retain, 1), doc.n_paths), doc.jump_timing == "exact")
     if exp.kind == "stability":
         # the reference ensemble's and one perturbed ensemble's histories
-        check_budget("stability", uniform_steps(doc.dt, exp.horizon), exp.n_paths, d,
-                     2 * exp.n_paths)
+        check_budget("stability", model, exp.horizon, uniform_steps(doc.dt, exp.horizon),
+                     exp.n_paths, 2 * exp.n_paths)
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
             raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
         dyadic_steps(min(exp.levels), exp.horizon)
-        check_budget("converge", dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon),
-                     exp.n_paths, d, 0)
+        check_budget("converge", model, exp.horizon,
+                     dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0)
         if len(set(exp.levels)) < 2:
             raise ValueError("levels need two distinct values to fit an order")
     return doc

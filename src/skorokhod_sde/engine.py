@@ -49,7 +49,6 @@ __all__ = [
 MAX_DYADIC_LEVEL = 30  # grids have at most 2**MAX_DYADIC_LEVEL steps
 MEMORY_BUDGET = 2**30  # bytes of arrays one command may hold; see check_budget
 JUMP_TIMINGS = ("end_of_step", "exact")
-_MOMENT_BLOCK = 64  # grid points per block of the per-point moment reduction
 
 
 class SimulationAbort(RuntimeError):
@@ -100,14 +99,19 @@ def dyadic_steps(level: int, horizon: float) -> int:
     return 2**level
 
 
-def check_budget(command: str, n_steps: int, n_paths: int, d: int, keep: int) -> None:
-    """Raise ValueError when ``n_paths`` paths on ``n_steps`` steps need more
-    than ``MEMORY_BUDGET`` bytes of arrays: the Wiener increments and jump
-    sums, (n_steps, n_paths, d) each, the input current, (n_points, n_paths),
-    and the states and reflection terms of ``keep`` kept paths, (n_points,
-    keep, d) each."""
-    n_points = n_steps + 1
-    need = 8 * (2 * n_steps * n_paths * d + n_points * n_paths + 3 * n_points * keep * d)
+def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps: int,
+                 n_paths: int, keep: int, exact: bool = False) -> None:
+    """Raise ValueError when ``n_paths`` paths of ``model`` on ``n_steps``
+    steps up to ``horizon`` need more than ``MEMORY_BUDGET`` bytes of arrays:
+    the Wiener increments and jump sums, (n_steps, n_paths, d) each, the
+    input current, (n_points, n_paths), the states and reflection terms of
+    ``keep`` kept paths, (n_points, keep, d) each, and for every expected
+    jump event the 32 bytes :class:`PathInputs` holds, plus under ``exact``
+    jump timing the 8 * (6 + d) of its :func:`_exact_substeps` group."""
+    d, n_points = model.dimension, n_steps + 1
+    events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon * n_paths
+    need = (8 * (2 * n_steps * n_paths * d + n_points * n_paths + 3 * n_points * keep * d)
+            + events * 8 * (10 + d if exact else 4))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -202,8 +206,8 @@ class TrajectoryBundle:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    mean: np.ndarray       # (n_points, d)
-    variance: np.ndarray   # unbiased, (n_points, d)
+    terminal_mean: np.ndarray       # (d,)
+    terminal_variance: np.ndarray   # unbiased, (d,); zeros for one path
     bundles: tuple[TrajectoryBundle, ...] = ()
 
 
@@ -214,17 +218,6 @@ class BatchRecord(NamedTuple):
     phi_lower: np.ndarray            # (n_points, keep, d)
     phi_upper: np.ndarray            # (n_points, keep, d)
     terminal: np.ndarray             # (m, d): every row's state at the last point
-    mean: Optional[np.ndarray]       # (n_points, d) over all rows, or None
-    variance: Optional[np.ndarray]   # unbiased, (n_points, d), or None
-
-
-def _moments(rows: np.ndarray):
-    """Mean and unbiased variance over the paths (axis 1) of ``rows``,
-    (n, m, d); the variance of a single path is 0."""
-    mean = rows.mean(axis=1)
-    if rows.shape[1] == 1:
-        return mean, np.zeros_like(mean)
-    return mean, rows.var(axis=1, ddof=1)
 
 
 def _check_finite(step_index, f, g, rho, prop=None):
@@ -239,47 +232,37 @@ def _check_finite(step_index, f, g, rho, prop=None):
 # A non-finite f, g or rho makes the step's whole proposal non-finite (inf * 0
 # is NaN), so the proposal's check catches it; that NaN is not worth a warning.
 @np.errstate(invalid="ignore")
-def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
-                    jump_sums, u: np.ndarray, x0s: np.ndarray, substeps=None,
-                    keep: Optional[int] = None, moments: bool = False) -> BatchRecord:
-    """Step a batch of paths through the grid.
+def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInputs,
+                    substeps=None, keep: Optional[int] = None) -> BatchRecord:
+    """Step every path of ``inputs`` from ``model.x0`` through the grid
+    ``times``, the grid the inputs are on (see :meth:`PathInputs.coarsened`).
 
-    dW: (n_steps, m, d); u: (n_steps, m); x0s: (m, d).  Jumps come either as
-    ``jump_sums``, (n_steps, m, d) summed sizes added at the end of each
-    step, or as ``substeps`` from :func:`_exact_substeps`, which split each
-    step at its jump times; the other is None.
-
+    The jumps of each step are summed and added at its end, or, given
+    ``substeps`` from :func:`_exact_substeps`, applied at their own times.
     Only the first ``keep`` rows (all by default) have their states and
     reflection terms recorded at every grid point; every row's terminal
-    state is returned.  With ``moments`` the per-point mean and unbiased
-    variance over all m rows are returned too: from the kept history when it
-    holds every row, else from a buffer of ``_MOMENT_BLOCK`` grid points
-    reduced whenever it fills, which gives the same floats.
+    state is returned.
     """
     n_steps = times.size - 1
-    m, d = x0s.shape
+    m, d = len(inputs), model.dimension
     keep = m if keep is None else keep
     states = np.empty((n_steps + 1, keep, d))
     phi_lower = np.zeros((n_steps + 1, keep, d))
     phi_upper = np.zeros((n_steps + 1, keep, d))
-    x = x0s.copy()
+    x = np.tile(model.x0, (m, 1))
     states[0] = x[:keep]
-    block = mean = variance = None
-    if moments and keep < m:
-        block = np.empty((min(_MOMENT_BLOCK, n_steps), m, d))  # row k % size: point k + 1
-        mean, variance = np.empty((n_steps + 1, d)), np.empty((n_steps + 1, d))
-        mean[:1], variance[:1] = _moments(x[None])
+    jump_sums = inputs.jump_sums(times) if substeps is None and model.jump_specs else None
     acc_lo = np.zeros((m, d))
     acc_hi = np.zeros((m, d))
     substeps = substeps or {}
     for k in range(n_steps):
         groups = substeps.get(k, ())
         js = None if jump_sums is None else jump_sums[k]
-        f = model.drift(x, u[k])
+        f = model.drift(x, inputs.u[k])
         g = model.diffusion(x)
         rho = model.jump_coeff(x) if js is not None or groups else None
         dt = times[k + 1] - times[k]
-        w = dW[k]
+        w = inputs.dW[k]
         if groups:
             # rho of a row without a jump never reaches a proposal, so it is
             # checked here.  Coefficients stay frozen at the step's left
@@ -310,15 +293,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, dW: np.ndarray,
             states[k + 1] = x[:keep]
             phi_lower[k + 1] = acc_lo[:keep]
             phi_upper[k + 1] = acc_hi[:keep]
-        if block is not None:
-            row = k % block.shape[0]
-            block[row] = x
-            if row == block.shape[0] - 1 or k == n_steps - 1:
-                done = slice(k + 1 - row, k + 2)
-                mean[done], variance[done] = _moments(block[:row + 1])
-    if moments and block is None:
-        mean, variance = _moments(states)
-    return BatchRecord(states, phi_lower, phi_upper, x, mean, variance)
+    return BatchRecord(states, phi_lower, phi_upper, x)
 
 
 def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indices):
@@ -372,21 +347,15 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
                   stream_indices: Sequence[int], jump_timing: str,
-                  keep: Optional[int] = None, moments: bool = False):
+                  keep: Optional[int] = None):
     """Draw the inputs of the given trajectory streams and step them; returns
     the :func:`integrate_batch` record and the :class:`PathInputs`."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
     inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
-    jump_sums = substeps = None
-    if jump_timing == "exact":
-        substeps = _exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
-    elif model.jump_specs is not None:
-        jump_sums = inputs.jump_sums(grid.times)
-    x0s = np.tile(model.x0, (len(inputs), 1))
-    record = integrate_batch(model, grid.times, inputs.dW, jump_sums, inputs.u[:-1],
-                             x0s, substeps, keep, moments)
-    return record, inputs
+    substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
+                if jump_timing == "exact" else None)
+    return integrate_batch(model, grid.times, inputs, substeps, keep), inputs
 
 
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -429,12 +398,13 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
                       n_paths: int, master_seed: int, retain: int = 0,
                       jump_timing: str = "end_of_step") -> EnsembleResult:
     """Independent trajectories via disjoint stream indices 0..n_paths-1;
-    returns per-time-point mean/variance plus the first ``retain`` bundles.
-    Only the retained paths' histories are held."""
+    returns the mean and unbiased variance of the terminal states plus the
+    first ``retain`` bundles.  Only the retained paths' histories are held."""
     if n_paths < 1 or retain < 0:
         raise ValueError("need n_paths >= 1 and retain >= 0")
     keep = min(retain, n_paths)
-    record, inputs = _step_streams(model, grid, master_seed, range(n_paths),
-                                   jump_timing, keep, moments=True)
+    record, inputs = _step_streams(model, grid, master_seed, range(n_paths), jump_timing, keep)
     kept = tuple(_bundle(grid, record, inputs, j, master_seed, j) for j in range(keep))
-    return EnsembleResult(record.mean, record.variance, kept)
+    terminal = record.terminal
+    variance = terminal.var(axis=0, ddof=1) if n_paths > 1 else np.zeros(model.dimension)
+    return EnsembleResult(terminal.mean(axis=0), variance, kept)

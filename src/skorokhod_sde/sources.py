@@ -9,7 +9,7 @@ streams (numpy ``SeedSequence`` spawning).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -273,6 +273,15 @@ class PathInputs:
         sums = np.zeros((times.size - 1, m, d))
         np.add.at(sums, (_cells(times, self.time), self.path, self.coord), self.size)
         return sums
+
+    def coarsened(self, stride: int) -> PathInputs:
+        """These inputs on every ``stride``-th point of their grid: Wiener
+        increments summed over each coarse step, the input current taken at
+        its points, the jumps as they are.  At stride 1, ``self``."""
+        if stride == 1:
+            return self
+        dW = self.dW.reshape(-1, stride, *self.dW.shape[1:]).sum(axis=1)
+        return replace(self, dW=dW, u=self.u[::stride])
 
 
 def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInputs:

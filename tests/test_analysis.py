@@ -353,8 +353,9 @@ class TestStrongConvergence:
             model, build_dyadic_partition(fine, 2.0), 9, range(n_paths))
         for level in (2, 4, fine):
             times, stride = build_dyadic_partition(level, 2.0).times, 2 ** (fine - level)
-            full = analysis._step_paths(model, times, inputs, stride)
-            terminal = analysis._step_paths(model, times, inputs, stride, keep=0)
+            coarse = inputs.coarsened(stride)
+            full = analysis.integrate_batch(model, times, coarse)
+            terminal = analysis.integrate_batch(model, times, coarse, keep=0)
             assert terminal.states.size == 0
             assert np.array_equal(terminal.terminal, full.states[-1])
         assert full.phi_lower.any()  # the paths reflect

@@ -239,6 +239,18 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert run("--config", cfg, "--out", str(blocker), "simulate") == 2
 
+    def test_nan_result_is_runtime_abort(self, tmp_path, capsys):
+        # without noise every level meets the reference exactly: the errors
+        # are all 0 and the fitted order is NaN, which JSON cannot hold
+        cfg = write_config(tmp_path, "[scenario]\ninput_mode = ou_reflected\n[ou]\nsigma = 0\n"
+                                     "[experiment]\nkind = converge\nn_paths = 5\n")
+        out = tmp_path / "x"
+        assert run("--config", cfg, "--out", str(out), "converge") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime abort: ") and "convergence.json" in err
+        assert "Traceback" not in err
+        assert not (out / "convergence.json").exists()
+
     def test_runtime_abort_on_memory_error(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError()
@@ -309,6 +321,7 @@ class TestConfigSource:
     @pytest.mark.parametrize("text, flags, where", [
         ("[grid]\ndt = 1e-7\n", (), "line 2: "),
         (SMALL, ("--paths", "1000000000000"), ""),
+        ("[jumps]\nintensity = 10000000\n", (), "line 2: "),  # 2e9 expected jumps
     ])
     def test_over_memory_budget_is_config_error(self, tmp_path, capsys, text, flags, where):
         out = tmp_path / "x"

@@ -199,6 +199,14 @@ class TestSinglePassValidation:
             parse_config("", overrides={("engine", "n_paths"): "1000000000000"})
         assert [str(issue)[:14] for issue in exc.value.issues] == ["[E_INVARIANT] "]
 
+    def test_jump_events_count_against_the_budget(self):
+        # 2 coordinates x 1e5 jumps per unit time x T = 100 is 2e7 expected
+        # events: their PathInputs arrays fit, exact timing's sub-steps not
+        assert parse_config("[jumps]\nintensity = 100000\n").jump_intensity == 1e5
+        with pytest.raises(ConfigError, match="memory budget") as exc:
+            parse_config("[jumps]\nintensity = 100000\n[engine]\njump_timing = exact\n")
+        assert [issue.line for issue in exc.value.issues] == [4]
+
     def test_each_bad_key_named(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[scenario]\ntau_e = -1\ntheta_e = 3.0\nw_ee = -2\n")

@@ -12,6 +12,7 @@ from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
     OUParams,
+    PathInputs,
     ReflectedJumpSDE,
     ReflectionDomain,
     ScenarioConfig,
@@ -20,12 +21,12 @@ from skorokhod_sde import (
     SeedSpec,
     build_dyadic_partition,
     make_scenario,
+    parse_config,
     sample_path_inputs,
     simulate_ensemble,
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde import engine
 from skorokhod_sde.engine import JUMP_TIMINGS, integrate_batch, simulate_paths, uniform_steps
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
@@ -99,27 +100,34 @@ class TestGrids:
                 uniform_steps(dt, horizon)
 
 
-def one_step(model, state, dW, dt, jump_sum=None):
-    """One reflected Euler step of ``integrate_batch`` from a single state;
+def path_inputs(dW, u, sizes=()):
+    """PathInputs of one path with increments ``dW``, (n_steps, 1, d), and
+    current ``u``, (n_points, 1); ``sizes[c]`` jumps coordinate c at the end
+    of the first step."""
+    sizes = np.array(sizes, dtype=float)
+    n = sizes.size
+    return PathInputs(np.asarray(dW, dtype=float), u, np.zeros(n), sizes,
+                      np.zeros(n, dtype=np.intp), np.arange(n))
+
+
+def one_step(model, dW, dt, jump_sum=()):
+    """One reflected Euler step of ``integrate_batch`` from ``model.x0``;
     returns (state, lower phi increment, upper phi increment)."""
-    sums = None if jump_sum is None else np.array([[jump_sum]], dtype=float)
-    record = integrate_batch(
-        model, np.array([0.0, dt]), np.array([[dW]], dtype=float), sums,
-        np.zeros((1, 1)), np.array([state], dtype=float),
-    )
+    inputs = path_inputs([[dW]], np.zeros((2, 1)), jump_sum)
+    record = integrate_batch(model, np.array([0.0, dt]), inputs)
     return record.states[1, 0], record.phi_lower[1, 0], record.phi_upper[1, 0]
 
 
 class TestEulerStep:
     def test_identity_dynamics(self):
         model = linear_model_1d(x0=0.5, drift_rate=0.0)
-        state, lo_inc, hi_inc = one_step(model, [0.5], [0.3], 0.1)
+        state, lo_inc, hi_inc = one_step(model, [0.3], 0.1)
         assert state[0] == 0.5
         assert lo_inc[0] == 0.0 and hi_inc[0] == 0.0
 
     def test_reflected_drift_step(self):
         model = linear_model_1d(x0=0.0, drift_rate=-1.0)
-        state, lo_inc, _ = one_step(model, [0.0], [0.0], 0.1)
+        state, lo_inc, _ = one_step(model, [0.0], 0.1)
         assert state[0] == 0.0
         assert lo_inc[0] == pytest.approx(0.1)
 
@@ -130,7 +138,7 @@ class TestEulerStep:
             jump_coeff=lambda state: np.ones_like(state),
             jump_specs=(CompoundPoissonSpec(1.0, JumpSizeDist.constant(2.0)),),
         )
-        state, _, _ = one_step(model, [0.5], [0.0], 0.1, jump_sum=[2.0])
+        state, _, _ = one_step(model, [0.0], 0.1, jump_sum=[2.0])
         assert state[0] == pytest.approx(2.5)
 
     def test_abort_on_nonfinite_drift(self):
@@ -142,11 +150,10 @@ class TestEulerStep:
             domain=ReflectionDomain.unreflected(1),
             x0=np.array([0.0]),
         )
-        u = np.zeros((10, 1))
+        u = np.zeros((11, 1))
         u[7] = 1.0
         with pytest.raises(SimulationAbort) as exc:
-            integrate_batch(model, np.linspace(0.0, 1.0, 11), np.zeros((10, 1, 1)),
-                            None, u, np.zeros((1, 1)))
+            integrate_batch(model, np.linspace(0.0, 1.0, 11), path_inputs(np.zeros((10, 1, 1)), u))
         assert exc.value.step_index == 7
 
 
@@ -444,8 +451,8 @@ class TestEnsemble:
     def test_zero_dynamics_zero_variance(self):
         model = linear_model_1d(x0=0.3, drift_rate=0.0)
         result = simulate_ensemble(model, uniform_grid(0.1, 2.0), 16, master_seed=0)
-        assert not result.variance.any()
-        assert np.all(result.mean == 0.3)
+        assert not result.terminal_variance.any()
+        assert np.all(result.terminal_mean == 0.3)
 
     def test_ou_driven_linear_mean_matches_moment_recursion(self):
         # dX = (V - X) dt with V the OU input; the ensemble mean must track
@@ -469,8 +476,8 @@ class TestEnsemble:
             ex = ex + (ev - ex) * dt
             ev = ev + (ou.mu - ev / ou.gamma) * dt
             expected.append(ex)
-        se = np.sqrt(result.variance[-1, 0] / n_paths)
-        assert abs(result.mean[-1, 0] - expected[-1]) < 3.0 * se
+        se = np.sqrt(result.terminal_variance[0] / n_paths)
+        assert abs(result.terminal_mean[0] - expected[-1]) < 3.0 * se
 
     def test_invalid_path_count(self):
         model = linear_model_1d()
@@ -482,27 +489,24 @@ class TestEnsemble:
 
 class TestReducers:
     """``simulate_ensemble`` holds only the retained paths' histories and
-    reduces every path to per-point moments, block by block; what it returns
+    reduces every path to the moments of its terminal state; what it returns
     is bitwise what the full-history run of the same streams gives."""
 
-    # the 10-step grid has 11 points: blocks of 1, of 3 (the last one short)
-    # and of the default size, which is clamped to the 11 points
-    @pytest.mark.parametrize("block", [1, 3, engine._MOMENT_BLOCK])
     @pytest.mark.parametrize("timing", JUMP_TIMINGS)
     @pytest.mark.parametrize("n_paths, retain", [
         (1, 0), (1, 1), (1, 4), (5, 0), (5, 2), (5, 5), (5, 8),
     ])
-    def test_matches_full_history(self, monkeypatch, block, timing, n_paths, retain):
-        monkeypatch.setattr(engine, "_MOMENT_BLOCK", block)
+    def test_matches_full_history(self, timing, n_paths, retain):
         model, grid, seed = busy_jump_model(), uniform_grid(0.5, 5.0), 3
         result = simulate_ensemble(model, grid, n_paths, seed, retain, timing)
-        states = simulate_paths(model, grid, seed, range(n_paths), timing)[0]
-        assert np.array_equal(result.mean, states.mean(axis=1))
+        terminal = simulate_paths(model, grid, seed, range(n_paths), timing)[0][-1]
+        assert np.array_equal(result.terminal_mean, terminal.mean(axis=0))
         if n_paths > 1:
-            assert result.variance[1:].all()  # the paths differ
-            assert np.array_equal(result.variance, states.var(axis=1, ddof=1))
+            assert result.terminal_variance.all()  # the paths differ
+            assert np.array_equal(result.terminal_variance, terminal.var(axis=0, ddof=1))
         else:
-            assert not result.variance.any()
+            assert result.terminal_variance.shape == (2,)
+            assert not result.terminal_variance.any()
         assert len(result.bundles) == min(retain, n_paths)
         for j, bundle in enumerate(result.bundles):
             single = simulate_trajectory(model, grid, seed, j, timing)
@@ -510,18 +514,30 @@ class TestReducers:
             for name in ("states", "phi", "phi_lower", "phi_upper"):
                 assert np.array_equal(getattr(bundle, name), getattr(single, name)), name
 
+    @pytest.mark.parametrize("mode", ["white_noise", "ou_reflected_jumps"])
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("n_paths", [1, 2, 7, 20, 333, 1000])
+    def test_equals_last_row_of_per_point_moments(self, mode, timing, n_paths):
+        # the moments over all paths at every grid point, (n_points, m, d)
+        # reduced over axis 1, give the same floats at the last point
+        config = parse_config(f"[scenario]\ninput_mode = {mode}\n").scenario_config()
+        model, grid = make_scenario(config), uniform_grid(0.1, 2.0)
+        result = simulate_ensemble(model, grid, n_paths, 6, 1, timing)
+        states = simulate_paths(model, grid, 6, range(n_paths), timing)[0]
+        assert np.array_equal(result.terminal_mean, states.mean(axis=1)[-1])
+        if n_paths > 1:
+            assert np.array_equal(result.terminal_variance, states.var(axis=1, ddof=1)[-1])
+
     @pytest.mark.parametrize("keep", [None, 0, 2])
     def test_terminal_is_the_last_point(self, keep):
         model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
         inputs = sample_path_inputs(model, grid, 4, range(5))
-        args = (model, grid.times, inputs.dW, inputs.jump_sums(grid.times), inputs.u[:-1],
-                np.tile(model.x0, (5, 1)))
-        full, record = integrate_batch(*args), integrate_batch(*args, keep=keep)
+        full = integrate_batch(model, grid.times, inputs)
+        record = integrate_batch(model, grid.times, inputs, keep=keep)
         assert np.array_equal(record.terminal, full.states[-1])
         kept = 5 if keep is None else keep
         assert record.states.shape == (grid.n_steps + 1, kept, 2)
         assert np.array_equal(record.states, full.states[:, :kept])
-        assert record.mean is None and record.variance is None
 
     def test_memory_does_not_grow_by_histories(self):
         """Doubling the paths at a fixed ``retain`` adds the inputs and jump

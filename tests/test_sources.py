@@ -314,3 +314,16 @@ class TestPathInputs:
             sums = inputs.jump_sums(grid.times)
             for j in range(6):
                 assert np.array_equal(sums[:, j, :], _binned(inputs[j], grid.times, 2))
+
+    def test_coarsened_inputs(self):
+        model = _two_coord_model(intensity=4.0)
+        inputs = sample_path_inputs(model, uniform_grid(2.0**-5, 2.0), 8, range(3))
+        assert inputs.coarsened(1) is inputs  # no copy at stride 1
+        for stride in (2, 8, 64):
+            coarse = inputs.coarsened(stride)
+            summed = inputs.dW.reshape(64 // stride, stride, 3, 2).sum(axis=1)
+            assert np.array_equal(coarse.dW, summed)
+            assert np.array_equal(coarse.u, inputs.u[::stride])
+            assert coarse.u.shape == (64 // stride + 1, 3)
+            for name in ("time", "size", "path", "coord"):
+                assert getattr(coarse, name) is getattr(inputs, name)
