@@ -283,16 +283,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        doc = _load_config(args)
-        return _COMMANDS[args.command](doc)
-    except ConfigError as exc:
-        for issue in exc.issues:
-            print(f"config error: {issue}", file=sys.stderr)
-        return 1
-    except (SimulationAbort, OSError, MemoryError) as exc:
-        print(f"runtime abort: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+    # non-finite values are judged by the isfinite and allow_nan=False checks
+    with np.errstate(all="ignore"):
+        try:
+            doc = _load_config(args)
+            return _COMMANDS[args.command](doc)
+        except ConfigError as exc:
+            for issue in exc.issues:
+                print(f"config error: {issue}", file=sys.stderr)
+            return 1
+        except (SimulationAbort, OSError, MemoryError) as exc:
+            print(f"runtime abort: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -100,21 +100,24 @@ def dyadic_steps(level: int, horizon: float) -> int:
 
 
 def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps: int,
-                 n_paths: int, keep: int, exact: bool = False) -> None:
-    """Raise ValueError when ``n_paths`` paths of ``model`` on ``n_steps``
-    steps up to ``horizon`` need more than ``MEMORY_BUDGET`` bytes of arrays:
-    the Wiener increments and jump sums, (n_steps, n_paths, d) each, the
-    input current, (n_points, n_paths), the states and reflection terms of
-    ``keep`` kept paths, (n_points, keep, d) each, and for every expected
-    jump event the 32 bytes :class:`PathInputs` holds, plus under ``exact``
-    jump timing the 8 * (6 + d) of its :func:`_exact_substeps` group."""
+                 n_paths: int, keep: int, exact: bool = False) -> float:
+    """Peak bytes of arrays of ``n_paths`` paths of ``model`` on ``n_steps``
+    steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid and
+    one stream's draw, 4 arrays of n_points, the Wiener increments, (n_steps,
+    n_paths, d), the input current and the increments it is drawn from,
+    (n_points, n_paths) each, the states and reflection terms of ``keep``
+    kept paths, (n_points, keep, d) each, and per expected jump event 64
+    bytes (:class:`PathInputs` and its copies while drawn or sorted by step),
+    or 8 * (23 + 2d) under ``exact`` timing, the peak of
+    :func:`_exact_substeps`."""
     d, n_points = model.dimension, n_steps + 1
     events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon * n_paths
-    need = (8 * (2 * n_steps * n_paths * d + n_points * n_paths + 3 * n_points * keep * d)
-            + events * 8 * (10 + d if exact else 4))
+    need = (8 * (4 * n_points + n_steps * n_paths * d + 2 * n_points * n_paths
+                 + 3 * n_points * keep * d) + events * 8 * (23 + 2 * d if exact else 8))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
+    return need
 
 
 def build_dyadic_partition(level: int, horizon: float) -> SimulationGrid:
@@ -251,16 +254,22 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     phi_upper = np.zeros((n_steps + 1, keep, d))
     x = np.tile(model.x0, (m, 1))
     states[0] = x[:keep]
-    jump_sums = inputs.jump_sums(times) if substeps is None and model.jump_specs else None
     acc_lo = np.zeros((m, d))
     acc_hi = np.zeros((m, d))
-    substeps = substeps or {}
+    fields, spans, first = substeps or (None, None, None)
+    binned = substeps is None and model.jump_specs
+    if binned:
+        # the events by step, stable so a cell's jumps keep their time order
+        step = _cells(times, inputs.time)
+        bounds = np.r_[0, np.cumsum(np.bincount(step, minlength=n_steps))]
+        order = np.argsort(step, kind="stable")
+        del step  # before the sorted copies: check_budget counts that peak
+        cells, sizes = (inputs.path * d + inputs.coord)[order], inputs.size[order]
     for k in range(n_steps):
-        groups = substeps.get(k, ())
-        js = None if jump_sums is None else jump_sums[k]
+        groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
         f = model.drift(x, inputs.u[k])
         g = model.diffusion(x)
-        rho = model.jump_coeff(x) if js is not None or groups else None
+        rho = model.jump_coeff(x) if binned or groups else None
         dt = times[k + 1] - times[k]
         w = inputs.dW[k]
         if groups:
@@ -270,7 +279,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             # rows to their next jump, applies it and reflects.
             _check_finite(k, f, g, rho)
             x, w, dt = x.copy(), w.copy(), np.full((m, 1), dt)
-            for rows, coord, size, sub, frac, noise, rest in groups:
+            for lo, hi in groups:
+                rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
                 dw = w[rows] * frac + noise
                 prop = x[rows] + f[rows] * sub + g[rows] * dw
                 prop[np.arange(rows.size), coord] += size * rho[rows, coord]
@@ -282,8 +292,9 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 w[rows] -= dw
                 dt[rows] = rest
         prop = x + f * dt + g * w
-        if js is not None:
-            prop = prop + rho * js
+        if binned:
+            js = np.bincount(cells[bounds[k]:bounds[k + 1]], sizes[bounds[k]:bounds[k + 1]], m * d)
+            prop = prop + rho * js.reshape(m, d)
         if not np.isfinite(prop).all():
             _check_finite(k, f, g, rho, prop)
         x, linc, uinc = reflect_box(prop, model.domain)
@@ -297,52 +308,50 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
 
 
 def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indices):
-    """The jumps of ``inputs`` as sub-steps of the grid ``times``.
-
-    Returns {step: [group, ...]}: group r holds the r-th jump in that step of
-    every path that has one, as arrays (rows, coord, size, sub, frac, noise,
-    rest).  ``sub`` is the time since the row's previous jump (or the step's
-    left endpoint) and ``rest`` the time left to the step's right endpoint.
-    The sub-step's Brownian increment is ``frac`` times what is left of the
-    step's increment plus ``noise``, a conditional Brownian-bridge draw from
-    the path's bridge stream, one draw per sub-step of positive length.
-    """
-    if inputs.time.size == 0:
-        return {}
+    """The jumps of ``inputs`` as sub-steps of the grid ``times``: (fields,
+    spans, first).  ``fields`` are flat arrays (rows, coord, size, sub, frac,
+    noise, rest) in (step, rank) order.  Group g, entries ``spans[g, 0]`` to
+    ``spans[g, 1]``, holds the r-th jump in step k of every path that has one;
+    step k's groups are ``spans[first[k]:first[k + 1]]``.  ``sub`` is the time
+    since the row's previous jump (or the step's left endpoint), ``rest`` the
+    time left to the step's right endpoint.  The sub-step's Brownian increment
+    is ``frac`` times what is left of the step's increment plus ``noise``, a
+    conditional Brownian-bridge draw from the path's bridge stream, one per
+    sub-step of positive length."""
     # stable, so simultaneous jumps keep their coordinate order
     order = np.lexsort((inputs.time, inputs.path))
-    time, size, path, coord = (
-        a[order] for a in (inputs.time, inputs.size, inputs.path, inputs.coord)
-    )
+    time, size, path, coord = (a[order] for a in (inputs.time, inputs.size, inputs.path,
+                                                  inputs.coord))
     step = _cells(times, time)
-    first = np.ones(time.size, dtype=bool)
-    first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
-    rank = np.arange(time.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    opens = np.ones(time.size, dtype=bool)  # the jump opens its (path, step) run
+    opens[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
+    rank = np.arange(time.size) - np.flatnonzero(opens)[np.cumsum(opens) - 1]
     end = np.maximum(time, times[step])
-    start = np.where(first, times[step], np.roll(end, 1))
+    start = np.where(opens, times[step], np.roll(end, 1))
     sub = end - start
     draw = sub > 0  # then the time left, total, is positive too
     total = np.where(draw, times[step + 1] - start, 1.0)
     d = model.dimension
     bridge = stream_layout(d)[3]
     counts = np.bincount(path[draw], minlength=len(inputs))
-    z = np.zeros((time.size, d))
+    z = np.zeros((sub.size, d))
     z[draw] = np.concatenate([np.empty((0, d))] + [
         SeedSpec(master_seed, idx, bridge).rng().standard_normal((n, d))
         for idx, n in zip(stream_indices, counts) if n
     ])
     frac = np.where(draw, sub / total, 0.0)
     noise = np.where(draw[:, None], np.sqrt(sub * (total - sub) / total)[:, None] * z, 0.0)
+    del time, start, z, total  # before the fields are gathered: check_budget counts that peak
     rest = times[step + 1] - end
-    fields = (path, coord, size, sub[:, None], frac[:, None], noise, rest[:, None])
-    by_group = np.lexsort((rank, step))
-    step, rank = step[by_group], rank[by_group]
-    cut = np.flatnonzero((np.diff(step) != 0) | (np.diff(rank) != 0)) + 1
-    groups: dict[int, list] = {}
-    pieces = zip(*(np.split(a[by_group], cut) for a in fields))
-    for k, group in zip(step[np.r_[0, cut]].tolist(), pieces):
-        groups.setdefault(k, []).append(group)
-    return groups
+    order = np.lexsort((rank, step))
+    fields = tuple(a[order] for a in (path, coord, size, sub[:, None], frac[:, None],
+                                      noise, rest[:, None]))
+    step, rank = step[order], rank[order]
+    opens = np.ones(step.size, dtype=bool)  # the jump opens its (step, rank) group
+    opens[1:] = (step[1:] != step[:-1]) | (rank[1:] != rank[:-1])
+    edges = np.r_[np.flatnonzero(opens), step.size]
+    spans = np.c_[edges[:-1], edges[1:]]
+    return fields, spans, np.searchsorted(step[edges[:-1]], np.arange(times.size))
 
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,

@@ -249,8 +249,6 @@ def check_jump_coefficient_bound(rho, spec: CompoundPoissonSpec, box,
     Growth ratio: E|rho(x, xi)|^2 / (1 + |x|^2), maximized over sampled x.
     Lipschitz ratio: E|rho(x, xi) - rho(z, xi)|^2 / |x - z|^2 over pairs.
     """
-    if not np.isfinite(spec.jump_dist.second_moment()):
-        raise ValueError("jump-size law must have a finite second moment")
     lows, highs = box
     rng = np.random.default_rng(seed)
     xi = spec.jump_dist.sample(rng, n_samples)

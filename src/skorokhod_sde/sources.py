@@ -66,8 +66,8 @@ class SeedSpec:
 class JumpSizeDist:
     """Jump-size family: constant(c), exponential(mean) or uniform(lo, hi).
 
-    All three have a finite second moment, which the moment bound on the jump
-    coefficient requires.
+    Each has a finite second moment (checked here, as is its range), which
+    the moment bound on the jump coefficient requires.
     """
 
     kind: str
@@ -83,6 +83,8 @@ class JumpSizeDist:
             raise ValueError("exponential jump mean must be positive")
         if self.kind == "uniform" and not self.a < self.b:
             raise ValueError("uniform jump bounds need lo < hi")
+        if not np.isfinite((self.b - self.a, self.second_moment())).all():
+            raise ValueError("jump size range and second moment must be finite")
 
     @classmethod
     def constant(cls, value: float) -> "JumpSizeDist":
@@ -111,11 +113,12 @@ class JumpSizeDist:
         return 0.5 * (self.a + self.b)
 
     def second_moment(self) -> float:
+        # products, not **, so that an overflow is inf rather than an error
         if self.kind == "constant":
-            return self.a**2
+            return self.a * self.a
         if self.kind == "exponential":
-            return 2.0 * self.a**2
-        return (self.b**3 - self.a**3) / (3.0 * (self.b - self.a))
+            return 2.0 * self.a * self.a
+        return (self.a * self.a + self.a * self.b + self.b * self.b) / 3.0
 
 
 @dataclass(frozen=True)
@@ -266,13 +269,6 @@ class PathInputs:
                                self.size[lo:hi].tolist(),
                                self.coord[lo:hi].tolist())
         )
-
-    def jump_sums(self, times: np.ndarray) -> np.ndarray:
-        """Jump sizes summed per cell of the grid ``times``, (n_steps, m, d)."""
-        _, m, d = self.dW.shape
-        sums = np.zeros((times.size - 1, m, d))
-        np.add.at(sums, (_cells(times, self.time), self.path, self.coord), self.size)
-        return sums
 
     def coarsened(self, stride: int) -> PathInputs:
         """These inputs on every ``stride``-th point of their grid: Wiener

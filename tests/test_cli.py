@@ -251,6 +251,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "convergence.json").exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("stability", "[experiment]\nkind = stability\noffsets = 1e308,1e307\n"),
+        ("simulate", "[ou]\ngamma = 1e-300\n"),
+    ])
+    def test_abort_is_one_line(self, tmp_path, capsys, command, text):
+        # the overflow before the abort prints no numpy warning
+        cfg = write_config(tmp_path, text)
+        assert run("--config", cfg, "--out", str(tmp_path / "x"), command) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime abort: non-finite drift at step ")
+
     def test_runtime_abort_on_memory_error(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError()
@@ -360,6 +372,21 @@ class TestConfigSource:
         assert run("--config", cfg, "--out", str(out), command) == 1
         assert f"line {line}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("text, lines", [
+        ("[jumps]\ndist = uniform\nlo = -1e308\nhi = 1e308\n", [3, 4]),
+        ("[jumps]\nmean = 1e200\n", [2]),
+        ("[jumps]\ndist = constant\nvalue = 1e200\n", [3]),
+    ])
+    def test_overflowing_jump_sizes_name_their_line(self, tmp_path, capsys, command, text,
+                                                    lines):
+        cfg = write_config(tmp_path, text)
+        assert run("--config", cfg, "--out", str(tmp_path / "x"), command) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: line {n}: [E_INVARIANT] jump size range and second moment "
+            "must be finite" for n in lines
+        ]
 
     def test_panel_outside_its_domain_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL + "[scenario]\ninput_mode = white_noise\nx0_e = -1\n")

@@ -27,7 +27,14 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde.engine import JUMP_TIMINGS, integrate_batch, simulate_paths, uniform_steps
+from skorokhod_sde.engine import (
+    JUMP_TIMINGS,
+    _exact_substeps,
+    check_budget,
+    integrate_batch,
+    simulate_paths,
+    uniform_steps,
+)
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
 
@@ -540,8 +547,9 @@ class TestReducers:
         assert np.array_equal(record.states, full.states[:, :kept])
 
     def test_memory_does_not_grow_by_histories(self):
-        """Doubling the paths at a fixed ``retain`` adds the inputs and jump
-        sums of the new paths, not their (n_points, m, d) histories."""
+        """Doubling the paths at a fixed ``retain`` adds the inputs of the new
+        paths, and the increments their input current is drawn from, not
+        their (n_points, m, d) histories."""
         model = make_scenario(ScenarioConfig())
         grid = uniform_grid(0.1, 100.0)
 
@@ -555,8 +563,9 @@ class TestReducers:
 
         def input_bytes(n_paths):
             inputs = sample_path_inputs(model, grid, 5, range(n_paths))
-            arrays = (inputs.dW, inputs.u, inputs.time, inputs.size, inputs.path, inputs.coord)
-            return sum(a.nbytes for a in arrays) + inputs.jump_sums(grid.times).nbytes
+            arrays = (inputs.dW, inputs.u, inputs.u, inputs.time, inputs.size, inputs.path,
+                      inputs.coord)
+            return sum(a.nbytes for a in arrays)
 
         m = 100
         added = input_bytes(2 * m) - input_bytes(m)
@@ -564,3 +573,44 @@ class TestReducers:
         slack = 2**19
         assert slack < histories / 8
         assert peak(2 * m) - peak(m) < added + slack
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("dt, n_paths, intensity", [
+        (0.1, 20, 0.5), (0.1, 1000, 0.5), (1.0, 20, 5.0), (0.05, 1, 0.5),
+    ])
+    def test_peak_within_the_counted_bytes(self, jump_timing, dt, n_paths, intensity):
+        """What :func:`check_budget` counts covers the peak of the ensemble it
+        bounds: on the default grid, with 10 jumps per step and path, where
+        the jumps dominate, and for one path, where the grid does."""
+        jumps = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
+        model = make_scenario(ScenarioConfig(jumps_E=jumps, jumps_I=jumps))
+        counted = check_budget("simulate", model, 100.0, uniform_steps(dt, 100.0), n_paths, 1,
+                               jump_timing == "exact")
+        tracemalloc.start()  # the grid counts too
+        try:
+            grid = uniform_grid(dt, 100.0)
+            simulate_ensemble(model, grid, n_paths, 5, retain=1, jump_timing=jump_timing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted
+
+    def test_exact_substeps_are_flat(self):
+        """The sub-steps hold 8 * (6 + d) bytes per jump, two offsets per
+        group and one per grid point: about 77 bytes per jump at 20 paths,
+        where one small array per field and group held 581."""
+        model, grid = make_scenario(ScenarioConfig()), uniform_grid(0.1, 100.0)
+        inputs = sample_path_inputs(model, grid, 5, range(20))
+        tracemalloc.start()
+        try:
+            substeps = _exact_substeps(model, grid.times, inputs, 5, range(20))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        fields, spans, first = substeps
+        n, d = inputs.time.size, model.dimension
+        assert len(fields) == 7 and first.size == grid.times.size
+        assert held <= 8 * (6 + d) * n + spans.nbytes + first.nbytes + 2**12
+        assert held <= 100 * n

@@ -19,7 +19,7 @@ from skorokhod_sde import (
     sample_wiener_increments,
     uniform_grid,
 )
-from skorokhod_sde.engine import SimulationGrid
+from skorokhod_sde.engine import SimulationGrid, integrate_batch
 from skorokhod_sde.sources import stream_layout
 
 
@@ -107,6 +107,11 @@ class TestJumpSizeDist:
             JumpSizeDist.uniform(1.0, 1.0)
         with pytest.raises(ValueError):
             JumpSizeDist("gamma", 1.0)
+        for overflowing in (JumpSizeDist.exponential, JumpSizeDist.constant):
+            with pytest.raises(ValueError, match="second moment"):
+                overflowing(1e200)
+        with pytest.raises(ValueError, match="range"):
+            JumpSizeDist.uniform(-1e308, 1e308)
 
     def test_sample_moments(self):
         rng = np.random.default_rng(0)
@@ -241,6 +246,28 @@ def _binned(events, times, d):
     return sums
 
 
+def _summed_jumps(inputs, times):
+    """Running jump sums of ``inputs`` on the grid ``times``, (n_points, m, d),
+    as the states of a model that only jumps: zero drift and noise, unit jump
+    coefficient, no reflection, started at 0."""
+    d = inputs.dW.shape[2]
+    model = ReflectedJumpSDE(
+        dimension=d,
+        drift=lambda x, u: np.zeros_like(x),
+        diffusion=np.zeros_like,
+        domain=ReflectionDomain.unreflected(d),
+        x0=np.zeros(d),
+        jump_coeff=np.ones_like,
+        jump_specs=(CompoundPoissonSpec(0.0, JumpSizeDist.constant(0.0)),) * d,
+    )
+    return integrate_batch(model, times, inputs).states
+
+
+def _running(sums):
+    """Running sums of per-cell sums, with the 0 of the first point."""
+    return np.concatenate([np.zeros((1, *sums.shape[1:])), np.cumsum(sums, axis=0)])
+
+
 class TestPathInputs:
     def test_stream_layout(self):
         assert stream_layout(2) == (range(0, 2), range(2, 4), 4, 5)
@@ -254,7 +281,7 @@ class TestPathInputs:
         assert len(inputs) == width
         assert inputs.dW.shape == (grid.n_steps, width, 2)
         assert inputs.u.shape == (grid.times.size, width)
-        sums = inputs.jump_sums(grid.times)
+        summed = _summed_jumps(inputs, grid.times)
         sqrt_dt = np.sqrt(np.diff(grid.times))
         for j, idx in enumerate(streams):
             events = []
@@ -267,7 +294,7 @@ class TestPathInputs:
             ou = _ou_oracle(SeedSpec(17, idx, 4), model.input_current, grid)
             assert np.array_equal(inputs.u[:, j], ou)
             assert inputs[j] == tuple(events)
-            assert np.array_equal(sums[:, j, :], _binned(events, grid.times, 2))
+            assert np.array_equal(summed[:, j, :], _running(_binned(events, grid.times, 2)))
 
     def test_without_jumps_or_current(self):
         model = ReflectedJumpSDE(
@@ -281,7 +308,7 @@ class TestPathInputs:
         inputs = sample_path_inputs(model, grid, 5, range(3))
         assert np.array_equal(inputs.u, np.zeros((5, 3)))
         assert inputs.time.size == 0 and inputs[2] == ()
-        assert np.array_equal(inputs.jump_sums(grid.times), np.zeros((4, 3, 1)))
+        assert np.array_equal(_summed_jumps(inputs, grid.times), np.zeros((5, 3, 1)))
         with pytest.raises(IndexError):
             inputs[3]
 
@@ -296,13 +323,12 @@ class TestPathInputs:
             path=np.array([0, 0, 0, 1, 1]),
             coord=np.array([0, 0, 1, 0, 1]),
         )
-        sums = inputs.jump_sums(grid.times)
         expected = np.zeros((4, 2, 2))
         expected[0, 0, 0] = 1.0 + 2.0
         expected[1, 0, 1] = 4.0
         expected[1, 1, 0] = 8.0
         expected[3, 1, 1] = 16.0
-        assert np.array_equal(sums, expected)
+        assert np.array_equal(_summed_jumps(inputs, grid.times), _running(expected))
 
     def test_coarse_grid_sums_equal_per_event_binning(self):
         # the convergence experiment bins one fine-grid draw on every level
@@ -311,9 +337,10 @@ class TestPathInputs:
         inputs = sample_path_inputs(model, fine, 8, range(6))
         for n_steps in (2, 8, 32, 256):
             grid = uniform_grid(2.0 / n_steps, 2.0)
-            sums = inputs.jump_sums(grid.times)
+            summed = _summed_jumps(inputs.coarsened(256 // n_steps), grid.times)
             for j in range(6):
-                assert np.array_equal(sums[:, j, :], _binned(inputs[j], grid.times, 2))
+                expected = _running(_binned(inputs[j], grid.times, 2))
+                assert np.array_equal(summed[:, j, :], expected)
 
     def test_coarsened_inputs(self):
         model = _two_coord_model(intensity=4.0)
