@@ -38,12 +38,10 @@ from .models import (
     wilson_cowan_drift,
 )
 from .skorokhod import (
-    ReflectedPath,
     ReflectionAccumulator1D,
     ReflectionDomain,
     minimal_push_oracle,
     reflect_box,
-    reflect_path_1d,
     reflect_stream_1d,
     total_variation,
 )

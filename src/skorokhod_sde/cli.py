@@ -51,34 +51,20 @@ SEED_ENV_VAR = "SKOROKHOD_SDE_SEED"
 TRAJECTORY_HEADER = "t,r_E,r_I,phi_E,phi_I,jump_count_E,jump_count_I"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(path: Path, bundle: TrajectoryBundle) -> None:
-    times = bundle.grid.times
-    counts = bundle.cumulative_jump_counts()
-    lines = [TRAJECTORY_HEADER]
-    for k in range(times.size):
-        lines.append(",".join([
-            _fmt(times[k]),
-            _fmt(bundle.states[k, 0]), _fmt(bundle.states[k, 1]),
-            _fmt(bundle.phi[k, 0]), _fmt(bundle.phi[k, 1]),
-            str(counts[k, 0]), str(counts[k, 1]),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [bundle.grid.times, bundle.states, bundle.phi, bundle.cumulative_jump_counts()]
+    np.savetxt(path, np.column_stack(columns), fmt=["%.17g"] * 5 + ["%d"] * 2,
+               delimiter=",", header=TRAJECTORY_HEADER, comments="")
 
 
 def write_long_csv(path: Path, panels: dict[str, TrajectoryBundle]) -> None:
     """Plot-ready long format: scenario,series,t,value."""
     lines = ["scenario,series,t,value"]
     for mode, bundle in panels.items():
-        times = bundle.grid.times
+        times = bundle.grid.times.tolist()
         for series, col in (("r_E", 0), ("r_I", 1)):
-            for k in range(times.size):
-                lines.append(
-                    f"{mode},{series},{_fmt(times[k])},{_fmt(bundle.states[k, col])}"
-                )
+            lines += [f"{mode},{series},{t:.17g},{v:.17g}"
+                      for t, v in zip(times, bundle.states[:, col].tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 

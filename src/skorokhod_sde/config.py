@@ -36,7 +36,7 @@ from .models import (
     WilsonCowanParams,
     make_scenario,
 )
-from .sources import MAX_SEED, CompoundPoissonSpec, JumpSizeDist, OUParams
+from .sources import JUMP_DISTS, MAX_SEED, CompoundPoissonSpec, JumpSizeDist, OUParams
 
 __all__ = [
     "ConfigDocument",
@@ -57,7 +57,6 @@ E_READ = "E_READ"
 E_MISSING_SECTION = "E_MISSING_SECTION"
 
 EXPERIMENT_KINDS = ("none", "stability", "converge")
-JUMP_DISTS = ("constant", "exponential", "uniform")
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,12 @@ import numpy as np
 
 __all__ = [
     "ReflectionDomain",
-    "ReflectedPath",
-    "reflect_path_1d",
     "ReflectionAccumulator1D",
     "reflect_stream_1d",
     "minimal_push_oracle",
     "reflect_box",
     "total_variation",
 ]
-
-TOL_BOUNDARY = 1e-12
-
 
 @dataclass(frozen=True)
 class ReflectionDomain:
@@ -63,39 +58,8 @@ class ReflectionDomain:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-@dataclass(frozen=True)
-class ReflectedPath:
-    """Reflected path with its local-time decomposition."""
-
-    xi: np.ndarray
-    phi: np.ndarray
-    phi_tv: np.ndarray
-
-
-def reflect_path_1d(w, lo: float = 0.0) -> ReflectedPath:
-    """Exact lower reflection of a scalar path.
-
-    phi(t) = -min(0, min_{s<=t} (w(s) - lo)) and xi = w + phi, so xi >= lo at
-    every grid point, phi(0) = 0 and phi is nondecreasing.
-    """
-    xi, phi = _reflect_scan(w, lo)
-    return ReflectedPath(xi=xi, phi=phi, phi_tv=total_variation(phi))
-
-
-def _reflect_scan(w, lo: float):
-    """Running-minimum form of the reflection map: returns (xi, phi) of a
-    nonempty 1d path ``w`` that starts at or above ``lo``."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("w must be a nonempty 1d path")
-    if w[0] < lo:
-        raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
-    phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
-    return w + phi, phi
-
-
 class ReflectionAccumulator1D:
-    """Streaming form of :func:`reflect_path_1d`: feed points one at a time.
+    """Point-by-point form of :func:`reflect_stream_1d`: feed points one at a time.
 
     Outputs are exactly (bitwise) the batch outputs on the same prefix.
     """
@@ -115,9 +79,20 @@ class ReflectionAccumulator1D:
         return next_w + self.phi, self.phi
 
 
-def reflect_stream_1d(w, lo: float = 0.0):
-    """Whole-array scan of the running minimum: returns (xi, phi)."""
-    return _reflect_scan(w, lo)
+def reflect_stream_1d(w, lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Exact lower reflection of a nonempty 1d path ``w`` that starts at or
+    above ``lo``: returns (xi, phi).
+
+    phi(t) = -min(0, min_{s<=t} (w(s) - lo)) and xi = w + phi, so xi >= lo at
+    every grid point, phi(0) = 0 and phi is nondecreasing.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("w must be a nonempty 1d path")
+    if w[0] < lo:
+        raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
+    phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
+    return w + phi, phi
 
 
 def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:

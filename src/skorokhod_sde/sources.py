@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
+JUMP_DISTS = ("constant", "exponential", "uniform")
 
 
 def stream_layout(d: int) -> tuple[range, range, int, int]:
@@ -75,7 +76,7 @@ class JumpSizeDist:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "exponential", "uniform"):
+        if self.kind not in JUMP_DISTS:
             raise ValueError(f"unknown jump distribution {self.kind!r}")
         if not np.isfinite((self.a, self.b)).all():
             raise ValueError("jump size parameters must be finite")
@@ -104,13 +105,6 @@ class JumpSizeDist:
         if self.kind == "exponential":
             return rng.exponential(self.a, size=n)
         return rng.uniform(self.a, self.b, size=n)
-
-    def mean(self) -> float:
-        if self.kind == "constant":
-            return self.a
-        if self.kind == "exponential":
-            return self.a
-        return 0.5 * (self.a + self.b)
 
     def second_moment(self) -> float:
         # products, not **, so that an overflow is inf rather than an error
@@ -166,6 +160,8 @@ def sample_wiener_increments(seed: SeedSpec, grid) -> np.ndarray:
 
 
 def _sample_jump_arrays(rng, spec: CompoundPoissonSpec, horizon: float):
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     count = rng.poisson(spec.intensity_alpha * horizon)
     if count == 0:
         return np.empty(0), np.empty(0)
@@ -180,8 +176,6 @@ def sample_compound_poisson(
     seed: SeedSpec, spec: CompoundPoissonSpec, horizon: float, component: int = 0
 ) -> list[JumpEvent]:
     """Ordered jump events on [0, horizon]; count is Poisson(alpha * horizon)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     times, sizes = _sample_jump_arrays(seed.rng(), spec, horizon)
     return [JumpEvent(float(t), float(s), component) for t, s in zip(times, sizes)]
 
@@ -193,8 +187,6 @@ def sample_compound_poisson_arrays(
 
     Identical stream and law; cheaper for bulk replication studies.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     return _sample_jump_arrays(seed.rng(), spec, horizon)
 
 

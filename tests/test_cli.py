@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skorokhod_sde import (
+    JumpEvent,
     TrajectoryBundle,
     make_scenario,
     parse_config,
@@ -303,6 +304,54 @@ class TestSummarize:
         summary = summarize(bundle)
         assert summary["max_rate"] == [0.7, 0.7]
         assert summary["reflection_local_time"] == [0.0, 0.0]
+
+
+def per_value(x) -> str:
+    return format(float(x), ".17g")
+
+
+class TestCsvWriters:
+    """Both writers against the per-value formatter they replace."""
+
+    def bundle(self):
+        grid = uniform_grid(0.5, 1.5)
+        states = np.array([[-0.0, 5e-324], [1e308, 0.1], [1 / 3, -2.5], [7.0, 1e-17]])
+        phi_lower = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 1 / 3], [0.3, 1 / 3]])
+        phi_upper = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 2e-300]])
+        jumps = (JumpEvent(0.0, 1.0, 0), JumpEvent(1.0, 0.5, 1), JumpEvent(1.2, 2.0, 0))
+        return TrajectoryBundle(
+            grid=grid, states=states, phi=phi_lower - phi_upper,
+            phi_lower=phi_lower, phi_upper=phi_upper, jumps=jumps,
+            master_seed=3, stream_index=0,
+        )
+
+    def test_trajectory_csv_bytes(self, tmp_path):
+        bundle = self.bundle()
+        counts = bundle.cumulative_jump_counts()
+        assert counts.tolist() == [[0, 0], [1, 0], [1, 1], [2, 1]]
+        lines = [TRAJECTORY_HEADER]
+        for k, t in enumerate(bundle.grid.times):
+            lines.append(",".join([
+                per_value(t),
+                *(per_value(x) for x in bundle.states[k]),
+                *(per_value(x) for x in bundle.phi[k]),
+                *(str(int(n)) for n in counts[k]),
+            ]))
+        path = tmp_path / "trajectory.csv"
+        cli.write_trajectory_csv(path, bundle)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_long_csv_bytes(self, tmp_path):
+        panels = {"a": self.bundle(), "b": self.bundle()}
+        lines = ["scenario,series,t,value"]
+        for mode, bundle in panels.items():
+            for series, col in (("r_E", 0), ("r_I", 1)):
+                for k, t in enumerate(bundle.grid.times):
+                    lines.append(f"{mode},{series},{per_value(t)},"
+                                 f"{per_value(bundle.states[k, col])}")
+        path = tmp_path / "long.csv"
+        cli.write_long_csv(path, panels)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestConfigSource:

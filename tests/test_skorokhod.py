@@ -10,11 +10,11 @@ from skorokhod_sde import (
     ReflectionDomain,
     minimal_push_oracle,
     reflect_box,
-    reflect_path_1d,
     reflect_stream_1d,
     total_variation,
 )
-from skorokhod_sde.skorokhod import TOL_BOUNDARY
+
+TOL_BOUNDARY = 1e-12
 
 
 def random_walk(rng, n, start_floor=0.0):
@@ -23,58 +23,59 @@ def random_walk(rng, n, start_floor=0.0):
     return w
 
 
-class TestReflectPath1D:
+class TestReflectStream1D:
     def test_interior_path_unchanged(self):
-        out = reflect_path_1d([0.0, 1.0, 2.0], lo=0.0)
-        assert np.array_equal(out.phi, [0.0, 0.0, 0.0])
-        assert np.array_equal(out.xi, [0.0, 1.0, 2.0])
+        xi, phi = reflect_stream_1d([0.0, 1.0, 2.0], lo=0.0)
+        assert np.array_equal(phi, [0.0, 0.0, 0.0])
+        assert np.array_equal(xi, [0.0, 1.0, 2.0])
 
     def test_running_minimum_example(self):
-        out = reflect_path_1d([0.0, -1.0, 0.5, -2.0], lo=0.0)
-        assert np.array_equal(out.phi, [0.0, 1.0, 1.0, 2.0])
-        assert np.array_equal(out.xi, [0.0, 0.0, 1.5, 0.0])
+        xi, phi = reflect_stream_1d([0.0, -1.0, 0.5, -2.0], lo=0.0)
+        assert np.array_equal(phi, [0.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(xi, [0.0, 0.0, 1.5, 0.0])
+        assert np.array_equal(total_variation(phi), phi)
 
     def test_boundary_sliding(self):
         times = np.linspace(0.0, 1.0, 101)
-        out = reflect_path_1d(-times, lo=0.0)
-        assert np.array_equal(out.phi, times)
-        assert np.array_equal(out.xi, np.zeros_like(times))
+        xi, phi = reflect_stream_1d(-times, lo=0.0)
+        assert np.array_equal(phi, times)
+        assert np.array_equal(xi, np.zeros_like(times))
 
     def test_initial_point_below_boundary_rejected(self):
         with pytest.raises(ValueError):
-            reflect_path_1d([-0.5, 1.0], lo=0.0)
+            reflect_stream_1d([-0.5, 1.0], lo=0.0)
 
     def test_nonzero_boundary(self):
-        out = reflect_path_1d([1.0, 0.5, 2.0], lo=1.0)
-        assert np.array_equal(out.xi, [1.0, 1.0, 2.5])
-        assert np.array_equal(out.phi, [0.0, 0.5, 0.5])
+        xi, phi = reflect_stream_1d([1.0, 0.5, 2.0], lo=1.0)
+        assert np.array_equal(xi, [1.0, 1.0, 2.5])
+        assert np.array_equal(phi, [0.0, 0.5, 0.5])
 
     def test_identity_on_strictly_interior_paths(self):
         rng = np.random.default_rng(0)
         w = random_walk(rng, 500) + 100.0
-        out = reflect_path_1d(w, lo=0.0)
-        assert np.array_equal(out.xi, w)
-        assert not out.phi.any()
+        xi, phi = reflect_stream_1d(w, lo=0.0)
+        assert np.array_equal(xi, w)
+        assert not phi.any()
 
     def test_complementarity_batch(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             w = random_walk(rng, 1000)
-            out = reflect_path_1d(w, lo=0.0)
-            inc = np.diff(out.phi)
-            interior = out.xi[1:] > TOL_BOUNDARY
+            xi, phi = reflect_stream_1d(w, lo=0.0)
+            inc = np.diff(phi)
+            interior = xi[1:] > TOL_BOUNDARY
             assert np.max(inc * interior, initial=0.0) <= TOL_BOUNDARY
 
     def test_containment_exact(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            out = reflect_path_1d(random_walk(rng, 1000), lo=0.0)
-            assert out.xi.min() >= 0.0
+            xi, _ = reflect_stream_1d(random_walk(rng, 1000), lo=0.0)
+            assert xi.min() >= 0.0
 
     def test_minimality_against_candidates(self):
         rng = np.random.default_rng(3)
         w = random_walk(rng, 400)
-        phi = reflect_path_1d(w, lo=0.0).phi
+        _, phi = reflect_stream_1d(w, lo=0.0)
         for _ in range(50):
             # any nondecreasing candidate keeping w + phi' >= 0 dominates phi
             extra = np.cumsum(rng.uniform(0.0, 0.1, size=w.size))
@@ -86,7 +87,7 @@ class TestReflectPath1D:
         rng = np.random.default_rng(4)
         for _ in range(20):
             w = random_walk(rng, 1000)
-            assert np.array_equal(reflect_path_1d(w).phi, minimal_push_oracle(w))
+            assert np.array_equal(reflect_stream_1d(w)[1], minimal_push_oracle(w))
 
 
 class TestStreaming:
@@ -103,36 +104,26 @@ class TestStreaming:
     def test_streaming_matches_batch_bitwise(self):
         rng = np.random.default_rng(5)
         w = random_walk(rng, 10**4)
-        batch = reflect_path_1d(w, lo=0.0)
+        xi, phi = reflect_stream_1d(w, lo=0.0)
         acc = ReflectionAccumulator1D(w[0], lo=0.0)
         for k in range(1, w.size):
             xi_k, phi_k = acc.update(w[k])
-            assert xi_k == batch.xi[k]
-            assert phi_k == batch.phi[k]
-
-    def test_stream_scan_matches_batch(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            w = random_walk(rng, 2000)
-            xi, phi = reflect_stream_1d(w, lo=0.0)
-            batch = reflect_path_1d(w, lo=0.0)
-            assert np.array_equal(xi, batch.xi)
-            assert np.array_equal(phi, batch.phi)
+            assert xi_k == xi[k]
+            assert phi_k == phi[k]
 
     def test_initial_point_rejected(self):
         with pytest.raises(ValueError):
             ReflectionAccumulator1D(-0.1, lo=0.0)
 
 
-@pytest.mark.parametrize("reflect", [reflect_path_1d, reflect_stream_1d])
 @pytest.mark.parametrize("w, message", [
     ([], "nonempty 1d path"),
     ([[0.0, 1.0], [2.0, 3.0]], "nonempty 1d path"),
     ([-0.5, 1.0], "below the boundary"),
 ])
-def test_malformed_path_rejected(reflect, w, message):
+def test_malformed_path_rejected(w, message):
     with pytest.raises(ValueError, match=message):
-        reflect(w, 0.0)
+        reflect_stream_1d(w, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,14 +133,14 @@ def test_malformed_path_rejected(reflect, w, message):
 )
 def test_reflection_properties(steps, start):
     w = start + np.concatenate([[0.0], np.cumsum(steps)])
-    out = reflect_path_1d(w, lo=0.0)
-    assert out.phi[0] == 0.0
-    assert np.all(np.diff(out.phi) >= 0.0)
-    assert np.all(out.xi >= 0.0)
-    assert np.allclose(out.xi, w + out.phi)
-    assert np.array_equal(out.phi, minimal_push_oracle(w))
-    inc = np.diff(out.phi)
-    assert np.max(inc * (out.xi[1:] > TOL_BOUNDARY), initial=0.0) <= TOL_BOUNDARY
+    xi, phi = reflect_stream_1d(w, lo=0.0)
+    assert phi[0] == 0.0
+    assert np.all(np.diff(phi) >= 0.0)
+    assert np.all(xi >= 0.0)
+    assert np.allclose(xi, w + phi)
+    assert np.array_equal(phi, minimal_push_oracle(w))
+    inc = np.diff(phi)
+    assert np.max(inc * (xi[1:] > TOL_BOUNDARY), initial=0.0) <= TOL_BOUNDARY
 
 
 class TestReflectBox:
