@@ -126,10 +126,6 @@ def cmd_simulate(doc: ConfigDocument) -> int:
         model, doc.build_grid(), doc.n_paths, doc.seed,
         retain=max(doc.retain, 1), jump_timing=doc.jump_timing,
     )
-    out = _out_dir(doc)
-    for bundle in result.bundles:
-        write_trajectory_csv(out / f"trajectory_{bundle.stream_index:03d}.csv", bundle)
-    write_long_csv(out / "long.csv", {doc.input_mode: result.bundles[0]})
     summary = {
         "config": emit_config(doc),
         "scenario": doc.input_mode,
@@ -138,7 +134,12 @@ def cmd_simulate(doc: ConfigDocument) -> int:
         "ensemble_terminal_mean": [float(v) for v in result.terminal_mean],
         "ensemble_terminal_variance": [float(v) for v in result.terminal_variance],
     }
+    # the JSON first: a value it cannot hold aborts before any file is written
+    out = _out_dir(doc)
     _write_json(out / "summary.json", summary)
+    for bundle in result.bundles:
+        write_trajectory_csv(out / f"trajectory_{bundle.stream_index:03d}.csv", bundle)
+    write_long_csv(out / "long.csv", {doc.input_mode: result.bundles[0]})
     return 0
 
 
@@ -148,17 +149,14 @@ def cmd_panels(doc: ConfigDocument) -> int:
     except ValueError as exc:  # x0 outside the domain of a reflected panel
         raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
     grid = doc.build_grid()
-    out = _out_dir(doc)
-    panels = {}
-    summaries = {}
-    for mode, model in scenarios.items():
-        bundle = simulate_trajectory(model, grid, doc.seed, jump_timing=doc.jump_timing)
-        panels[mode] = bundle
-        summaries[mode] = summarize(bundle)
+    panels = {mode: simulate_trajectory(model, grid, doc.seed, jump_timing=doc.jump_timing)
+              for mode, model in scenarios.items()}
+    summaries = {mode: summarize(bundle) for mode, bundle in panels.items()}
+    out = _out_dir(doc)  # the JSON first, as in cmd_simulate
+    _write_json(out / "panels_summary.json", {"master_seed": doc.seed, "panels": summaries})
+    for mode, bundle in panels.items():
         write_trajectory_csv(out / f"panel_{mode}.csv", bundle)
     write_long_csv(out / "panels_long.csv", panels)
-    _write_json(out / "panels_summary.json",
-                {"master_seed": doc.seed, "panels": summaries})
     return 0
 
 
@@ -211,12 +209,9 @@ def cmd_validate(doc: ConfigDocument) -> int:
         lambda x: sigmoid_F(x[:, 0], params.theta_E, params.a_E),
         (np.array([-5.0]), np.array([10.0])), n_samples=n,
     )
-    rho_amp = doc.rho
     a3 = check_jump_coefficient_bound(
-        lambda x, xi: rho_amp * xi, doc.scenario_config().jumps_E, box,
-        n_samples=n,
+        lambda x, xi: doc.rho * xi, doc.scenario_config().jumps, box, n_samples=n
     )
-    out = _out_dir(doc)
     payload = {
         "config": emit_config(doc),
         "lipschitz": {
@@ -232,7 +227,7 @@ def cmd_validate(doc: ConfigDocument) -> int:
             "passed": bool(a3.passed),
         },
     }
-    _write_json(out / "validate.json", payload)
+    _write_json(_out_dir(doc) / "validate.json", payload)
     print(json.dumps(payload["lipschitz"], sort_keys=True))
     return 0
 

@@ -31,6 +31,7 @@ from .engine import (
 )
 from .models import (
     INPUT_MODES,
+    SCENARIOS,
     ScenarioConfig,
     ScenarioError,
     WilsonCowanParams,
@@ -126,19 +127,10 @@ class ConfigDocument:
 
     def scenario_config(self, mode: str | None = None) -> ScenarioConfig:
         mode = mode or self.input_mode
-        if mode == "ou_reflected_jumps":
-            spec = CompoundPoissonSpec(self.jump_intensity, self.jump_size_dist())
-        else:
-            spec = CompoundPoissonSpec(0.0, self.jump_size_dist())
-        return ScenarioConfig(
-            input_mode=mode,
-            params=self.params,
-            ou=self.ou,
-            jumps_E=spec,
-            jumps_I=spec,
-            rho=self.rho,
-            x0=(self.x0_e, self.x0_i),
-        )
+        intensity = self.jump_intensity if SCENARIOS[mode][2] else 0.0
+        jumps = CompoundPoissonSpec(intensity, self.jump_size_dist())
+        return ScenarioConfig(input_mode=mode, params=self.params, ou=self.ou, jumps=jumps,
+                              rho=self.rho, x0=(self.x0_e, self.x0_i))
 
 
 _DEFAULT = ConfigDocument()
@@ -217,7 +209,7 @@ def _build(values: dict) -> ConfigDocument:
         groups.setdefault(head, {})[name] = value
     top = groups.pop("", {})
     mode = top.get("input_mode", _DEFAULT.input_mode)
-    if mode != "ou_reflected_jumps":
+    if not SCENARIOS[mode][2]:
         if top.get("jump_intensity", 0.0) > 0:
             raise ScenarioError(f"jump intensity > 0 contradicts input_mode={mode}")
         top["jump_intensity"] = 0.0  # canonical form of the jump-free modes

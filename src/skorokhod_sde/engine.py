@@ -53,11 +53,14 @@ JUMP_TIMINGS = ("end_of_step", "exact")
 
 class SimulationAbort(RuntimeError):
     """Raised when a coefficient evaluation or a state proposal produced a
-    non-finite value."""
+    non-finite value: in step ``step_index`` of batch row ``row`` (the
+    stream index, for the batches the commands step), which started at time
+    ``time`` from ``state``."""
 
-    def __init__(self, step_index: int, what: str):
-        super().__init__(f"non-finite {what} at step {step_index}")
-        self.step_index = step_index
+    def __init__(self, step_index: int, what: str, row: int, time: float, state: np.ndarray):
+        super().__init__(f"non-finite {what} at step {step_index}, row {row}, "
+                         f"t = {time!r}, state {state.tolist()}")
+        self.step_index, self.row, self.time, self.state = step_index, row, time, state
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +226,17 @@ class BatchRecord(NamedTuple):
     terminal: np.ndarray             # (m, d): every row's state at the last point
 
 
-def _check_finite(step_index, f, g, rho, prop=None):
+def _check_finite(k, times, x, f, g, rho, prop=None, rows=None):
     """Raise :class:`SimulationAbort` for the first of drift, diffusion, jump
-    coefficient and state proposal that is non-finite in any row."""
+    coefficient and state proposal that is non-finite in any row, naming its
+    first such row and that row's state ``x`` at the start of step ``k``.
+    ``rows`` are the batch rows of the proposal's rows, all by default."""
     for what, value in (("drift", f), ("diffusion", g), ("jump coefficient", rho),
                         ("state proposal", prop)):
         if value is not None and not np.isfinite(value).all():
-            raise SimulationAbort(step_index, what)
+            row = np.argwhere(~np.isfinite(np.atleast_2d(value)))[0, 0]
+            row = int(row if rows is None or value is not prop else rows[row])
+            raise SimulationAbort(k, what, row, float(times[k]), x[row].copy())
 
 
 # A non-finite f, g or rho makes the step's whole proposal non-finite (inf * 0
@@ -266,6 +273,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         del step  # before the sorted copies: check_budget counts that peak
         cells, sizes = (inputs.path * d + inputs.coord)[order], inputs.size[order]
     for k in range(n_steps):
+        start = x  # stepping makes a new x; a group step copies it first
         groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
         f = model.drift(x, inputs.u[k])
         g = model.diffusion(x)
@@ -277,7 +285,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             # checked here.  Coefficients stay frozen at the step's left
             # endpoint (copy x, they may alias it); each group moves its
             # rows to their next jump, applies it and reflects.
-            _check_finite(k, f, g, rho)
+            _check_finite(k, times, x, f, g, rho)
             x, w, dt = x.copy(), w.copy(), np.full((m, 1), dt)
             for lo, hi in groups:
                 rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
@@ -285,7 +293,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 prop = x[rows] + f[rows] * sub + g[rows] * dw
                 prop[np.arange(rows.size), coord] += size * rho[rows, coord]
                 if not np.isfinite(prop).all():
-                    _check_finite(k, f, g, rho, prop)
+                    _check_finite(k, times, start, f, g, rho, prop, rows)
                 x[rows], linc, uinc = reflect_box(prop, model.domain)
                 acc_lo[rows] += linc
                 acc_hi[rows] += uinc
@@ -296,7 +304,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             js = np.bincount(cells[bounds[k]:bounds[k + 1]], sizes[bounds[k]:bounds[k + 1]], m * d)
             prop = prop + rho * js.reshape(m, d)
         if not np.isfinite(prop).all():
-            _check_finite(k, f, g, rho, prop)
+            _check_finite(k, times, start, f, g, rho, prop)
         x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
         acc_hi += uinc

@@ -17,18 +17,28 @@ __all__ = [
     "WilsonCowanParams",
     "ScenarioConfig",
     "ScenarioError",
+    "SCENARIOS",
     "INPUT_MODES",
     "sigmoid_F",
     "wilson_cowan_drift",
     "wilson_cowan_diffusion",
     "make_scenario",
-    "default_jump_spec",
     "estimate_lipschitz_constant",
     "check_jump_coefficient_bound",
     "A3Report",
 ]
 
-INPUT_MODES = ("white_noise", "ou_current", "ou_reflected", "ou_reflected_jumps")
+# mode -> (white_noise, reflected, jumps): the switches that set the four
+# input-current scenarios apart.  A mode without white noise drives both
+# external inputs with one shared Ornstein-Uhlenbeck current; a reflected one
+# lives on the half-line domain [0, inf)^2.
+SCENARIOS = {
+    "white_noise": (True, False, False),
+    "ou_current": (False, False, False),
+    "ou_reflected": (False, True, False),
+    "ou_reflected_jumps": (False, True, True),
+}
+INPUT_MODES = tuple(SCENARIOS)
 
 
 @dataclass(frozen=True)
@@ -112,26 +122,22 @@ def wilson_cowan_diffusion(state, params: WilsonCowanParams):
     return np.stack([g_e, g_i], axis=-1)
 
 
-def default_jump_spec() -> CompoundPoissonSpec:
-    # Artifact default: modest positive jumps comparable to the typical
-    # firing-rate excursions (~0.1) when scaled by rho = 0.01.
-    return CompoundPoissonSpec(0.5, JumpSizeDist.exponential(1.0))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One panel of the four-scenario comparison."""
+    """One panel of the four-scenario comparison.  ``jumps`` is the jump law
+    of each coordinate; the default, modest positive jumps, is comparable to
+    the typical firing-rate excursions (~0.1) when scaled by rho = 0.01."""
 
     input_mode: str = "ou_reflected_jumps"
     params: WilsonCowanParams = field(default_factory=WilsonCowanParams)
     ou: OUParams = field(default_factory=OUParams)
-    jumps_E: CompoundPoissonSpec = field(default_factory=default_jump_spec)
-    jumps_I: CompoundPoissonSpec = field(default_factory=default_jump_spec)
+    jumps: CompoundPoissonSpec = field(
+        default_factory=lambda: CompoundPoissonSpec(0.5, JumpSizeDist.exponential(1.0)))
     rho: float = 0.01
     x0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.input_mode not in INPUT_MODES:
+        if self.input_mode not in SCENARIOS:
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
 
 
@@ -140,68 +146,34 @@ class ScenarioError(ValueError):
 
 
 def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
-    """Assemble the reflected jump-diffusion for one input scenario.
-
-    white_noise: additive output noise through the diffusion term, no
-    reflection.  ou_*: the white-noise diffusion is replaced by a pre-sampled
-    shared Ornstein-Uhlenbeck current feeding both external inputs; reflected
-    modes use the half-line domain [0, inf)^2.  Jumps are only valid together
-    with reflection.
-    """
+    """Assemble the reflected jump-diffusion of one input scenario from its
+    row of :data:`SCENARIOS`.  Every mode feeds the input current ``u`` to
+    both external inputs; ``u`` is zero without an input process, which is
+    what the white-noise mode has instead of the OU current."""
     params = config.params
-    mode = config.input_mode
-    wants_jumps = (
-        config.jumps_E.intensity_alpha > 0 or config.jumps_I.intensity_alpha > 0
-    )
-    if mode != "ou_reflected_jumps" and wants_jumps:
+    white_noise, reflected, jumps = SCENARIOS[config.input_mode]
+    if config.jumps.intensity_alpha > 0 and not jumps:
         raise ScenarioError(
-            f"jump intensity > 0 requires input_mode=ou_reflected_jumps, got {mode!r}"
-        )
+            f"jump intensity > 0 contradicts input_mode={config.input_mode}, which has no jumps")
 
-    if mode == "white_noise":
-        def drift(state, u):
-            return wilson_cowan_drift(state, params, params.I_ext_E, params.I_ext_I)
+    def drift(state, u):
+        return wilson_cowan_drift(state, params, params.I_ext_E + u, params.I_ext_I + u)
 
-        def diffusion(state):
-            return wilson_cowan_diffusion(state, params)
+    def diffusion(state):
+        return wilson_cowan_diffusion(state, params) if white_noise else np.zeros_like(state, float)
 
-        input_current = None
-    else:
-        def drift(state, u):
-            return wilson_cowan_drift(
-                state, params, params.I_ext_E + u, params.I_ext_I + u
-            )
-
-        def diffusion(state):
-            return np.zeros_like(np.asarray(state, dtype=float))
-
-        input_current = config.ou
-
-    if mode in ("white_noise", "ou_current"):
-        domain = ReflectionDomain.unreflected(2)
-    else:
-        domain = ReflectionDomain.half_line(0.0, 2)
-
-    if mode == "ou_reflected_jumps":
-        rho_amp = config.rho
-
-        def jump_coeff(state):
-            return np.full_like(np.asarray(state, dtype=float), rho_amp)
-
-        jump_specs = (config.jumps_E, config.jumps_I)
-    else:
-        jump_coeff = None
-        jump_specs = None
+    def jump_coeff(state):
+        return np.full_like(np.asarray(state, dtype=float), config.rho)
 
     return ReflectedJumpSDE(
         dimension=2,
         drift=drift,
         diffusion=diffusion,
-        domain=domain,
+        domain=ReflectionDomain.half_line(0.0, 2) if reflected else ReflectionDomain.unreflected(2),
         x0=np.asarray(config.x0, dtype=float),
-        jump_coeff=jump_coeff,
-        jump_specs=jump_specs,
-        input_current=input_current,
+        jump_coeff=jump_coeff if jumps else None,
+        jump_specs=(config.jumps, config.jumps) if jumps else None,
+        input_current=None if white_noise else config.ou,
     )
 
 

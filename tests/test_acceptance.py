@@ -37,11 +37,7 @@ def report(num, desc, ok):
 def scenario_model(mode, horizon=100.0, **kw):
     config = ScenarioConfig(
         input_mode=mode,
-        jumps_E=CompoundPoissonSpec(
-            0.5 if mode == "ou_reflected_jumps" else 0.0,
-            JumpSizeDist.exponential(1.0),
-        ),
-        jumps_I=CompoundPoissonSpec(
+        jumps=CompoundPoissonSpec(
             0.5 if mode == "ou_reflected_jumps" else 0.0,
             JumpSizeDist.exponential(1.0),
         ),

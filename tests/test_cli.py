@@ -252,6 +252,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "convergence.json").exists()
 
+    @pytest.mark.parametrize("command, summary", [
+        ("simulate", "summary.json"), ("panels", "panels_summary.json"),
+    ])
+    def test_abort_writes_no_file(self, tmp_path, capsys, command, summary):
+        # the states stay finite, but the path seminorms overflow to inf,
+        # which the summary cannot hold; no trajectory CSV is left behind
+        cfg = write_config(tmp_path, SMALL + "[scenario]\ninput_mode = ou_current\n"
+                                             "x0_e = 1e308\n")
+        out = tmp_path / "x"
+        assert run("--config", cfg, "--out", str(out), command) == 2
+        assert f"{summary} not written" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, text", [
         ("stability", "[experiment]\nkind = stability\noffsets = 1e308,1e307\n"),
         ("simulate", "[ou]\ngamma = 1e-300\n"),

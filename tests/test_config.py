@@ -146,20 +146,20 @@ class TestScenarioAssembly:
     def test_jump_free_modes_have_zero_intensity(self):
         doc = parse_config("[scenario]\ninput_mode = ou_reflected\n")
         scenario = doc.scenario_config()
-        assert scenario.jumps_E.intensity_alpha == 0.0
+        assert scenario.jumps.intensity_alpha == 0.0
 
     def test_jump_mode_uses_configured_spec(self):
         doc = parse_config("[jumps]\nintensity = 0.75\ndist = constant\nvalue = 2.0\n")
         scenario = doc.scenario_config()
-        assert scenario.jumps_E.intensity_alpha == 0.75
-        assert scenario.jumps_E.jump_dist.kind == "constant"
-        assert scenario.jumps_E.jump_dist.a == 2.0
+        assert scenario.jumps.intensity_alpha == 0.75
+        assert scenario.jumps.jump_dist.kind == "constant"
+        assert scenario.jumps.jump_dist.a == 2.0
 
     def test_panel_override_zeroes_jumps(self):
         doc = parse_config("")
         scenario = doc.scenario_config("ou_current")
         assert scenario.input_mode == "ou_current"
-        assert scenario.jumps_E.intensity_alpha == 0.0
+        assert scenario.jumps.intensity_alpha == 0.0
 
 
 class TestSinglePassValidation:

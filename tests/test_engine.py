@@ -2,6 +2,7 @@
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
 import bisect
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -448,10 +449,40 @@ class TestAbortOnPoisonedRows:
         assert hit[step]
         if cells is not None:
             assert not over[step, inputs.path[cells == step]].any()
+        row = int(np.argmax(over[step]))  # the first poisoned row
+        t, state = float(grid.times[step]), states[step, row]
         model = replace(clean, **{field: self.poison(getattr(clean, field), bad)})
-        with pytest.raises(SimulationAbort, match=f"^non-finite {what} at step {step}$") as exc:
+        message = (f"non-finite {what} at step {step}, row {row}, t = {t!r}, "
+                   f"state {state.tolist()}")
+        with pytest.raises(SimulationAbort, match=f"^{re.escape(message)}$") as exc:
             simulate_paths(model, grid, seed, range(m), timing)
         assert exc.value.step_index == step
+        assert exc.value.row == row and exc.value.time == t
+        assert np.array_equal(exc.value.state, state)
+
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    def test_overflowing_jump_names_its_batch_row(self, timing):
+        """A jump that overflows the proposal aborts in the first step with a
+        jump, naming the first path that jumps there; under exact timing that
+        path is found through the rows of the step's first jump group."""
+        grid, m, seed = uniform_grid(0.5, 20.0), 6, 3
+        clean = replace(busy_jump_model(), jump_specs=(
+            CompoundPoissonSpec(0.1, JumpSizeDist.constant(2.0)),
+            CompoundPoissonSpec(0.1, JumpSizeDist.constant(2.0))))
+        inputs = sample_path_inputs(clean, grid, seed, range(m))
+        cells = _cells(grid.times, inputs.time)
+        step = int(cells.min())
+        row = int(inputs.path[cells == step].min())
+        assert row > 0  # so a row of the group is not taken for a batch row
+        states = simulate_paths(replace(clean, jump_coeff=np.zeros_like), grid, seed,
+                                range(m), timing)[0]
+        model = replace(clean, jump_coeff=lambda state: np.full_like(state, 1e308))
+        with pytest.raises(SimulationAbort, match="^non-finite state proposal") as exc, \
+                np.errstate(over="ignore"):
+            simulate_paths(model, grid, seed, range(m), timing)
+        assert (exc.value.step_index, exc.value.row) == (step, row)
+        assert exc.value.time == grid.times[step]
+        assert np.array_equal(exc.value.state, states[step, row])
 
 
 class TestEnsemble:
@@ -585,7 +616,7 @@ class TestMemoryBudget:
         bounds: on the default grid, with 10 jumps per step and path, where
         the jumps dominate, and for one path, where the grid does."""
         jumps = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
-        model = make_scenario(ScenarioConfig(jumps_E=jumps, jumps_I=jumps))
+        model = make_scenario(ScenarioConfig(jumps=jumps))
         counted = check_budget("simulate", model, 100.0, uniform_steps(dt, 100.0), n_paths, 1,
                                jump_timing == "exact")
         tracemalloc.start()  # the grid counts too

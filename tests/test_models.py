@@ -19,6 +19,7 @@ from skorokhod_sde import (
     wilson_cowan_diffusion,
     wilson_cowan_drift,
 )
+from skorokhod_sde.models import INPUT_MODES, SCENARIOS
 
 
 def reference_F(x, theta, a):
@@ -166,9 +167,7 @@ class TestDiffusion:
 class TestScenarios:
     def _config(self, mode, intensity=0.0):
         spec = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
-        return ScenarioConfig(
-            input_mode=mode, jumps_E=spec, jumps_I=spec,
-        )
+        return ScenarioConfig(input_mode=mode, jumps=spec)
 
     def test_white_noise_mode(self):
         model = make_scenario(self._config("white_noise"))
@@ -211,6 +210,34 @@ class TestScenarios:
         d1 = model.drift(state, np.array([0.5]))
         assert d1[0, 0] != d0[0, 0]
         assert d1[0, 1] != d0[0, 1]
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("mode", INPUT_MODES)
+    def test_model_matches_its_row(self, mode):
+        white_noise, reflected, jumps = SCENARIOS[mode]
+        spec = CompoundPoissonSpec(0.5 if jumps else 0.0, JumpSizeDist.exponential(1.0))
+        model = make_scenario(ScenarioConfig(input_mode=mode, jumps=spec))
+        state = np.array([[0.2, 0.1], [0.0, 0.7]])
+        assert model.diffusion(state).any() == white_noise
+        assert np.array_equal(model.domain.lower, [0.0, 0.0]) == reflected
+        assert (model.jump_specs == (spec, spec)) if jumps else model.jump_specs is None
+        assert (model.input_current is None) == white_noise
+
+    @pytest.mark.parametrize("params", [
+        WilsonCowanParams(),
+        WilsonCowanParams(I_ext_E=0.3, I_ext_I=-1.5),
+        WilsonCowanParams(I_ext_E=-0.0, I_ext_I=-0.0, w_EE=-0.0, theta_E=0.0, theta_I=0.0),
+    ])
+    def test_white_noise_drift_adds_a_zero_current(self, params):
+        # rows with r_E = -0.0 make w_EE * r_E - w_EI * r_I a signed zero
+        no_jumps = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
+        model = make_scenario(ScenarioConfig("white_noise", params, jumps=no_jumps))
+        zeros = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]
+        state = np.vstack([np.random.default_rng(3).uniform(0.0, 1.0, (50, 2)), zeros])
+        got = model.drift(state, np.zeros(len(state)))
+        want = wilson_cowan_drift(state, params, params.I_ext_E, params.I_ext_I)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLipschitzEstimate:
