@@ -126,8 +126,10 @@ class ConfigDocument:
         return uniform_grid(self.dt, self.horizon)
 
     def scenario_config(self, mode: str | None = None) -> ScenarioConfig:
+        """The document's own scenario, or the ``panels`` row of ``mode``,
+        which takes the document's jump law only if it has jumps."""
+        intensity = self.jump_intensity if mode is None or SCENARIOS[mode][2] else 0.0
         mode = mode or self.input_mode
-        intensity = self.jump_intensity if SCENARIOS[mode][2] else 0.0
         jumps = CompoundPoissonSpec(intensity, self.jump_size_dist())
         return ScenarioConfig(input_mode=mode, params=self.params, ou=self.ou, jumps=jumps,
                               rho=self.rho, x0=(self.x0_e, self.x0_i))
@@ -208,11 +210,10 @@ def _build(values: dict) -> ConfigDocument:
         head, _, name = _SCHEMA[section_key][0].rpartition(".")
         groups.setdefault(head, {})[name] = value
     top = groups.pop("", {})
-    mode = top.get("input_mode", _DEFAULT.input_mode)
-    if not SCENARIOS[mode][2]:
-        if top.get("jump_intensity", 0.0) > 0:
-            raise ScenarioError(f"jump intensity > 0 contradicts input_mode={mode}")
-        top["jump_intensity"] = 0.0  # canonical form of the jump-free modes
+    if not SCENARIOS[top.get("input_mode", _DEFAULT.input_mode)][2]:
+        # A jump-free mode has no jumps unless given some, which make_scenario
+        # rejects; adding 0.0 turns a -0.0 into the canonical 0.0.
+        top["jump_intensity"] = top.get("jump_intensity", 0.0) + 0.0
     doc = replace(_DEFAULT, **top, **{
         head: replace(getattr(_DEFAULT, head), **kwargs) for head, kwargs in groups.items()
     })

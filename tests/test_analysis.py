@@ -21,8 +21,9 @@ from skorokhod_sde import (
     sup_norm,
     uniform_grid,
 )
-from skorokhod_sde import analysis
-from skorokhod_sde.engine import simulate_paths
+from skorokhod_sde import analysis, make_scenario, parse_config
+from skorokhod_sde.engine import simulate_paths, simulate_trajectory
+from skorokhod_sde.models import INPUT_MODES
 
 
 def linear_model(drift_rate=-1.0, sigma=0.0, x0=(0.0,), domain=None, **kw):
@@ -106,11 +107,76 @@ def ramp(n=120):
 SHAPED = {"lag_one": lag_one_step, "last_lag": last_lag_wiggle, "ramp": ramp}
 
 
+def grid_of(kind, n=65):
+    if kind == "uniform":
+        return np.linspace(0.0, 2.0, n)
+    if kind == "dyadic":
+        return build_dyadic_partition(6, 2.0).times  # 65 points
+    return random_path(n, 1, seed=n)[1]
+
+
+def shaped_path(shape, t, d):
+    """(n, d) path of ``shape`` on ``t``: every component a signed multiple
+    of one profile, or, for ``overflow``, a first component whose lag-1
+    differences overflow to inf next to random ones."""
+    n = t.size
+    if shape == "overflow":
+        path = np.random.default_rng(d).standard_normal((n, d))
+        path[:, 0] = 1e308 * (-1.0) ** np.arange(n)
+        return path
+    s = (t - t[0]) / (t[-1] - t[0])
+    profile = {
+        "constant": np.full(n, 3.0),
+        "ramp": t,
+        "last_lag": s + 0.1 * np.sin(20.0 * np.pi * s) * s * (1.0 - s),
+        "jump": np.where(np.arange(n) >= n // 2, 1.0, 0.0),
+    }[shape]
+    return profile[:, None] * ((1.0 + np.arange(d)) * (-1.0) ** np.arange(d))
+
+
+class TestL1:
+    """``_l1`` is ``np.abs(a - b).sum(axis=-1)`` bit for bit on both sides of
+    numpy's switch to pairwise summation."""
+
+    @staticmethod
+    def values(shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        special = rng.random(shape) < 0.3
+        x[special] = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308], special.sum())
+        return x
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_the_axis_sum(self, d):
+        a, b = self.values((50, 3, d), d), self.values((50, 3, d), 100 + d)
+        for x, y in [(a[:, 0], b[:, 0]),              # (n,)
+                     (a, b),                          # (n, m)
+                     (a[:, 0], a[:4, 0][:, None])]:   # (rows, n)
+            with np.errstate(over="ignore"):  # 1e308 - -1e308
+                got, want = analysis._l1(x, y), np.abs(x - y).sum(axis=-1)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_column_order_breaks_from_the_pairwise_threshold(self):
+        rng = np.random.default_rng(0)
+
+        def columnwise_mismatches(d):
+            a, b = rng.standard_normal((2, 2000, d))
+            total = np.abs(a[:, 0] - b[:, 0])
+            for c in range(1, d):
+                total += np.abs(a[:, c] - b[:, c])
+            return int((total != np.abs(a - b).sum(axis=-1)).sum())
+
+        assert columnwise_mismatches(analysis._PAIRWISE_FROM - 1) == 0
+        assert columnwise_mismatches(analysis._PAIRWISE_FROM) > 0
+
+
 class TestOracles:
     """Both seminorms equal their full-matrix oracles exactly."""
 
     @pytest.mark.parametrize("n", [2, 8, 9, 65, 130])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
     def test_holder_matches_pair_oracle(self, n, d):
         path, t = random_path(n, d, seed=n * 10 + d)
         assert holder_seminorm(path, t, 0.3) == holder_pair_oracle(path, t, 0.3)
@@ -133,6 +199,45 @@ class TestOracles:
         assert sobolev_seminorm(path, t, 0.25, 2.0) == sobolev_full_matrix_oracle(
             path, t, 0.25, 2.0
         )
+
+    @pytest.mark.parametrize("shape", ["constant", "ramp", "last_lag", "jump", "overflow"])
+    @pytest.mark.parametrize("grid", ["uniform", "dyadic", "random"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+    def test_pruned_sweep_matches_pair_oracle(self, shape, grid, d):
+        t = grid_of(grid)
+        path = shaped_path(shape, t, d)
+        with np.errstate(over="ignore"):
+            expected = holder_pair_oracle(path, t, 0.25)
+            assert holder_seminorm(path, t, 0.25) == expected
+        assert (expected == math.inf) == (shape == "overflow")
+
+    def test_maximum_past_a_long_first_lag(self):
+        # lag 1 holds the longest gap of the grid; only the smallest lag-1
+        # gap bounds the lag-2 quotient across the cluster
+        t = np.array([0.0, 100.0, 100.01, 100.02, 200.0])
+        path = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
+        assert holder_seminorm(path, t, 0.25) == 1.0 / (t[3] - t[1]) ** 0.25
+
+    def test_constant_path_stops_after_lag_one(self, monkeypatch):
+        calls = []
+        l1 = analysis._l1
+        monkeypatch.setattr(analysis, "_l1", lambda a, b: calls.append(1) or l1(a, b))
+        t = grid_of("uniform")
+        assert holder_seminorm(shaped_path("constant", t, 2), t, 0.25) == 0.0
+        assert len(calls) == 2  # the oscillation, then lag 1
+
+    def test_default_panels_match_oracles(self):
+        doc = parse_config("")
+        grid = doc.build_grid()
+        assert (doc.seed, grid.times.size) == (42, 1001)
+        for mode in INPUT_MODES:
+            path = simulate_trajectory(make_scenario(doc.scenario_config(mode)),
+                                       grid, doc.seed).states
+            t = grid.times
+            assert holder_seminorm(path, t, 0.25) == holder_pair_oracle(path, t, 0.25)
+            assert sobolev_seminorm(path, t, 0.25, 2.0) == sobolev_full_matrix_oracle(
+                path, t, 0.25, 2.0
+            )
 
     def test_lag_one_maximum(self):
         path, t = lag_one_step()

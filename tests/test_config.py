@@ -57,6 +57,25 @@ class TestErrors:
         doc = parse_config("[scenario]\ninput_mode = white_noise\n[jumps]\nintensity = 0.0\n")
         assert doc.jump_intensity == 0.0
 
+    def test_contradiction_is_make_scenarios(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[jumps]\nintensity = 0.5\n[scenario]\ninput_mode = ou_current\n")
+        assert codes(exc.value) == [E_CONTRADICTION]
+        assert exc.value.issues[0].line == 4
+        assert exc.value.issues[0].message.endswith("which has no jumps")
+
+    @pytest.mark.parametrize("given", ["", "[jumps]\nintensity = 0\n",
+                                       "[jumps]\nintensity = -0.0\n"])
+    def test_jump_free_modes_emit_canonical_zero(self, given):
+        doc = parse_config("[scenario]\ninput_mode = ou_reflected\n" + given)
+        assert "\nintensity = 0.0\n" in emit_config(doc)
+
+    def test_negative_intensity_rejected_in_jump_free_mode(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[scenario]\ninput_mode = white_noise\n[jumps]\nintensity = -0.5\n")
+        assert codes(exc.value) == [E_INVARIANT]
+        assert exc.value.issues[0].line == 4
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[plotting]\ncolor = red\n")
