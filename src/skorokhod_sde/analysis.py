@@ -74,7 +74,8 @@ def _pair_inputs(path, times):
         raise ValueError("need >= 2 grid points with matching times")
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ValueError("times must be finite and strictly increasing")
-    return values, times
+    # from _PAIRWISE_FROM on, numpy's pairwise sums add in a layout-dependent order
+    return np.ascontiguousarray(values), times
 
 
 def holder_seminorm(path, times, alpha: float) -> float:

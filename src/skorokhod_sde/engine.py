@@ -22,10 +22,10 @@ from .sources import (
     JumpEvent,
     OUParams,
     PathInputs,
-    SeedSpec,
     _cells,
     sample_path_inputs,
     stream_layout,
+    stream_rngs,
 )
 
 __all__ = [
@@ -109,14 +109,16 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     one stream's draw, 4 arrays of n_points, the Wiener increments, (n_steps,
     n_paths, d), the input current and the increments it is drawn from,
     (n_points, n_paths) each, the states and reflection terms of ``keep``
-    kept paths, (n_points, keep, d) each, and per expected jump event 64
-    bytes (:class:`PathInputs` and its copies while drawn or sorted by step),
-    or 8 * (23 + 2d) under ``exact`` timing, the peak of
-    :func:`_exact_substeps`."""
+    kept paths, (n_points, keep, d) each, the seed words of the 2d + 2
+    streams of every path, 32 bytes per stream (:func:`stream_rngs`), and per
+    expected jump event 64 bytes (:class:`PathInputs` and its copies while
+    drawn or sorted by step), or 8 * (23 + 2d) under ``exact`` timing, the
+    peak of :func:`_exact_substeps`."""
     d, n_points = model.dimension, n_steps + 1
     events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + 2 * n_points * n_paths
-                 + 3 * n_points * keep * d) + events * 8 * (23 + 2 * d if exact else 8))
+                 + 3 * n_points * keep * d + 4 * (2 * d + 2) * n_paths)
+            + events * 8 * (23 + 2 * d if exact else 8))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -344,8 +346,8 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
     counts = np.bincount(path[draw], minlength=len(inputs))
     z = np.zeros((sub.size, d))
     z[draw] = np.concatenate([np.empty((0, d))] + [
-        SeedSpec(master_seed, idx, bridge).rng().standard_normal((n, d))
-        for idx, n in zip(stream_indices, counts) if n
+        rng.standard_normal((n, d))
+        for (rng,), n in zip(stream_rngs(master_seed, stream_indices, [bridge]), counts) if n
     ])
     frac = np.where(draw, sub / total, 0.0)
     noise = np.where(draw[:, None], np.sqrt(sub * (total - sub) / total)[:, None] * z, 0.0)

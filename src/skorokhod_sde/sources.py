@@ -3,15 +3,18 @@ Wiener increments, compound-Poisson jump streams and Ornstein-Uhlenbeck input
 currents.
 
 Each trajectory owns a family of independent streams addressed by
-``(master_seed, stream_index, component_index)``.  Identical triples always
-reproduce identical samples; distinct triples give statistically independent
-streams (numpy ``SeedSequence`` spawning).
+``(master_seed, stream_index, component_index)``, the entropy of the numpy
+``SeedSequence`` (no spawn keys) that seeds its PCG64 generator; a batch is
+hashed in one pass, :func:`stream_rngs`.  Identical triples always reproduce
+identical samples; distinct triples give statistically independent streams.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "SeedSpec",
@@ -27,6 +30,7 @@ __all__ = [
     "PathInputs",
     "sample_path_inputs",
     "stream_layout",
+    "stream_rngs",
 ]
 
 MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
@@ -61,6 +65,68 @@ class SeedSpec:
             [self.master_seed, self.stream_index, self.component_index]
         )
         return np.random.default_rng(seq)
+
+
+# numpy SeedSequence's hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe): entropy words are mixed into a pool of 4 uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of every column ``e``
+    of ``entropy``, (n_words, rows) uint32: (rows, 4) uint64."""
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        old, const = const, const * mult & _MASK32
+        value = (value ^ old) * const
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * entropy[0]) for i in range(4)]
+    for src, dst in [*itertools.permutations(range(4), 2),
+                     *itertools.product(range(4, len(entropy)), range(4))]:
+        z = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else entropy[src]) * _MIX_R
+        pool[dst] = z ^ z >> 16
+    const = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8")  # word pairs, low word first
+
+
+@dataclass(frozen=True)
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator its precomputed state words."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def stream_rngs(master_seed: int, stream_indices, components):
+    """Generators of the streams ``(master_seed, stream, component)``, for
+    two sequences of indices: a tuple per stream index, in ``components``
+    order, each in the state of its ``SeedSpec.rng()``.  The batch's seed words
+    are hashed at once, 32 bytes per stream; a path's generators are built
+    when its tuple is taken."""
+    SeedSpec(master_seed, min(stream_indices, default=0), min(components, default=0))  # its checks
+    if max(stream_indices, default=0) > MAX_SEED or max(components, default=0) > MAX_SEED:
+        raise ValueError("stream and component indices must fit in 64 unsigned bits")
+    triples = np.full((len(stream_indices), len(components), 3), master_seed, dtype=np.uint64)
+    triples[..., 1] = np.array(stream_indices, dtype=np.uint64)[:, None]
+    triples[..., 2] = np.array(components, dtype=np.uint64)
+    triples = triples.reshape(-1, 3)
+    wide = triples > _MASK32  # then two entropy words, the low one first
+    words = np.empty((len(stream_indices), len(components), 4), dtype=np.uint64)
+    for shape in itertools.product((0, 1), repeat=3):
+        if (rows := (wide == shape).all(axis=1)).any():
+            halves = triples[rows].astype("<u8", copy=False).view("<u4").reshape(-1, 3, 2)
+            entropy = [halves[:, i, k] for i, two in enumerate(shape) for k in range(1 + two)]
+            words.reshape(-1, 4)[rows] = _state_words(np.array(entropy))
+    return (tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in row)
+            for row in words)
 
 
 @dataclass(frozen=True)
@@ -154,12 +220,26 @@ class OUParams:
             raise ValueError("sigma must be nonnegative")
 
 
-def sample_wiener_increments(seed: SeedSpec, grid) -> np.ndarray:
-    """Gaussian increments N(0, dt_i), one per grid step."""
-    return seed.rng().standard_normal(grid.n_steps) * np.sqrt(grid.widths)
+def sample_wiener_increments(rng: np.random.Generator, grid) -> np.ndarray:
+    """Gaussian increments N(0, dt_i), one per grid step, from the stream ``rng``."""
+    return rng.standard_normal(grid.n_steps) * np.sqrt(grid.widths)
 
 
-def _sample_jump_arrays(rng, spec: CompoundPoissonSpec, horizon: float):
+def sample_compound_poisson(
+    rng: np.random.Generator, spec: CompoundPoissonSpec, horizon: float, component: int = 0
+) -> list[JumpEvent]:
+    """Ordered jump events of the stream ``rng`` on [0, horizon], Poisson(alpha T) many."""
+    times, sizes = sample_compound_poisson_arrays(rng, spec, horizon)
+    return [JumpEvent(float(t), float(s), component) for t, s in zip(times, sizes)]
+
+
+def sample_compound_poisson_arrays(
+    rng: np.random.Generator, spec: CompoundPoissonSpec, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`sample_compound_poisson`: (times, sizes).
+
+    Identical stream and law; cheaper for bulk replication studies.
+    """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
     count = rng.poisson(spec.intensity_alpha * horizon)
@@ -170,24 +250,6 @@ def _sample_jump_arrays(rng, spec: CompoundPoissonSpec, horizon: float):
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     sizes = spec.jump_dist.sample(rng, count)
     return times, sizes
-
-
-def sample_compound_poisson(
-    seed: SeedSpec, spec: CompoundPoissonSpec, horizon: float, component: int = 0
-) -> list[JumpEvent]:
-    """Ordered jump events on [0, horizon]; count is Poisson(alpha * horizon)."""
-    times, sizes = _sample_jump_arrays(seed.rng(), spec, horizon)
-    return [JumpEvent(float(t), float(s), component) for t, s in zip(times, sizes)]
-
-
-def sample_compound_poisson_arrays(
-    seed: SeedSpec, spec: CompoundPoissonSpec, horizon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`sample_compound_poisson`: (times, sizes).
-
-    Identical stream and law; cheaper for bulk replication studies.
-    """
-    return _sample_jump_arrays(seed.rng(), spec, horizon)
 
 
 def sample_ou_path(seed: SeedSpec, params: OUParams, grid) -> np.ndarray:
@@ -211,10 +273,8 @@ def sample_ou_paths(
     """
     stream_indices = list(stream_indices)
     dW = np.empty((grid.n_steps, len(stream_indices)))
-    for j, idx in enumerate(stream_indices):
-        dW[:, j] = sample_wiener_increments(
-            SeedSpec(master_seed, idx, component_index), grid
-        )
+    for j, (rng,) in enumerate(stream_rngs(master_seed, stream_indices, [component_index])):
+        dW[:, j] = sample_wiener_increments(rng, grid)
     v = np.empty((grid.n_steps + 1, len(stream_indices)))
     v[0] = params.v0
     for k, width in enumerate(grid.widths):
@@ -286,15 +346,12 @@ def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInp
     specs = model.jump_specs or ()
     dW = np.empty((grid.n_steps, m, d))
     times, sizes, counts = [np.empty(0)], [np.empty(0)], []
-    for j, idx in enumerate(stream_indices):
-        for c, component in enumerate(wiener):
-            dW[:, j, c] = sample_wiener_increments(
-                SeedSpec(master_seed, idx, component), grid
-            )
-        for spec, component in zip(specs, jump):
-            t, s = sample_compound_poisson_arrays(
-                SeedSpec(master_seed, idx, component), spec, grid.horizon
-            )
+    rows = stream_rngs(master_seed, stream_indices, [*wiener, *jump[:len(specs)]])
+    for j, rngs in enumerate(rows):
+        for c, rng in enumerate(rngs[:d]):
+            dW[:, j, c] = sample_wiener_increments(rng, grid)
+        for spec, rng in zip(specs, rngs[d:]):
+            t, s = sample_compound_poisson_arrays(rng, spec, grid.horizon)
             times.append(t)
             sizes.append(s)
             counts.append(t.size)

@@ -110,7 +110,7 @@ def test_criterion_2_compound_poisson_law():
         totals = np.empty(reps)
         for i in range(reps):
             times, sizes = sample_compound_poisson_arrays(
-                SeedSpec(combo_idx, i), spec, horizon
+                SeedSpec(combo_idx, i).rng(), spec, horizon
             )
             counts[i] = times.size
             totals[i] = sizes.sum()

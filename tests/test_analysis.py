@@ -239,6 +239,19 @@ class TestOracles:
                 path, t, 0.25, 2.0
             )
 
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_value_does_not_depend_on_the_layout(self, d):
+        # from d = 8 numpy's pairwise sums add in a layout-dependent order
+        rng = np.random.default_rng(d)
+        t = np.linspace(0.0, 1.0, 65)
+        for _ in range(40):
+            x = rng.standard_normal((65, d))
+            for other in (np.asfortranarray(x), np.stack([x, x], axis=1)[:, 1, :]):
+                assert holder_seminorm(other, t, 0.3) == holder_seminorm(x, t, 0.3)
+                assert sobolev_seminorm(other, t, 0.25, 2.0) == sobolev_seminorm(
+                    x, t, 0.25, 2.0
+                )
+
     def test_lag_one_maximum(self):
         path, t = lag_one_step()
         k = path.size // 2

@@ -20,7 +20,7 @@ from skorokhod_sde import (
     uniform_grid,
 )
 from skorokhod_sde.engine import SimulationGrid, integrate_batch
-from skorokhod_sde.sources import stream_layout
+from skorokhod_sde.sources import stream_layout, stream_rngs
 
 
 class TestSeedSpec:
@@ -63,6 +63,54 @@ class TestSeedSpec:
             SeedSpec(0, -1, 0)
 
 
+class TestStreamRngs:
+    """The batch seeding against numpy itself: every generator equals
+    ``default_rng(SeedSequence([master, stream, component]))``."""
+
+    STREAMS = [*range(750), 2**32, *range(750, 1500), 2**40 + 3, 2**64 - 1]
+
+    @pytest.mark.parametrize("master", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_generators_equal_numpys(self, master, d):
+        components = range(2 * d + 2)
+        rows = stream_rngs(master, self.STREAMS, components)
+        for stream, rngs in zip(self.STREAMS, rows, strict=True):
+            assert len(rngs) == len(components)
+            for component, rng in zip(components, rngs):
+                ref = np.random.default_rng(np.random.SeedSequence([master, stream, component]))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.standard_normal(2).tolist() == ref.standard_normal(2).tolist()
+
+    def test_wide_components_and_empty_batches(self):
+        components = [0, 2**32, 7, 2**33 + 1]
+        for stream, rngs in zip([3, 2**35], stream_rngs(9, [3, 2**35], components)):
+            for component, rng in zip(components, rngs):
+                ref = np.random.default_rng(np.random.SeedSequence([9, stream, component]))
+                assert rng.bit_generator.state == ref.bit_generator.state
+        assert list(stream_rngs(9, [], [0, 1])) == []
+        assert list(stream_rngs(9, [0, 1], [])) == [(), ()]
+
+    @pytest.mark.parametrize("master, streams, component, match", [
+        (-1, [0], 0, "master_seed"),
+        (2**64, [0], 0, "master_seed"),
+        (0, [0, -1], 0, "nonnegative"),
+        (0, [0], -1, "nonnegative"),
+        (0, [2**64], 0, "64 unsigned bits"),
+    ])
+    def test_bad_addresses_rejected(self, master, streams, component, match):
+        with pytest.raises(ValueError, match=match):
+            stream_rngs(master, streams, [component])
+
+    @pytest.mark.parametrize("master, streams, match", [
+        (-1, [0], "master_seed"), (2**64, [0], "master_seed"), (0, [0, -1], "nonnegative"),
+    ])
+    def test_batch_draws_keep_the_seed_checks(self, master, streams, match):
+        with pytest.raises(ValueError, match=match):
+            sample_path_inputs(_two_coord_model(), uniform_grid(0.5, 1.0), master, streams)
+        with pytest.raises(ValueError, match=match):
+            sample_ou_paths(master, OUParams(), uniform_grid(0.5, 1.0), streams, 0)
+
+
 class TestWienerIncrements:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -78,13 +126,13 @@ class TestWienerIncrements:
 
     def test_determinism(self):
         grid = uniform_grid(0.1, 10.0)
-        a = sample_wiener_increments(SeedSpec(1, 2, 3), grid)
-        b = sample_wiener_increments(SeedSpec(1, 2, 3), grid)
+        a = sample_wiener_increments(SeedSpec(1, 2, 3).rng(), grid)
+        b = sample_wiener_increments(SeedSpec(1, 2, 3).rng(), grid)
         assert np.array_equal(a, b)
 
     def test_moments_large_sample(self):
         grid = uniform_grid(0.1, 100_000.0)
-        inc = sample_wiener_increments(SeedSpec(0), grid)
+        inc = sample_wiener_increments(SeedSpec(0).rng(), grid)
         assert inc.size == 10**6
         assert abs(inc.mean()) < 4.0 * np.sqrt(0.1 / 10**6)
         assert abs(inc.var() - 0.1) < 0.01 * 0.1
@@ -118,7 +166,7 @@ class TestJumpSizeDist:
 class TestCompoundPoisson:
     def test_zero_intensity_empty(self):
         spec = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
-        assert sample_compound_poisson(SeedSpec(0), spec, 10.0) == []
+        assert sample_compound_poisson(SeedSpec(0).rng(), spec, 10.0) == []
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
@@ -130,12 +178,12 @@ class TestCompoundPoisson:
     def test_horizon_must_be_positive_and_finite(self, sample, horizon):
         spec = CompoundPoissonSpec(1.0, JumpSizeDist.constant(1.0))
         with pytest.raises(ValueError, match="horizon"):
-            sample(SeedSpec(0), spec, horizon)
+            sample(SeedSpec(0).rng(), spec, horizon)
 
     def test_determinism_and_ordering(self):
         spec = CompoundPoissonSpec(3.0, JumpSizeDist.exponential(1.0))
-        a = sample_compound_poisson(SeedSpec(11, 4), spec, 5.0)
-        b = sample_compound_poisson(SeedSpec(11, 4), spec, 5.0)
+        a = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
+        b = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
         assert a == b
         times = [ev.time for ev in a]
         assert times == sorted(times)
@@ -144,8 +192,8 @@ class TestCompoundPoisson:
     def test_array_variant_matches_events(self):
         spec = CompoundPoissonSpec(2.5, JumpSizeDist.uniform(0.0, 1.0))
         for idx in range(20):
-            events = sample_compound_poisson(SeedSpec(4, idx), spec, 3.0)
-            times, sizes = sample_compound_poisson_arrays(SeedSpec(4, idx), spec, 3.0)
+            events = sample_compound_poisson(SeedSpec(4, idx).rng(), spec, 3.0)
+            times, sizes = sample_compound_poisson_arrays(SeedSpec(4, idx).rng(), spec, 3.0)
             assert [ev.time for ev in events] == list(times)
             assert [ev.size for ev in events] == list(sizes)
 
@@ -153,7 +201,7 @@ class TestCompoundPoisson:
         # E N = alpha T = 10 for alpha=2, T=5.
         spec = CompoundPoissonSpec(2.0, JumpSizeDist.constant(1.0))
         reps = 10**4
-        counts = [len(sample_compound_poisson(SeedSpec(0, i), spec, 5.0))
+        counts = [len(sample_compound_poisson(SeedSpec(0, i).rng(), spec, 5.0))
                   for i in range(reps)]
         se = np.sqrt(10.0 / reps)
         assert abs(np.mean(counts) - 10.0) < 3.0 * se
@@ -163,7 +211,7 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(1.0, JumpSizeDist.exponential(0.5))
         reps = 10**4
         totals = np.array([
-            sum(ev.size for ev in sample_compound_poisson(SeedSpec(1, i), spec, 1.0))
+            sum(ev.size for ev in sample_compound_poisson(SeedSpec(1, i).rng(), spec, 1.0))
             for i in range(reps)
         ])
         se = totals.std(ddof=1) / np.sqrt(reps)
@@ -288,7 +336,7 @@ class TestPathInputs:
                 draw = SeedSpec(17, idx, c).rng().standard_normal(grid.n_steps)
                 assert np.array_equal(inputs.dW[:, j, c], draw * sqrt_dt)
                 events += sample_compound_poisson(
-                    SeedSpec(17, idx, 2 + c), model.jump_specs[c], 4.0, component=c
+                    SeedSpec(17, idx, 2 + c).rng(), model.jump_specs[c], 4.0, component=c
                 )
             ou = _ou_oracle(SeedSpec(17, idx, 4), model.input_current, grid)
             assert np.array_equal(inputs.u[:, j], ou)
