@@ -199,8 +199,7 @@ def cmd_validate(doc: ConfigDocument) -> int:
     box = (np.zeros(2), np.ones(2))
     n = 2 * 10**4
     drift_L, _ = estimate_lipschitz_constant(
-        lambda x: wilson_cowan_drift(x, params, params.I_ext_E, params.I_ext_I),
-        box, n_samples=n,
+        lambda x: wilson_cowan_drift(x, params), box, n_samples=n
     )
     diff_L, _ = estimate_lipschitz_constant(
         lambda x: wilson_cowan_diffusion(x, params), box, n_samples=n

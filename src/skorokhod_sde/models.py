@@ -1,6 +1,7 @@
 """Concrete models: the stochastic Wilson-Cowan excitatory/inhibitory system,
-the four input-current scenarios, and numeric validators for the Lipschitz and
-jump-coefficient assumptions.
+with one drift and one diffusion formula for both populations on the parameter
+columns of :class:`WilsonCowanParams`, the four input-current scenarios, and
+numeric validators for the Lipschitz and jump-coefficient assumptions.
 """
 from __future__ import annotations
 
@@ -47,7 +48,11 @@ class WilsonCowanParams:
 
     Defaults are the classic Wilson-Cowan parameter set (time constants in
     ms).  ``delta_*`` are the refractory saturation factors multiplying the
-    firing rates.
+    firing rates.  ``__post_init__`` also sets (2, 1) columns, E over I:
+    ``w_from_E`` = (w_EE, w_IE), ``w_from_I`` = (w_EI, w_II), ``I_ext``,
+    ``theta``, ``a``, ``delta``, ``tau`` and ``sigma_ext``.  They are plain
+    attributes, since a field would be a config key and enter ``astuple``
+    and ``==``.
     """
 
     tau_E: float = 1.0
@@ -83,9 +88,14 @@ class WilsonCowanParams:
                 raise ValueError(f"{name} must be nonnegative")
         if not (self.sigma_ext_E >= 0 and self.sigma_ext_I >= 0):
             raise ValueError("noise amplitudes must be nonnegative")
+        columns = {"w_from_E": (self.w_EE, self.w_IE), "w_from_I": (self.w_EI, self.w_II)}
+        for name in ("I_ext", "theta", "a", "delta", "tau", "sigma_ext"):
+            columns[name] = (getattr(self, f"{name}_E"), getattr(self, f"{name}_I"))
+        for name, pair in columns.items():
+            object.__setattr__(self, name, np.array(pair, dtype=float).reshape(2, 1))
 
 
-def sigmoid_F(x, theta: float, a: float):
+def sigmoid_F(x, theta, a):
     """Shifted logistic gain: 1/(1+e^{-a(x-theta)}) - 1/(1+e^{a theta}).
 
     Vanishes at x = 0; expit keeps the exponentials overflow-safe.
@@ -93,33 +103,21 @@ def sigmoid_F(x, theta: float, a: float):
     return expit(a * (np.asarray(x, dtype=float) - theta)) - expit(-a * theta)
 
 
-def wilson_cowan_drift(state, params: WilsonCowanParams, i_ext_e, i_ext_i):
+def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     """Drift of (r_E, r_I): relaxation plus saturated sigmoid recurrent input.
 
-    ``state`` has shape (m, 2); the input currents broadcast against (m,).
-    """
-    state = np.asarray(state, dtype=float)
-    r_e = state[..., 0]
-    r_i = state[..., 1]
-    x_e = params.w_EE * r_e - params.w_EI * r_i + i_ext_e
-    x_i = params.w_IE * r_e - params.w_II * r_i + i_ext_i
-    d_e = (
-        -r_e
-        + (1.0 - params.delta_E * r_e) * sigmoid_F(x_e, params.theta_E, params.a_E)
-    ) / params.tau_E
-    d_i = (
-        -r_i
-        + (1.0 - params.delta_I * r_i) * sigmoid_F(x_i, params.theta_I, params.a_I)
-    ) / params.tau_I
-    return np.stack([d_e, d_i], axis=-1)
+    ``state`` is (2,) or (m, 2); ``u``, the current of both external inputs,
+    broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows."""
+    r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
+    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
+    d = (-r + (1.0 - params.delta * r) * sigmoid_F(x, params.theta, params.a)) / params.tau
+    return d.T.reshape(np.shape(state))
 
 
 def wilson_cowan_diffusion(state, params: WilsonCowanParams):
     """Diagonal noise amplitude sigma_ext (1 - delta r) / tau per population."""
-    state = np.asarray(state, dtype=float)
-    g_e = params.sigma_ext_E * (1.0 - params.delta_E * state[..., 0]) / params.tau_E
-    g_i = params.sigma_ext_I * (1.0 - params.delta_I * state[..., 1]) / params.tau_I
-    return np.stack([g_e, g_i], axis=-1)
+    r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
+    return (params.sigma_ext * (1.0 - params.delta * r) / params.tau).T.reshape(np.shape(state))
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,6 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         raise ScenarioError(
             f"jump intensity > 0 contradicts input_mode={config.input_mode}, which has no jumps")
 
-    def drift(state, u):
-        return wilson_cowan_drift(state, params, params.I_ext_E + u, params.I_ext_I + u)
-
     def diffusion(state):
         return wilson_cowan_diffusion(state, params) if white_noise else np.zeros_like(state, float)
 
@@ -167,7 +162,7 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
 
     return ReflectedJumpSDE(
         dimension=2,
-        drift=drift,
+        drift=lambda state, u: wilson_cowan_drift(state, params, u),
         diffusion=diffusion,
         domain=ReflectionDomain.half_line(0.0, 2) if reflected else ReflectionDomain.unreflected(2),
         x0=np.asarray(config.x0, dtype=float),

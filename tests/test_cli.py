@@ -1,9 +1,16 @@
 """Integration tests for the command-line surface: file outputs, summaries,
 seed precedence and exit codes."""
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skorokhod_sde import (
     JumpEvent,
@@ -15,6 +22,9 @@ from skorokhod_sde import (
 )
 from skorokhod_sde import cli
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
+from skorokhod_sde.config import _SCHEMA
+from skorokhod_sde.engine import JUMP_TIMINGS
+from skorokhod_sde.models import INPUT_MODES
 
 SMALL = "[grid]\nhorizon = 5.0\ndt = 0.1\n"
 
@@ -456,3 +466,64 @@ class TestConfigSource:
         assert run("--config", cfg, "--out", str(out), "panels") == 1
         assert "outside the domain" in capsys.readouterr().err
         assert not out.exists()
+
+
+FLOAT_KEYS = sorted(key for key, (_, default, _) in _SCHEMA.items() if type(default) is float)
+EXTREMES = ("1e308", "-1e308", "5e-324", "-1", "0", "1e15")
+
+
+def _numbers(text: str) -> list[float]:
+    """Every number of a JSON document, or of a CSV file below its header."""
+    found = []
+
+    def keep(value):
+        found.append(float(value))
+
+    if text.startswith("{"):
+        json.loads(text, parse_float=keep, parse_int=keep, parse_constant=keep)
+    else:
+        for field in ",".join(text.splitlines()[1:]).split(","):
+            with contextlib.suppress(ValueError):  # a scenario or series name
+                keep(field)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), mode=st.sampled_from(INPUT_MODES),
+       timing=st.sampled_from(JUMP_TIMINGS),
+       keys=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREMES),
+                            min_size=1, max_size=3))
+@example(command="converge", mode="white_noise", timing="end_of_step",
+         keys={("experiment", "horizon"): "5e-324"})  # a dyadic step of 0
+def test_any_run_exits_cleanly(command, mode, timing, keys):
+    """On a 2-unit horizon with 1 to 3 float keys at extreme values, every
+    command ends in exit 0 with finite outputs, 1 (config errors, one stderr
+    line each) or 2 (runtime abort, one stderr line, no output file), and
+    nothing raises past main."""
+    sections = {
+        "scenario": {"input_mode": mode}, "grid": {"horizon": "2.0"},
+        "engine": {"jump_timing": timing},
+        "experiment": {"kind": command if command in ("stability", "converge") else "none",
+                       "n_paths": "3", "horizon": "2.0", "levels": "2,3"},
+    }
+    for (section, key), value in keys.items():
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+                   for section, rows in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfg), "--out", str(out), command])
+        written = sorted(out.iterdir()) if out.exists() else []
+        assert code in (0, 1, 2), text
+        if code == 1:
+            assert all(line.startswith("config error: ")
+                       for line in err.getvalue().splitlines()), text
+        if code == 0:
+            for path in written:
+                assert all(map(math.isfinite, _numbers(path.read_text()))), (text, path.name)
+        if code == 2:
+            assert written == [], text
+            assert err.getvalue().count("\n") == 1, text

@@ -76,7 +76,8 @@ class TestGrids:
         with pytest.raises(ValueError):
             build_dyadic_partition(31, 1.0)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    # 5e-324 / 8 rounds to a step of 0: a horizon must keep the dyadic step normal
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, 5e-324])
     def test_dyadic_horizon_must_be_positive_and_finite(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             build_dyadic_partition(3, horizon)

@@ -1,9 +1,11 @@
 """Tests for the Wilson-Cowan coefficients, the four input scenarios and the
 numeric assumption validators."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from skorokhod_sde import (
     CompoundPoissonSpec,
@@ -34,6 +36,39 @@ def reference_drift(state, p: WilsonCowanParams):
     d_e = (-r_e + (1 - p.delta_E * r_e) * reference_F(x_e, p.theta_E, p.a_E)) / p.tau_E
     d_i = (-r_i + (1 - p.delta_I * r_i) * reference_F(x_i, p.theta_I, p.a_I)) / p.tau_I
     return d_e, d_i
+
+
+def oracle_F(x, theta, a):
+    return expit(a * (x - theta)) - expit(-a * theta)
+
+
+def oracle_drift(state, p: WilsonCowanParams, i_ext_e, i_ext_i):
+    """The drift written once per population, with the package's ``expit``
+    arithmetic: the bitwise reference for the one formula on parameter
+    columns."""
+    state = np.asarray(state, dtype=float)
+    r_e = state[..., 0]
+    r_i = state[..., 1]
+    x_e = p.w_EE * r_e - p.w_EI * r_i + i_ext_e
+    x_i = p.w_IE * r_e - p.w_II * r_i + i_ext_i
+    d_e = (-r_e + (1.0 - p.delta_E * r_e) * oracle_F(x_e, p.theta_E, p.a_E)) / p.tau_E
+    d_i = (-r_i + (1.0 - p.delta_I * r_i) * oracle_F(x_i, p.theta_I, p.a_I)) / p.tau_I
+    return np.stack([d_e, d_i], axis=-1)
+
+
+def oracle_diffusion(state, p: WilsonCowanParams):
+    state = np.asarray(state, dtype=float)
+    g_e = p.sigma_ext_E * (1.0 - p.delta_E * state[..., 0]) / p.tau_E
+    g_i = p.sigma_ext_I * (1.0 - p.delta_I * state[..., 1]) / p.tau_I
+    return np.stack([g_e, g_i], axis=-1)
+
+
+def assert_same_bits(got, want):
+    """``tobytes`` equality, signed zeros included; a NaN only has to sit
+    where the reference has one."""
+    assert got.shape == want.shape
+    canonical = [np.where(np.isnan(a), np.nan, a).tobytes() for a in (got, want)]
+    assert canonical[0] == canonical[1]
 
 
 class TestSigmoid:
@@ -111,13 +146,13 @@ class TestParams:
 class TestDrift:
     def test_resting_state_fixed_point(self):
         p = WilsonCowanParams()
-        d = wilson_cowan_drift(np.array([[0.0, 0.0]]), p, 0.0, 0.0)
+        d = wilson_cowan_drift(np.array([[0.0, 0.0]]), p)
         assert np.max(np.abs(d)) == pytest.approx(0.0, abs=1e-15)
 
     def test_balance_case(self):
         # delta = 0 and a gain saturated near 1 balances the decay at r = 1
         p = WilsonCowanParams(delta_E=0.0, theta_E=5.0, a_E=20.0, tau_E=1.0)
-        d = wilson_cowan_drift(np.array([[1.0, 0.0]]), p, 0.0, 0.0)
+        d = wilson_cowan_drift(np.array([[1.0, 0.0]]), p)
         gain = sigmoid_F(p.w_EE * 1.0, p.theta_E, p.a_E)
         assert gain == pytest.approx(1.0, abs=1e-6)
         assert d[0, 0] == pytest.approx(-1.0 + gain, abs=1e-12)
@@ -127,7 +162,7 @@ class TestDrift:
         p = WilsonCowanParams()
         rng = np.random.default_rng(0)
         states = rng.uniform(0.0, 1.0, size=(50, 2))
-        batch = wilson_cowan_drift(states, p, p.I_ext_E, p.I_ext_I)
+        batch = wilson_cowan_drift(states, p)
         for state, d in zip(states, batch):
             ref = reference_drift(state, p)
             assert d[0] == pytest.approx(ref[0], abs=1e-12)
@@ -135,7 +170,7 @@ class TestDrift:
 
     def test_specific_state(self):
         p = WilsonCowanParams()
-        d = wilson_cowan_drift(np.array([0.1, 0.05]), p, 0.0, 0.0)
+        d = wilson_cowan_drift(np.array([0.1, 0.05]), p)
         ref = reference_drift((0.1, 0.05), p)
         assert np.allclose(d, ref, atol=1e-12)
 
@@ -143,7 +178,7 @@ class TestDrift:
         # above r = 1/delta the decay dominates the bounded gain term
         p = WilsonCowanParams()
         for r_e in (5.0 + 1e-6, 6.0, 10.0):
-            d = wilson_cowan_drift(np.array([r_e, 0.3]), p, 0.0, 0.0)
+            d = wilson_cowan_drift(np.array([r_e, 0.3]), p)
             assert d[0] < 0.0
 
 
@@ -224,20 +259,34 @@ class TestScenarioTable:
         assert (model.jump_specs == (spec, spec)) if jumps else model.jump_specs is None
         assert (model.input_current is None) == white_noise
 
+    @pytest.mark.parametrize("case", [1, 4, 200, 1000, "(2,)", "signed zeros", "extremes"])
     @pytest.mark.parametrize("params", [
         WilsonCowanParams(),
         WilsonCowanParams(I_ext_E=0.3, I_ext_I=-1.5),
         WilsonCowanParams(I_ext_E=-0.0, I_ext_I=-0.0, w_EE=-0.0, theta_E=0.0, theta_I=0.0),
+        WilsonCowanParams(tau_E=0.7, tau_I=3.1, a_E=1.3, a_I=0.9, delta_E=0.15, delta_I=0.35,
+                          sigma_ext_E=0.07, sigma_ext_I=0.13),
     ])
-    def test_white_noise_drift_adds_a_zero_current(self, params):
-        # rows with r_E = -0.0 make w_EE * r_E - w_EI * r_I a signed zero
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_white_noise_drift_adds_a_zero_current(self, params, case):
+        # rows with r_E = -0.0 make w_EE * r_E - w_EI * r_I a signed zero;
+        # finite extremes overflow to inf and NaN inside the formula
         no_jumps = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
         model = make_scenario(ScenarioConfig("white_noise", params, jumps=no_jumps))
-        zeros = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]
-        state = np.vstack([np.random.default_rng(3).uniform(0.0, 1.0, (50, 2)), zeros])
-        got = model.drift(state, np.zeros(len(state)))
-        want = wilson_cowan_drift(state, params, params.I_ext_E, params.I_ext_I)
-        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(3)
+        if case == "signed zeros":
+            state = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]])
+        elif case == "extremes":
+            state = np.array(list(itertools.product([1e308, -1e308, 5e-324, -0.0, 1.0], repeat=2)))
+        else:
+            state = rng.uniform(-3.0, 3.0, 2 if case == "(2,)" else (case, 2))
+        u = rng.normal(0.0, 3.0, state.shape[:-1])
+        zero = np.zeros(state.shape[:-1])
+        assert_same_bits(model.drift(state, zero),
+                         oracle_drift(state, params, params.I_ext_E, params.I_ext_I))
+        assert_same_bits(wilson_cowan_drift(state, params, u),
+                         oracle_drift(state, params, params.I_ext_E + u, params.I_ext_I + u))
+        assert_same_bits(model.diffusion(state), oracle_diffusion(state, params))
 
 
 class TestLipschitzEstimate:
