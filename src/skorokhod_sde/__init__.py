@@ -23,6 +23,7 @@ from .engine import (
     TrajectoryBundle,
     build_dyadic_partition,
     simulate_ensemble,
+    simulate_rows,
     simulate_trajectory,
     uniform_grid,
 )

@@ -32,8 +32,9 @@ from .config import (
 from .engine import (
     SimulationAbort,
     TrajectoryBundle,
+    check_budget,
     simulate_ensemble,
-    simulate_trajectory,
+    simulate_rows,
     uniform_grid,
 )
 from .models import (
@@ -144,13 +145,22 @@ def cmd_simulate(doc: ConfigDocument) -> int:
 
 
 def cmd_panels(doc: ConfigDocument) -> int:
-    try:
-        scenarios = {mode: make_scenario(doc.scenario_config(mode)) for mode in INPUT_MODES}
-    except ValueError as exc:  # x0 outside the domain of a reflected panel
-        raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
+    """Step the four input modes as the rows of one batch, on the inputs of
+    stream 0 (see :func:`simulate_rows`)."""
     grid = doc.build_grid()
-    panels = {mode: simulate_trajectory(model, grid, doc.seed, jump_timing=doc.jump_timing)
-              for mode, model in scenarios.items()}
+    try:
+        model = make_scenario(doc.scenario_config(INPUT_MODES))
+        # one stream's inputs and the histories of the four rows
+        check_budget("the four-panel batch", model, grid.horizon, grid.n_steps, 1,
+                     len(INPUT_MODES), doc.jump_timing == "exact")
+    except ValueError as exc:  # x0 outside a reflected panel's domain, or over the budget
+        raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
+    try:
+        bundles = simulate_rows(model, grid, doc.seed, jump_timing=doc.jump_timing)
+    except SimulationAbort as exc:  # name the panel, not its batch row
+        raise SimulationAbort(exc.step_index, exc.what, 0, exc.time, exc.state,
+                              f"panel {INPUT_MODES[exc.row]}, stream 0") from None
+    panels = dict(zip(INPUT_MODES, bundles))
     summaries = {mode: summarize(bundle) for mode, bundle in panels.items()}
     out = _out_dir(doc)  # the JSON first, as in cmd_simulate
     _write_json(out / "panels_summary.json", {"master_seed": doc.seed, "panels": summaries})

@@ -125,10 +125,13 @@ class ConfigDocument:
             return build_dyadic_partition(self.level, self.horizon)
         return uniform_grid(self.dt, self.horizon)
 
-    def scenario_config(self, mode: str | None = None) -> ScenarioConfig:
-        """The document's own scenario, or the ``panels`` row of ``mode``,
-        which takes the document's jump law only if it has jumps."""
-        intensity = self.jump_intensity if mode is None or SCENARIOS[mode][2] else 0.0
+    def scenario_config(self, mode: str | tuple[str, ...] | None = None) -> ScenarioConfig:
+        """The document's own scenario, or the ``panels`` row of ``mode`` (or
+        rows, of a tuple of modes), which take the document's jump law only
+        if one of them has jumps."""
+        rows = (mode,) if isinstance(mode, str) else mode or ()
+        has_jumps = any(SCENARIOS[row][2] for row in rows)
+        intensity = self.jump_intensity if mode is None or has_jumps else 0.0
         mode = mode or self.input_mode
         jumps = CompoundPoissonSpec(intensity, self.jump_size_dist())
         return ScenarioConfig(input_mode=mode, params=self.params, ou=self.ou, jumps=jumps,

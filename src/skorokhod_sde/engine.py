@@ -42,6 +42,7 @@ __all__ = [
     "SimulationAbort",
     "JUMP_TIMINGS",
     "simulate_trajectory",
+    "simulate_rows",
     "simulate_paths",
     "simulate_ensemble",
 ]
@@ -54,23 +55,28 @@ JUMP_TIMINGS = ("end_of_step", "exact")
 
 class SimulationAbort(RuntimeError):
     """Raised when a coefficient evaluation or a state proposal produced a
-    non-finite value: in step ``step_index`` of batch row ``row`` (the
-    stream index, for the batches the commands step), which started at time
-    ``time`` from ``state``."""
+    non-finite value, ``what``: in step ``step_index`` of batch row ``row``
+    (the stream index, for the batches the commands step), which started at
+    time ``time`` from ``state``.  ``where``, if given, stands for "row
+    {row}" in the message, for a caller that knows what the row is."""
 
-    def __init__(self, step_index: int, what: str, row: int, time: float, state: np.ndarray):
-        super().__init__(f"non-finite {what} at step {step_index}, row {row}, "
+    def __init__(self, step_index: int, what: str, row: int, time: float, state: np.ndarray,
+                 where: Optional[str] = None):
+        super().__init__(f"non-finite {what} at step {step_index}, {where or f'row {row}'}, "
                          f"t = {time!r}, state {state.tolist()}")
-        self.step_index, self.row, self.time, self.state = step_index, row, time, state
+        self.step_index, self.what, self.row, self.time, self.state = (
+            step_index, what, row, time, state)
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationGrid:
     """Time grid 0 = t_0 < t_1 < ... < t_n, checked once here: ``times`` is
-    1-d, finite and strictly increasing from 0; ``widths`` are its steps."""
+    1-d, finite and strictly increasing from 0; ``widths`` are its steps and
+    ``sqrt_widths`` their square roots, the scale of a Wiener increment."""
 
     times: np.ndarray
     widths: np.ndarray = field(init=False, repr=False)
+    sqrt_widths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -81,6 +87,7 @@ class SimulationGrid:
             raise ValueError("grid times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "sqrt_widths", np.sqrt(widths))
 
     @property
     def horizon(self) -> float:
@@ -111,18 +118,19 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid and
     one stream's draw, 4 arrays of n_points, the Wiener increments, (n_steps,
     n_paths, d), the input current and the increments it is drawn from,
-    (n_points, n_paths) each, the states and reflection terms of ``keep``
-    kept paths, (n_points, keep, d) each, the seed words of the 2d + 2
-    streams of every path, 32 bytes per stream (:func:`stream_rngs`), and per
-    expected jump event 64 bytes (:class:`PathInputs` and its copies while
-    drawn or sorted by step), or 8 * (23 + 2d) under ``exact`` timing, the
-    peak of :func:`_exact_substeps`, and ``COLD_START_BYTES`` for the caches a
-    process's first ensemble fills: under tracemalloc, a fresh interpreter's
-    1-path ensemble on 2000 steps peaked 9.6-9.9 kB over the same call repeated."""
+    (n_points, n_paths) each, the states, the two reflection terms and the
+    net reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
+    seed words of the 2d + 2 streams of every path, 32 bytes per stream
+    (:func:`stream_rngs`), and per expected jump event 64 bytes
+    (:class:`PathInputs` and its copies while drawn or sorted by step), or
+    8 * (23 + 2d) under ``exact`` timing, the peak of :func:`_exact_substeps`,
+    and ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
+    under tracemalloc, a fresh interpreter's 1-path ensemble on 2000 steps
+    peaked 9.6-9.9 kB over the same call repeated."""
     d, n_points = model.dimension, n_steps + 1
     events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + 2 * n_points * n_paths
-                 + 3 * n_points * keep * d + 4 * (2 * d + 2) * n_paths)
+                 + 4 * n_points * keep * d + 4 * (2 * d + 2) * n_paths)
             + events * 8 * (23 + 2 * d if exact else 8) + COLD_START_BYTES)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
@@ -144,7 +152,7 @@ def uniform_steps(dt: float, horizon: float) -> int:
     n = round(ratio) if math.isfinite(ratio) else 0
     if n > 2**MAX_DYADIC_LEVEL:
         raise ValueError(f"grid capped at 2**{MAX_DYADIC_LEVEL} steps")
-    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+    if n < 1 or abs(n * dt - horizon) > 1e-9 * horizon:
         raise ValueError("horizon must be an integer multiple of dt")
     return n
 
@@ -161,6 +169,11 @@ class ReflectedJumpSDE:
     (m, d) to (m, d); ``u`` is the exogenous input-current value per path
     (zeros when there is no input process).  ``jump_coeff(state)`` scales the
     drawn jump sizes per coordinate.
+
+    ``row_jumps`` marks a model whose batch rows are scenarios of their own,
+    all driven by the inputs of one stream (:func:`simulate_rows`): one flag
+    per row, set where the row takes that stream's jumps.  Its coefficients
+    and domain bounds may then differ by row.
     """
 
     dimension: int
@@ -171,6 +184,7 @@ class ReflectedJumpSDE:
     jump_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jump_specs: Optional[tuple[CompoundPoissonSpec, ...]] = None
     input_current: Optional[OUParams] = None
+    row_jumps: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -186,6 +200,9 @@ class ReflectedJumpSDE:
             raise ValueError("jump_specs and jump_coeff must be given together")
         if self.jump_specs is not None and len(self.jump_specs) != self.dimension:
             raise ValueError("need one CompoundPoissonSpec per coordinate")
+        if self.domain.lower.ndim == 2 and (self.row_jumps is None or
+                                            len(self.row_jumps) != len(self.domain.lower)):
+            raise ValueError("a domain per batch row needs row_jumps, one flag per row")
 
     def with_x0(self, x0) -> "ReflectedJumpSDE":
         return replace(self, x0=np.asarray(x0, dtype=float))
@@ -301,7 +318,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 prop[np.arange(rows.size), coord] += size * rho[rows, coord]
                 if not np.isfinite(prop).all():
                     _check_finite(k, times, start, f, g, rho, prop, rows)
-                x[rows], linc, uinc = reflect_box(prop, model.domain)
+                x[rows], linc, uinc = reflect_box(prop, model.domain, rows)
                 acc_lo[rows] += linc
                 acc_hi[rows] += uinc
                 w[rows] -= dw
@@ -373,10 +390,14 @@ def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
                   stream_indices: Sequence[int], jump_timing: str,
                   keep: Optional[int] = None):
     """Draw the inputs of the given trajectory streams and step them; returns
-    the :func:`integrate_batch` record and the :class:`PathInputs`."""
+    the :func:`integrate_batch` record and the :class:`PathInputs`.  A model
+    with ``row_jumps`` steps its one stream on every row."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
     inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
+    if model.row_jumps is not None:
+        inputs = inputs.on_rows(model.row_jumps)
+        stream_indices = list(stream_indices) * len(inputs)
     substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
                 if jump_timing == "exact" else None)
     return integrate_batch(model, grid.times, inputs, substeps, keep), inputs
@@ -396,18 +417,13 @@ def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
     return record.states, record.phi_lower, record.phi_upper, inputs
 
 
-def _bundle(grid, record: BatchRecord, inputs: PathInputs, j, master_seed, stream_index):
-    lower, upper = record.phi_lower[:, j, :], record.phi_upper[:, j, :]
-    return TrajectoryBundle(
-        grid=grid,
-        states=record.states[:, j, :],
-        phi=lower - upper,
-        phi_lower=lower,
-        phi_upper=upper,
-        jumps=inputs[j],
-        master_seed=master_seed,
-        stream_index=stream_index,
-    )
+def _bundles(grid, record: BatchRecord, inputs: PathInputs, master_seed, stream_indices):
+    """The bundles of the kept rows of ``record``, row j on stream
+    ``stream_indices[j]``; their arrays are views of the record's."""
+    phi = record.phi_lower - record.phi_upper
+    return tuple(TrajectoryBundle(grid, record.states[:, j], phi[:, j], record.phi_lower[:, j],
+                                  record.phi_upper[:, j], inputs[j], master_seed, stream_index)
+                 for j, stream_index in enumerate(stream_indices))
 
 
 def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -415,7 +431,20 @@ def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
                         jump_timing: str = "end_of_step") -> TrajectoryBundle:
     """Full trajectory on the grid, deterministic in the seed triple."""
     record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
-    return _bundle(grid, record, inputs, 0, master_seed, stream_index)
+    return _bundles(grid, record, inputs, master_seed, [stream_index])[0]
+
+
+def simulate_rows(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
+                  stream_index: int = 0,
+                  jump_timing: str = "end_of_step") -> tuple[TrajectoryBundle, ...]:
+    """The trajectory of one stream in every row of a model with
+    ``row_jumps``, such as :func:`models.make_scenario` builds from a tuple
+    of input modes, stepped as one batch.  The rows share the stream's
+    Wiener increments and input current, the flagged rows take its jumps,
+    and, under exact timing, their Brownian-bridge draws; row j's bundle is
+    then bitwise the :func:`simulate_trajectory` of row j's scenario."""
+    record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
+    return _bundles(grid, record, inputs, master_seed, [stream_index] * len(inputs))
 
 
 def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -428,7 +457,7 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
         raise ValueError("need n_paths >= 1 and retain >= 0")
     keep = min(retain, n_paths)
     record, inputs = _step_streams(model, grid, master_seed, range(n_paths), jump_timing, keep)
-    kept = tuple(_bundle(grid, record, inputs, j, master_seed, j) for j in range(keep))
+    kept = _bundles(grid, record, inputs, master_seed, range(keep))
     terminal = record.terminal
     variance = terminal.var(axis=0, ddof=1) if n_paths > 1 else np.zeros(model.dimension)
     return EnsembleResult(terminal.mean(axis=0), variance, kept)

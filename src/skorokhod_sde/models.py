@@ -122,11 +122,12 @@ def wilson_cowan_diffusion(state, params: WilsonCowanParams):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One panel of the four-scenario comparison.  ``jumps`` is the jump law
-    of each coordinate; the default, modest positive jumps, is comparable to
-    the typical firing-rate excursions (~0.1) when scaled by rho = 0.01."""
+    """One panel of the four-scenario comparison, or, with a tuple of input
+    modes, one batch row per mode.  ``jumps`` is the jump law of each
+    coordinate; the default, modest positive jumps, is comparable to the
+    typical firing-rate excursions (~0.1) when scaled by rho = 0.01."""
 
-    input_mode: str = "ou_reflected_jumps"
+    input_mode: str | tuple[str, ...] = "ou_reflected_jumps"
     params: WilsonCowanParams = field(default_factory=WilsonCowanParams)
     ou: OUParams = field(default_factory=OUParams)
     jumps: CompoundPoissonSpec = field(
@@ -135,8 +136,12 @@ class ScenarioConfig:
     x0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.input_mode not in SCENARIOS:
+        if not self.modes or not set(self.modes) <= set(SCENARIOS):
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
+
+    @property
+    def modes(self) -> tuple[str, ...]:
+        return (self.input_mode,) if isinstance(self.input_mode, str) else self.input_mode
 
 
 class ScenarioError(ValueError):
@@ -147,28 +152,53 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
     """Assemble the reflected jump-diffusion of one input scenario from its
     row of :data:`SCENARIOS`.  Every mode feeds the input current ``u`` to
     both external inputs; ``u`` is zero without an input process, which is
-    what the white-noise mode has instead of the OU current."""
+    what the white-noise mode has instead of the OU current.
+
+    A tuple of modes gives one batch row per mode, all driven by the inputs
+    of one stream (:func:`engine.simulate_rows`).  A switch that differs
+    between the rows is a (rows, 1) column; one that does not stays a scalar,
+    so the model of one mode steps as it would alone."""
     params = config.params
-    white_noise, reflected, jumps = SCENARIOS[config.input_mode]
-    if config.jumps.intensity_alpha > 0 and not jumps:
+    table = np.array([SCENARIOS[mode] for mode in config.modes])  # (rows, 3)
+    white_noise, reflected = (c[:, None] if c.any() != c.all() else bool(c[0])  # rows differ
+                              for c in table.T[:2])
+    jumps = table[:, 2]
+    if config.jumps.intensity_alpha > 0 and not jumps.any():
         raise ScenarioError(
             f"jump intensity > 0 contradicts input_mode={config.input_mode}, which has no jumps")
 
-    def diffusion(state):
-        return wilson_cowan_diffusion(state, params) if white_noise else np.zeros_like(state, float)
+    if np.ndim(white_noise):  # a white-noise row has no input current
+        def drift(state, u):
+            return wilson_cowan_drift(state, params, np.where(white_noise[:, 0], 0.0, u))
+
+        def diffusion(state):
+            return np.where(white_noise, wilson_cowan_diffusion(state, params), 0.0)
+    else:
+        def drift(state, u):
+            return wilson_cowan_drift(state, params, u)
+
+        def diffusion(state):
+            if white_noise:
+                return wilson_cowan_diffusion(state, params)
+            return np.zeros_like(state, float)
 
     def jump_coeff(state):
         return np.full_like(np.asarray(state, dtype=float), config.rho)
 
+    def domain(reflected):
+        return ReflectionDomain.half_line(0.0, 2) if reflected else ReflectionDomain.unreflected(2)
+
     return ReflectedJumpSDE(
         dimension=2,
-        drift=lambda state, u: wilson_cowan_drift(state, params, u),
+        drift=drift,
         diffusion=diffusion,
-        domain=ReflectionDomain.half_line(0.0, 2) if reflected else ReflectionDomain.unreflected(2),
+        domain=(ReflectionDomain.rows(map(domain, reflected[:, 0])) if np.ndim(reflected)
+                else domain(reflected)),
         x0=np.asarray(config.x0, dtype=float),
-        jump_coeff=jump_coeff if jumps else None,
-        jump_specs=(config.jumps, config.jumps) if jumps else None,
-        input_current=None if white_noise else config.ou,
+        jump_coeff=jump_coeff if jumps.any() else None,
+        jump_specs=(config.jumps, config.jumps) if jumps.any() else None,
+        input_current=None if table[:, 0].all() else config.ou,
+        row_jumps=None if isinstance(config.input_mode, str) else tuple(jumps.tolist()),
     )
 
 

@@ -22,20 +22,31 @@ __all__ = [
 class ReflectionDomain:
     """Axis-aligned product domain: per-coordinate [lo, hi] with hi possibly
     +inf (half-line) and lo possibly -inf (coordinate not reflected).
-    ``lower`` and ``upper`` are the bounds as read-only arrays."""
+    ``bounds`` holds one (lo, hi) pair per coordinate or, for a batch whose
+    rows each live in a domain of their own (:meth:`rows`), one such tuple
+    per row.  ``lower`` and ``upper`` are the bounds as read-only arrays,
+    (d,) or (rows, d)."""
 
-    bounds: tuple[tuple[float, float], ...]
+    bounds: tuple
     lower: np.ndarray = field(init=False, repr=False, compare=False)
     upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for lo, hi in self.bounds:
+        bounds = np.array(self.bounds, dtype=float)
+        if bounds.ndim not in (2, 3) or bounds.shape[-1] != 2:
+            raise ValueError("bounds must be (lo, hi) pairs, per coordinate or per row")
+        for lo, hi in bounds.reshape(-1, 2).tolist():
             if not lo < hi:
                 raise ValueError(f"need lo < hi per coordinate, got [{lo}, {hi}]")
         for name, side in (("lower", 0), ("upper", 1)):
-            a = np.array([b[side] for b in self.bounds], dtype=float)
+            a = bounds[..., side].copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def rows(cls, domains) -> "ReflectionDomain":
+        """The domain of a batch whose row i lives in ``domains[i]``."""
+        return cls(tuple(domain.bounds for domain in domains))
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":
@@ -51,7 +62,7 @@ class ReflectionDomain:
 
     @property
     def dim(self) -> int:
-        return len(self.bounds)
+        return self.lower.shape[-1]
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -105,16 +116,21 @@ def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
     return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
-def reflect_box(proposal, domain: ReflectionDomain):
+def reflect_box(proposal, domain: ReflectionDomain, rows=None):
     """Per-step componentwise projection into the domain.
 
     Returns (reflected point, lower-face increments, upper-face increments).
-    Works on a single point (d,) or a batch (m, d).  The proposal must be
-    finite: then an infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
+    Works on a single point (d,) or a batch (m, d).  Bounds with a row axis,
+    (m, d), apply row by row; ``rows`` picks the batch rows of a proposal
+    that holds only some of them.  The proposal must be finite: then an
+    infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
     """
     p = np.asarray(proposal, dtype=float)
-    lower_inc = np.maximum(domain.lower - p, 0.0)
-    upper_inc = np.maximum(p - domain.upper, 0.0)
+    lower, upper = domain.lower, domain.upper
+    if rows is not None and lower.ndim == 2:
+        lower, upper = lower[rows], upper[rows]
+    lower_inc = np.maximum(lower - p, 0.0)
+    upper_inc = np.maximum(p - upper, 0.0)
     return p + lower_inc - upper_inc, lower_inc, upper_inc
 
 

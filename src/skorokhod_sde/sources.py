@@ -222,7 +222,7 @@ class OUParams:
 
 def sample_wiener_increments(rng: np.random.Generator, grid) -> np.ndarray:
     """Gaussian increments N(0, dt_i), one per grid step, from the stream ``rng``."""
-    return rng.standard_normal(grid.n_steps) * np.sqrt(grid.widths)
+    return rng.standard_normal(grid.n_steps) * grid.sqrt_widths
 
 
 def sample_compound_poisson(
@@ -330,6 +330,19 @@ class PathInputs:
             return self
         dW = self.dW.reshape(-1, stride, *self.dW.shape[1:]).sum(axis=1)
         return replace(self, dW=dW, u=self.u[::stride])
+
+    def on_rows(self, jumps) -> PathInputs:
+        """The inputs of this one path on ``len(jumps)`` rows: its Wiener
+        increments and input current on every row, as read-only views, and
+        its jumps on the rows where ``jumps`` is set."""
+        if len(self) != 1:
+            raise ValueError("on_rows spreads the inputs of one path")
+        rows = np.flatnonzero(jumps)
+        (n_steps, _, d), n_points = self.dW.shape, self.u.shape[0]
+        return PathInputs(np.broadcast_to(self.dW, (n_steps, len(jumps), d)),
+                          np.broadcast_to(self.u, (n_points, len(jumps))),
+                          np.tile(self.time, rows.size), np.tile(self.size, rows.size),
+                          np.repeat(rows, self.time.size), np.tile(self.coord, rows.size))
 
 
 def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInputs:

@@ -23,7 +23,7 @@ from skorokhod_sde import (
 from skorokhod_sde import cli
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
 from skorokhod_sde.config import _SCHEMA
-from skorokhod_sde.engine import JUMP_TIMINGS
+from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort
 from skorokhod_sde.models import INPUT_MODES
 
 SMALL = "[grid]\nhorizon = 5.0\ndt = 0.1\n"
@@ -275,6 +275,28 @@ class TestExitCodes:
         assert f"{summary} not written" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    def test_panels_abort_names_its_panel(self, tmp_path, capsys, timing):
+        """Only the jump panel overflows; the abort names that panel and
+        stream 0, at the step, time and state of the mode's own run."""
+        text = (SMALL + "[jumps]\ndist = constant\nvalue = 1e154\nrho = 1e154\n"
+                f"[engine]\njump_timing = {timing}\n")
+        doc = parse_config(text)
+        with np.errstate(all="ignore"):  # as in main
+            for mode in INPUT_MODES[:3]:  # the other panels run through
+                simulate_trajectory(make_scenario(doc.scenario_config(mode)), doc.build_grid(),
+                                    doc.seed, jump_timing=timing)
+            with pytest.raises(SimulationAbort) as alone:
+                simulate_trajectory(make_scenario(doc.scenario_config("ou_reflected_jumps")),
+                                    doc.build_grid(), doc.seed, jump_timing=timing)
+        out = tmp_path / "x"
+        assert run("--config", write_config(tmp_path, text), "--out", str(out), "panels") == 2
+        a = alone.value
+        assert capsys.readouterr().err == (
+            f"runtime abort: non-finite {a.what} at step {a.step_index}, panel "
+            f"ou_reflected_jumps, stream 0, t = {a.time!r}, state {a.state.tolist()}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text", [
         ("stability", "[experiment]\nkind = stability\noffsets = 1e308,1e307\n"),
         ("simulate", "[ou]\ngamma = 1e-300\n"),
@@ -465,6 +487,16 @@ class TestConfigSource:
         out = tmp_path / "x"
         assert run("--config", cfg, "--out", str(out), "panels") == 1
         assert "outside the domain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panels_over_the_memory_budget_is_config_error(self, tmp_path, capsys):
+        # 5e6 steps: simulate's one kept path fits the budget, four panels' do not
+        cfg = write_config(tmp_path, "[grid]\ndt = 2e-5\n")
+        out = tmp_path / "x"
+        assert run("--config", cfg, "--out", str(out), "panels") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [E_INVARIANT] panels: the four-panel batch needs ")
+        assert err.count("\n") == 1 and "memory budget" in err
         assert not out.exists()
 
 

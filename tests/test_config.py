@@ -18,6 +18,7 @@ from skorokhod_sde.config import (
     ExperimentConfig,
     _SCHEMA,
 )
+from skorokhod_sde.models import INPUT_MODES
 
 
 def codes(exc: ConfigError):
@@ -180,6 +181,11 @@ class TestScenarioAssembly:
         assert scenario.input_mode == "ou_current"
         assert scenario.jumps.intensity_alpha == 0.0
 
+    def test_panel_rows_take_the_jumps_of_the_jump_row(self):
+        doc = parse_config("[jumps]\nintensity = 0.75\n")
+        assert doc.scenario_config(INPUT_MODES).jumps.intensity_alpha == 0.75
+        assert doc.scenario_config(INPUT_MODES[:3]).jumps.intensity_alpha == 0.0
+
 
 class TestSinglePassValidation:
     @pytest.mark.parametrize("text, line", [
@@ -204,6 +210,7 @@ class TestSinglePassValidation:
         ("[grid]\ndt = nan\n", 2),
         ("[grid]\nhorizon = inf\n", 2),
         ("[grid]\ndt = 0.3\n", 2),
+        ("[grid]\nhorizon = 0.1\ndt = 0.1000000005\n", 3),  # 5e-10 off a 0.1 horizon
         ("[grid]\nlevel = -1\n", 2),
         ("[scenario]\ninput_mode = ou_reflected\nx0_e = -1\n", 3),
     ])
@@ -212,7 +219,17 @@ class TestSinglePassValidation:
             parse_config(text)
         assert [issue.line for issue in exc.value.issues] == [line]
 
+    def test_grid_residual_is_relative_to_the_horizon(self):
+        # 7e-11 does not divide 1e-10; its 1-step grid is 3e-11 short, which
+        # an absolute 1e-9 allowance let through
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[grid]\nhorizon = 1e-10\ndt = 7e-11\n")
+        assert codes(exc.value) == [E_INVARIANT, E_INVARIANT]
+        assert exc.value.issues[0].line == 2
+        assert "integer multiple of dt" in exc.value.issues[0].message
+
     def test_memory_budget(self):
+        assert parse_config("[grid]\ndt = 2e-5\n").dt == 2e-5  # fits, but not panels
         assert parse_config("[engine]\nn_paths = 4000\n").n_paths == 4000
         with pytest.raises(ConfigError, match="memory budget") as exc:
             parse_config("", overrides={("engine", "n_paths"): "1000000000000"})

@@ -25,6 +25,7 @@ from skorokhod_sde import (
     parse_config,
     sample_path_inputs,
     simulate_ensemble,
+    simulate_rows,
     simulate_trajectory,
     uniform_grid,
 )
@@ -36,6 +37,7 @@ from skorokhod_sde.engine import (
     simulate_paths,
     uniform_steps,
 )
+from skorokhod_sde.models import INPUT_MODES
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
 
@@ -101,6 +103,14 @@ class TestGrids:
             uniform_grid(0.3, 1.0)
         with pytest.raises(ValueError):
             uniform_grid(-0.1, 1.0)
+
+    def test_uniform_steps_allow_a_residual_relative_to_the_horizon(self):
+        for dt, horizon, n in ((0.1, 100.0, 1000), (0.1, 5.0, 50), (0.01, 10.0, 1000),
+                               (0.1, 0.5, 5), (0.1 * (1 + 1e-10), 100.0, 1000)):
+            assert uniform_steps(dt, horizon) == n
+        for dt, horizon in ((7e-11, 1e-10), (0.1 * (1 + 5e-9), 0.1)):
+            with pytest.raises(ValueError, match="integer multiple"):
+                uniform_steps(dt, horizon)
 
     def test_uniform_grid_shares_the_dyadic_step_cap(self):
         assert uniform_steps(1.0, 2.0**30) == 2**30
@@ -646,3 +656,71 @@ class TestMemoryBudget:
         assert len(fields) == 7 and first.size == grid.times.size
         assert held <= 8 * (6 + d) * n + spans.nbytes + first.nbytes + 2**12
         assert held <= 100 * n
+
+
+def _events(jumps) -> bytes:
+    return np.array([(e.time, e.size, e.component) for e in jumps], dtype=float).tobytes()
+
+
+class TestRowBatch:
+    """``panels`` steps the four input modes as the rows of one batch on the
+    inputs of stream 0; each row is bitwise the mode's own trajectory."""
+
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("text", [
+        "",  # x0 = (0, 0), on the reflecting boundary
+        "[jumps]\nintensity = 0\n",
+        "[jumps]\nintensity = 6\n",  # several jumps in a step
+        "[scenario]\ni_ext_e = 0.8\ni_ext_i = -0.5\nx0_i = 0.25\n",
+    ])
+    def test_rows_match_single_runs_bitwise(self, text, seed, timing):
+        doc = parse_config(text + "[grid]\nhorizon = 30.0\n")
+        grid = doc.build_grid()
+        rows = simulate_rows(make_scenario(doc.scenario_config(INPUT_MODES)), grid, seed,
+                             jump_timing=timing)
+        assert len(rows) == len(INPUT_MODES)
+        for mode, got in zip(INPUT_MODES, rows):
+            want = simulate_trajectory(make_scenario(doc.scenario_config(mode)), grid, seed,
+                                       jump_timing=timing)
+            for name in ("states", "phi_lower", "phi_upper", "phi"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (mode, name)
+            assert _events(got.jumps) == _events(want.jumps), mode
+            assert (got.master_seed, got.stream_index) == (seed, 0)
+        assert rows[-1].jumps or "intensity = 0" in text
+
+    def test_inputs_spread_to_rows(self):
+        model = make_scenario(ScenarioConfig())
+        one = sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, [0])
+        spread = one.on_rows((False, True, False, True))
+        assert len(spread) == 4 and not spread.dW.flags.writeable
+        for j in range(4):
+            assert np.array_equal(spread.dW[:, j], one.dW[:, 0])
+            assert np.array_equal(spread.u[:, j], one.u[:, 0])
+        assert spread[0] == spread[2] == ()
+        assert spread[1] == spread[3] == one[0] and one[0]
+        with pytest.raises(ValueError, match="one path"):
+            sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, [0, 1]).on_rows((True, True))
+
+    def test_domain_per_row_needs_row_flags(self):
+        domain = ReflectionDomain.rows([ReflectionDomain.half_line(0.0, 1)] * 2)
+        with pytest.raises(ValueError, match="row_jumps"):
+            linear_model_1d(domain=domain)
+        with pytest.raises(ValueError, match="row_jumps"):
+            linear_model_1d(domain=domain, row_jumps=(False,) * 3)
+        assert linear_model_1d(domain=domain, row_jumps=(False, False)).domain.dim == 1
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    def test_peak_within_the_counted_bytes(self, jump_timing):
+        """What ``panels`` asks :func:`check_budget` for, one stream's inputs
+        and four kept rows, covers the batch's peak."""
+        model = make_scenario(ScenarioConfig(input_mode=INPUT_MODES))
+        counted = check_budget("panels", model, 100.0, 2000, 1, len(INPUT_MODES),
+                               jump_timing == "exact")
+        tracemalloc.start()
+        try:
+            simulate_rows(model, uniform_grid(0.05, 100.0), 5, jump_timing=jump_timing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted

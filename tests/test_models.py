@@ -248,6 +248,41 @@ class TestScenarios:
 
 
 class TestScenarioTable:
+    def test_modes_as_rows(self):
+        """A tuple of modes gives one batch row per mode: the switches that
+        differ are (rows, 1) columns and every row computes its own mode's
+        coefficients, bit for bit."""
+        spec = CompoundPoissonSpec(0.5, JumpSizeDist.exponential(1.0))
+        params = WilsonCowanParams(I_ext_E=0.3, I_ext_I=-1.5)
+        model = make_scenario(ScenarioConfig(input_mode=INPUT_MODES, params=params, jumps=spec))
+        assert model.row_jumps == tuple(SCENARIOS[mode][2] for mode in INPUT_MODES)
+        assert model.jump_specs == (spec, spec) and model.input_current is not None
+        state = np.array([[0.2, 0.1], [0.0, 0.7], [1.5, 0.3], [0.4, 0.0]])
+        u = np.array([0.4, -0.2, 0.9, 0.1])
+        for j, mode in enumerate(INPUT_MODES):
+            jumps = spec if SCENARIOS[mode][2] else CompoundPoissonSpec(0.0, spec.jump_dist)
+            alone = make_scenario(ScenarioConfig(input_mode=mode, params=params, jumps=jumps))
+            own_u = np.zeros(1) if alone.input_current is None else u[j:j + 1]
+            assert_same_bits(model.drift(state, u)[j], alone.drift(state[j:j + 1], own_u)[0])
+            assert_same_bits(model.diffusion(state)[j], alone.diffusion(state[j:j + 1])[0])
+            assert np.array_equal(model.domain.lower[j], alone.domain.lower)
+            assert np.array_equal(model.domain.upper[j], alone.domain.upper)
+
+    def test_equal_switches_stay_scalar(self):
+        # both rows reflected, neither has white noise: one domain for both
+        model = make_scenario(ScenarioConfig(input_mode=("ou_reflected", "ou_reflected_jumps")))
+        alone = ScenarioConfig(input_mode="ou_reflected",
+                               jumps=CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0)))
+        assert model.domain == make_scenario(alone).domain
+        assert model.row_jumps == (False, True)
+        assert make_scenario(ScenarioConfig()).row_jumps is None
+
+    def test_rows_without_jumps_reject_an_intensity(self):
+        with pytest.raises(ScenarioError):
+            make_scenario(ScenarioConfig(input_mode=("white_noise", "ou_current")))
+        with pytest.raises(ValueError, match="input_mode"):
+            ScenarioConfig(input_mode=())
+
     @pytest.mark.parametrize("mode", INPUT_MODES)
     def test_model_matches_its_row(self, mode):
         white_noise, reflected, jumps = SCENARIOS[mode]

@@ -178,11 +178,32 @@ class TestReflectBox:
         assert np.array_equal(out, [[0.0, 0.5], [0.2, 0.0]])
         assert np.array_equal(lo_inc, [[1.0, 0.0], [0.0, 0.2]])
 
+    def test_bounds_per_row(self):
+        domain = ReflectionDomain.rows([ReflectionDomain.unreflected(2),
+                                        ReflectionDomain.half_line(0.0, dim=2),
+                                        ReflectionDomain.box([(0.0, 1.0), (-1.0, 0.5)])])
+        assert domain.lower.shape == (3, 2) and domain.dim == 2
+        pts = np.array([[-1.0, 0.5], [-1.0, 0.5], [-1.0, 0.75]])
+        out, lo_inc, hi_inc = reflect_box(pts, domain)
+        assert np.array_equal(out, [[-1.0, 0.5], [0.0, 0.5], [0.0, 0.5]])
+        assert np.array_equal(lo_inc, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(hi_inc, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.25]])
+        # a proposal for some of the rows meets the bounds of those rows
+        out, lo_inc, hi_inc = reflect_box(pts[[2, 0]], domain, np.array([2, 0]))
+        assert np.array_equal(out, [[0.0, 0.5], [-1.0, 0.5]])
+        # rows are ignored by bounds without a row axis
+        half = ReflectionDomain.half_line(0.0, dim=2)
+        assert np.array_equal(reflect_box(pts[:1], half, np.array([2]))[0], [[0.0, 0.5]])
+
 
 class TestDomain:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             ReflectionDomain(((1.0, 1.0),))
+        with pytest.raises(ValueError, match="lo < hi"):
+            ReflectionDomain.rows([ReflectionDomain.half_line(0.0), ReflectionDomain(((1.0, 1.0),))])
+        with pytest.raises(ValueError, match="pairs"):
+            ReflectionDomain((0.0, 1.0))
 
     def test_contains(self):
         domain = ReflectionDomain.box([(0.0, 1.0)])

@@ -130,6 +130,13 @@ class TestWienerIncrements:
         b = sample_wiener_increments(SeedSpec(1, 2, 3).rng(), grid)
         assert np.array_equal(a, b)
 
+    def test_scale_is_the_grids_square_root_of_its_widths(self):
+        grid = SimulationGrid(np.array([0.0, 0.1, 0.3, 0.35, 1.7]))
+        assert grid.sqrt_widths.tobytes() == np.sqrt(grid.widths).tobytes()
+        got = sample_wiener_increments(SeedSpec(4).rng(), grid)
+        want = SeedSpec(4).rng().standard_normal(grid.n_steps) * np.sqrt(np.diff(grid.times))
+        assert got.tobytes() == want.tobytes()
+
     def test_moments_large_sample(self):
         grid = uniform_grid(0.1, 100_000.0)
         inc = sample_wiener_increments(SeedSpec(0).rng(), grid)
