@@ -388,14 +388,18 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
                   stream_indices: Sequence[int], jump_timing: str,
-                  keep: Optional[int] = None):
+                  keep: Optional[int] = None, on_rows: bool = False):
     """Draw the inputs of the given trajectory streams and step them; returns
-    the :func:`integrate_batch` record and the :class:`PathInputs`.  A model
-    with ``row_jumps`` steps its one stream on every row."""
+    the :func:`integrate_batch` record and the :class:`PathInputs`.  With
+    ``on_rows``, a model with ``row_jumps`` steps its one stream on every
+    row; a path per stream is the only way to step any other model."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
+    if on_rows != (model.row_jumps is not None):
+        raise ValueError("a model with row_jumps has a scenario per batch row and is "
+                         "stepped by simulate_rows, which steps no other model")
     inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
-    if model.row_jumps is not None:
+    if on_rows:
         inputs = inputs.on_rows(model.row_jumps)
         stream_indices = list(stream_indices) * len(inputs)
     substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
@@ -435,16 +439,15 @@ def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
 
 
 def simulate_rows(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
-                  stream_index: int = 0,
                   jump_timing: str = "end_of_step") -> tuple[TrajectoryBundle, ...]:
-    """The trajectory of one stream in every row of a model with
-    ``row_jumps``, such as :func:`models.make_scenario` builds from a tuple
-    of input modes, stepped as one batch.  The rows share the stream's
-    Wiener increments and input current, the flagged rows take its jumps,
-    and, under exact timing, their Brownian-bridge draws; row j's bundle is
-    then bitwise the :func:`simulate_trajectory` of row j's scenario."""
-    record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
-    return _bundles(grid, record, inputs, master_seed, [stream_index] * len(inputs))
+    """The trajectory of stream 0 in every row of a model with ``row_jumps``,
+    such as :func:`models.make_scenario` builds from a tuple of input modes,
+    stepped as one batch.  The rows share the stream's Wiener increments and
+    input current, the flagged rows take its jumps, and, under exact timing,
+    their Brownian-bridge draws; row j's bundle is then bitwise the
+    :func:`simulate_trajectory` of row j's scenario."""
+    record, inputs = _step_streams(model, grid, master_seed, [0], jump_timing, on_rows=True)
+    return _bundles(grid, record, inputs, master_seed, [0] * len(inputs))
 
 
 def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,

@@ -192,8 +192,8 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         dimension=2,
         drift=drift,
         diffusion=diffusion,
-        domain=(ReflectionDomain.rows(map(domain, reflected[:, 0])) if np.ndim(reflected)
-                else domain(reflected)),
+        domain=(ReflectionDomain(tuple(domain(r).bounds for r in reflected[:, 0]))
+                if np.ndim(reflected) else domain(reflected)),
         x0=np.asarray(config.x0, dtype=float),
         jump_coeff=jump_coeff if jumps.any() else None,
         jump_specs=(config.jumps, config.jumps) if jumps.any() else None,

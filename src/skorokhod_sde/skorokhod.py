@@ -23,8 +23,7 @@ class ReflectionDomain:
     """Axis-aligned product domain: per-coordinate [lo, hi] with hi possibly
     +inf (half-line) and lo possibly -inf (coordinate not reflected).
     ``bounds`` holds one (lo, hi) pair per coordinate or, for a batch whose
-    rows each live in a domain of their own (:meth:`rows`), one such tuple
-    per row.  ``lower`` and ``upper`` are the bounds as read-only arrays,
+    rows each live in a domain of their own, one such tuple per row.  ``lower`` and ``upper`` are the bounds as read-only arrays,
     (d,) or (rows, d)."""
 
     bounds: tuple
@@ -42,11 +41,6 @@ class ReflectionDomain:
             a = bounds[..., side].copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def rows(cls, domains) -> "ReflectionDomain":
-        """The domain of a batch whose row i lives in ``domains[i]``."""
-        return cls(tuple(domain.bounds for domain in domains))
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":

@@ -703,12 +703,31 @@ class TestRowBatch:
             sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, [0, 1]).on_rows((True, True))
 
     def test_domain_per_row_needs_row_flags(self):
-        domain = ReflectionDomain.rows([ReflectionDomain.half_line(0.0, 1)] * 2)
+        domain = ReflectionDomain((((0.0, math.inf),),) * 2)
         with pytest.raises(ValueError, match="row_jumps"):
             linear_model_1d(domain=domain)
         with pytest.raises(ValueError, match="row_jumps"):
             linear_model_1d(domain=domain, row_jumps=(False,) * 3)
         assert linear_model_1d(domain=domain, row_jumps=(False, False)).domain.dim == 1
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    def test_only_simulate_rows_steps_a_row_model(self, jump_timing):
+        """A model with ``row_jumps`` holds a scenario per row, not paths of
+        one scenario, and a model without it has no rows to spread over."""
+        rows = make_scenario(ScenarioConfig(input_mode=INPUT_MODES))
+        grid = uniform_grid(0.1, 2.0)
+        for step in (lambda: simulate_trajectory(rows, grid, 1, jump_timing=jump_timing),
+                     lambda: simulate_paths(rows, grid, 1, [0], jump_timing),
+                     lambda: simulate_ensemble(rows, grid, 1, 1, 1, jump_timing),
+                     lambda: simulate_rows(make_scenario(ScenarioConfig()), grid, 1,
+                                           jump_timing)):
+            with pytest.raises(ValueError, match="simulate_rows"):
+                step()
+        one = make_scenario(ScenarioConfig(input_mode=("ou_reflected_jumps",)))
+        (row,) = simulate_rows(one, grid, 1, jump_timing)
+        want = simulate_trajectory(make_scenario(ScenarioConfig()), grid, 1,
+                                   jump_timing=jump_timing)
+        assert row.states.tobytes() == want.states.tobytes()
 
     @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
     def test_peak_within_the_counted_bytes(self, jump_timing):

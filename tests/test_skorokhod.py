@@ -179,9 +179,8 @@ class TestReflectBox:
         assert np.array_equal(lo_inc, [[1.0, 0.0], [0.0, 0.2]])
 
     def test_bounds_per_row(self):
-        domain = ReflectionDomain.rows([ReflectionDomain.unreflected(2),
-                                        ReflectionDomain.half_line(0.0, dim=2),
-                                        ReflectionDomain.box([(0.0, 1.0), (-1.0, 0.5)])])
+        domain = ReflectionDomain((((-np.inf, np.inf),) * 2, ((0.0, np.inf),) * 2,
+                                   ((0.0, 1.0), (-1.0, 0.5))))
         assert domain.lower.shape == (3, 2) and domain.dim == 2
         pts = np.array([[-1.0, 0.5], [-1.0, 0.5], [-1.0, 0.75]])
         out, lo_inc, hi_inc = reflect_box(pts, domain)
@@ -201,7 +200,7 @@ class TestDomain:
         with pytest.raises(ValueError):
             ReflectionDomain(((1.0, 1.0),))
         with pytest.raises(ValueError, match="lo < hi"):
-            ReflectionDomain.rows([ReflectionDomain.half_line(0.0), ReflectionDomain(((1.0, 1.0),))])
+            ReflectionDomain((((0.0, np.inf),), ((1.0, 1.0),)))
         with pytest.raises(ValueError, match="pairs"):
             ReflectionDomain((0.0, 1.0))
 
