@@ -10,6 +10,7 @@ import numpy as np
 
 from .engine import (
     ReflectedJumpSDE,
+    SimulationAbort,
     SimulationGrid,
     build_dyadic_partition,
     integrate_batch,
@@ -170,19 +171,29 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
                          perturbations, n_paths: int, master_seed: int):
     """Initial-condition sensitivity under common random numbers.
 
-    The inputs are drawn once and every ensemble is stepped on them, so each
-    perturbed ensemble shares every noise stream with the reference; only the
-    initial state is offset by ``offset`` in each coordinate.  Errors use the
-    1-norm squared.
+    The inputs are drawn once, and the reference ensemble and every perturbed
+    one are the row blocks of one batch on them, tiled: each perturbed
+    ensemble shares every noise stream with the reference; only the initial
+    state is offset by ``offset`` in each coordinate, a start that must lie
+    in the domain (:meth:`ReflectedJumpSDE.with_x0`).  Errors use the 1-norm
+    squared.
     """
-    perturbations = [float(p) for p in perturbations]
-    inputs = sample_path_inputs(model, grid, master_seed, range(n_paths))
-    ref_states = integrate_batch(model, grid.times, inputs).states
+    offsets = [float(p) for p in perturbations]
+    starts = [model.x0] + [model.with_x0(model.x0 + offset).x0 for offset in offsets]
+    inputs = sample_path_inputs(model, grid, master_seed, range(n_paths)).tiled(len(starts))
+    try:
+        states = integrate_batch(model, grid.times, inputs,
+                                 np.repeat(starts, n_paths, axis=0)).states
+    except SimulationAbort as exc:  # name the stream and its ensemble, not the batch row
+        block, stream = divmod(exc.row, n_paths)
+        ensemble = f"x0 offset {offsets[block - 1]!r}" if block else "reference"
+        raise SimulationAbort(exc.step_index, exc.what, stream, exc.time, exc.state,
+                              f"stream {stream} of the {ensemble} ensemble") from None
+    ref_states = states[:, :n_paths]
     sizes, errors = [], []
     d = model.dimension
-    for offset in perturbations:
-        states = integrate_batch(model.with_x0(model.x0 + offset), grid.times, inputs).states
-        diff = _l1(states, ref_states)  # (n_points, m)
+    for block, offset in enumerate(offsets, start=1):
+        diff = _l1(states[:, block * n_paths:(block + 1) * n_paths], ref_states)  # (n_points, m)
         errors.append(float((diff.max(axis=0) ** 2).mean()))
         sizes.append((d * offset) ** 2)
     return StabilityReport(tuple(sizes), tuple(errors),
@@ -215,7 +226,7 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     def terminal(level):
         times = build_dyadic_partition(level, horizon).times
         coarse = inputs.coarsened(2 ** (ref_level - level))
-        return integrate_batch(model, times, coarse, keep=0).terminal
+        return integrate_batch(model, times, coarse, model.x0, keep=0).terminal
 
     terminal_ref = terminal(ref_level)
     dts, errs = [], []

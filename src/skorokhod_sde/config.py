@@ -235,9 +235,11 @@ def _build(values: dict) -> ConfigDocument:
     check_budget("simulate", model, doc.horizon, n_steps, doc.n_paths,
                  min(max(doc.retain, 1), doc.n_paths), doc.jump_timing == "exact")
     if exp.kind == "stability":
-        # the reference ensemble's and one perturbed ensemble's histories
+        # one batch: the reference and every perturbed ensemble, on the
+        # inputs tiled once per ensemble, with every row's history kept
+        rows = (1 + len(exp.offsets)) * exp.n_paths
         check_budget("stability", model, exp.horizon, uniform_steps(doc.dt, exp.horizon),
-                     exp.n_paths, 2 * exp.n_paths)
+                     rows, rows)
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:

@@ -168,7 +168,8 @@ class ReflectedJumpSDE:
     ``drift(state, u)`` and ``diffusion(state)`` map a batch of states
     (m, d) to (m, d); ``u`` is the exogenous input-current value per path
     (zeros when there is no input process).  ``jump_coeff(state)`` scales the
-    drawn jump sizes per coordinate.
+    drawn jump sizes per coordinate.  The states they get are (m, d) views
+    that may be F-ordered (:func:`integrate_batch` steps (d, m) memory).
 
     ``row_jumps`` marks a model whose batch rows are scenarios of their own,
     all driven by the inputs of one stream (:func:`simulate_rows`): one flag
@@ -267,15 +268,21 @@ def _check_finite(k, times, x, f, g, rho, prop=None, rows=None):
 # is NaN), so the proposal's check catches it; that NaN is not worth a warning.
 @np.errstate(invalid="ignore")
 def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInputs,
-                    substeps=None, keep: Optional[int] = None) -> BatchRecord:
-    """Step every path of ``inputs`` from ``model.x0`` through the grid
-    ``times``, the grid the inputs are on (see :meth:`PathInputs.coarsened`).
+                    x0, substeps=None, keep: Optional[int] = None) -> BatchRecord:
+    """Step every path of ``inputs`` through the grid ``times``, the grid the
+    inputs are on (see :meth:`PathInputs.coarsened`), from ``x0``: one start
+    for every row, such as ``model.x0``, or a start per row, (m, d).
 
     The jumps of each step are summed and added at its end, or, given
     ``substeps`` from :func:`_exact_substeps`, applied at their own times.
     Only the first ``keep`` rows (all by default) have their states and
     reflection terms recorded at every grid point; every row's terminal
-    state is returned.
+    state is returned, C-ordered.
+
+    The state and the reflection terms are (m, d) views of (d, m) memory,
+    the per-step layout of :func:`sample_path_inputs`'s ``dW``: the
+    coefficients and :func:`reflect_box` get F-ordered (m, d) views, and the
+    Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.
     """
     n_steps = times.size - 1
     m, d = len(inputs), model.dimension
@@ -283,10 +290,11 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     states = np.empty((n_steps + 1, keep, d))
     phi_lower = np.zeros((n_steps + 1, keep, d))
     phi_upper = np.zeros((n_steps + 1, keep, d))
-    x = np.tile(model.x0, (m, 1))
+    x = np.empty((d, m)).T
+    x[...] = x0
     states[0] = x[:keep]
-    acc_lo = np.zeros((m, d))
-    acc_hi = np.zeros((m, d))
+    acc_lo = np.zeros((d, m)).T
+    acc_hi = np.zeros((d, m)).T
     fields, spans, first = substeps or (None, None, None)
     binned = substeps is None and model.jump_specs
     if binned:
@@ -295,7 +303,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         bounds = np.r_[0, np.cumsum(np.bincount(step, minlength=n_steps))]
         order = np.argsort(step, kind="stable")
         del step  # before the sorted copies: check_budget counts that peak
-        cells, sizes = (inputs.path * d + inputs.coord)[order], inputs.size[order]
+        cells, sizes = (inputs.coord * m + inputs.path)[order], inputs.size[order]
     for k in range(n_steps):
         start = x  # stepping makes a new x; a group step copies it first
         groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
@@ -310,7 +318,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             # endpoint (copy x, they may alias it); each group moves its
             # rows to their next jump, applies it and reflects.
             _check_finite(k, times, x, f, g, rho)
-            x, w, dt = x.copy(), w.copy(), np.full((m, 1), dt)
+            x, w, dt = x.copy(order="K"), w.copy(order="K"), np.full((m, 1), dt)
             for lo, hi in groups:
                 rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
                 dw = w[rows] * frac + noise
@@ -326,8 +334,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         prop = x + f * dt + g * w
         if binned:
             js = np.bincount(cells[bounds[k]:bounds[k + 1]], sizes[bounds[k]:bounds[k + 1]], m * d)
-            prop = prop + rho * js.reshape(m, d)
-        if not np.isfinite(prop).all():
+            prop = prop + rho * js.reshape(d, m).T
+        if not np.isfinite(prop.T).all():  # on few rows, an F-ordered check costs more
             _check_finite(k, times, start, f, g, rho, prop)
         x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
@@ -336,7 +344,9 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             states[k + 1] = x[:keep]
             phi_lower[k + 1] = acc_lo[:keep]
             phi_upper[k + 1] = acc_hi[:keep]
-    return BatchRecord(states, phi_lower, phi_upper, x)
+    # C-ordered: numpy sums an F-ordered (m, d) array along axis 0 pairwise,
+    # which would move the last bits of the ensemble moments
+    return BatchRecord(states, phi_lower, phi_upper, np.ascontiguousarray(x))
 
 
 def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indices):
@@ -404,7 +414,7 @@ def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
         stream_indices = list(stream_indices) * len(inputs)
     substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
                 if jump_timing == "exact" else None)
-    return integrate_batch(model, grid.times, inputs, substeps, keep), inputs
+    return integrate_batch(model, grid.times, inputs, model.x0, substeps, keep), inputs
 
 
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,

@@ -50,9 +50,10 @@ class WilsonCowanParams:
     ms).  ``delta_*`` are the refractory saturation factors multiplying the
     firing rates.  ``__post_init__`` also sets (2, 1) columns, E over I:
     ``w_from_E`` = (w_EE, w_IE), ``w_from_I`` = (w_EI, w_II), ``I_ext``,
-    ``theta``, ``a``, ``delta``, ``tau`` and ``sigma_ext``.  They are plain
-    attributes, since a field would be a config key and enter ``astuple``
-    and ``==``.
+    ``theta``, ``a``, ``delta``, ``tau`` and ``sigma_ext``, and the constant
+    ``F_shift`` = expit(-a theta) that :func:`sigmoid_F` subtracts.  They are
+    plain attributes, since a field would be a config key and enter
+    ``astuple`` and ``==``.
     """
 
     tau_E: float = 1.0
@@ -93,6 +94,7 @@ class WilsonCowanParams:
             columns[name] = (getattr(self, f"{name}_E"), getattr(self, f"{name}_I"))
         for name, pair in columns.items():
             object.__setattr__(self, name, np.array(pair, dtype=float).reshape(2, 1))
+        object.__setattr__(self, "F_shift", expit(-self.a * self.theta))
 
 
 def sigmoid_F(x, theta, a):
@@ -100,17 +102,24 @@ def sigmoid_F(x, theta, a):
 
     Vanishes at x = 0; expit keeps the exponentials overflow-safe.
     """
-    return expit(a * (np.asarray(x, dtype=float) - theta)) - expit(-a * theta)
+    return _shifted_logistic(np.asarray(x, dtype=float), theta, a, expit(-a * theta))
+
+
+def _shifted_logistic(x, theta, a, shift):
+    """:func:`sigmoid_F` given its shift, expit(-a theta)."""
+    return expit(a * (x - theta)) - shift
 
 
 def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     """Drift of (r_E, r_I): relaxation plus saturated sigmoid recurrent input.
 
     ``state`` is (2,) or (m, 2); ``u``, the current of both external inputs,
-    broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows."""
+    broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
+    an F-ordered ``state`` is read, and the result returned, without a copy."""
     r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
     x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
-    d = (-r + (1.0 - params.delta * r) * sigmoid_F(x, params.theta, params.a)) / params.tau
+    gain = _shifted_logistic(x, params.theta, params.a, params.F_shift)
+    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
     return d.T.reshape(np.shape(state))
 
 

@@ -23,8 +23,9 @@ class ReflectionDomain:
     """Axis-aligned product domain: per-coordinate [lo, hi] with hi possibly
     +inf (half-line) and lo possibly -inf (coordinate not reflected).
     ``bounds`` holds one (lo, hi) pair per coordinate or, for a batch whose
-    rows each live in a domain of their own, one such tuple per row.  ``lower`` and ``upper`` are the bounds as read-only arrays,
-    (d,) or (rows, d)."""
+    rows each live in a domain of their own, one such tuple per row.
+    ``lower`` and ``upper`` are the bounds as read-only arrays, (d,) or
+    (rows, d), F-ordered like the states :func:`reflect_box` gets."""
 
     bounds: tuple
     lower: np.ndarray = field(init=False, repr=False, compare=False)
@@ -38,7 +39,7 @@ class ReflectionDomain:
             if not lo < hi:
                 raise ValueError(f"need lo < hi per coordinate, got [{lo}, {hi}]")
         for name, side in (("lower", 0), ("upper", 1)):
-            a = bounds[..., side].copy()
+            a = bounds[..., side].copy(order="F")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -114,7 +115,8 @@ def reflect_box(proposal, domain: ReflectionDomain, rows=None):
     """Per-step componentwise projection into the domain.
 
     Returns (reflected point, lower-face increments, upper-face increments).
-    Works on a single point (d,) or a batch (m, d).  Bounds with a row axis,
+    Works on a single point (d,) or a batch (m, d), of any memory layout;
+    the result keeps the proposal's.  Bounds with a row axis,
     (m, d), apply row by row; ``rows`` picks the batch rows of a proposal
     that holds only some of them.  The proposal must be finite: then an
     infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.

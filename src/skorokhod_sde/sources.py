@@ -292,8 +292,11 @@ def _cells(times: np.ndarray, t) -> np.ndarray:
 class PathInputs:
     """Every random input of ``m`` trajectories on one grid.
 
-    ``dW`` holds the Wiener increments, (n_steps, m, d); ``u`` the input
-    current at the grid points, (n_points, m), zeros without one.  Jumps are
+    ``dW`` holds the Wiener increments, (n_steps, m, d); as
+    :func:`sample_path_inputs` draws it, its memory is d-major per step, so
+    ``dW[k]`` is an F-ordered (m, d) view, the layout of
+    :func:`engine.integrate_batch`'s state.  ``u`` holds the input current
+    at the grid points, (n_points, m), zeros without one.  Jumps are
     flat arrays ordered by (path, coord, time): ``path`` is the column
     0..m-1 and ``coord`` the coordinate each drawn ``size`` applies to.
 
@@ -331,6 +334,17 @@ class PathInputs:
         dW = self.dW.reshape(-1, stride, *self.dW.shape[1:]).sum(axis=1)
         return replace(self, dW=dW, u=self.u[::stride])
 
+    def tiled(self, reps: int) -> PathInputs:
+        """These inputs ``reps`` times over, as copies: path ``j + r * m`` of
+        the result is path ``j``, for r < ``reps``.  ``dW`` is d-major per
+        step."""
+        m = len(self)
+        return PathInputs(np.tile(self.dW.transpose(0, 2, 1), reps).transpose(0, 2, 1),
+                          np.tile(self.u, reps), np.tile(self.time, reps),
+                          np.tile(self.size, reps),
+                          (self.path + m * np.arange(reps)[:, None]).ravel(),
+                          np.tile(self.coord, reps))
+
     def on_rows(self, jumps) -> PathInputs:
         """The inputs of this one path on ``len(jumps)`` rows: its Wiener
         increments and input current on every row, as read-only views, and
@@ -357,7 +371,7 @@ def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInp
     m, d = len(stream_indices), model.dimension
     wiener, jump, current, _ = stream_layout(d)
     specs = model.jump_specs or ()
-    dW = np.empty((grid.n_steps, m, d))
+    dW = np.empty((grid.n_steps, d, m)).transpose(0, 2, 1)  # d-major per step
     times, sizes, counts = [np.empty(0)], [np.empty(0)], []
     rows = stream_rngs(master_seed, stream_indices, [*wiener, *jump[:len(specs)]])
     for j, rngs in enumerate(rows):

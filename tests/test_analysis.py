@@ -21,7 +21,7 @@ from skorokhod_sde import (
     sup_norm,
     uniform_grid,
 )
-from skorokhod_sde import analysis, make_scenario, parse_config
+from skorokhod_sde import analysis, config, make_scenario, parse_config
 from skorokhod_sde.engine import simulate_paths, simulate_trajectory
 from skorokhod_sde.models import INPUT_MODES
 
@@ -462,6 +462,88 @@ class TestStabilityExperiment:
         assert all(e > 0 for e in expected)
 
 
+def stability_oracle(model, grid, offsets, n_paths, master_seed):
+    """The per-offset loop: the reference ensemble and each perturbed one
+    stepped by a call of their own, on the one draw, the perturbed start
+    built by ``with_x0``."""
+    inputs = analysis.sample_path_inputs(model, grid, master_seed, range(n_paths))
+    ref = analysis.integrate_batch(model, grid.times, inputs, model.x0).states
+    sizes, errors = [], []
+    for offset in offsets:
+        perturbed = model.with_x0(model.x0 + offset)
+        states = analysis.integrate_batch(perturbed, grid.times, inputs, perturbed.x0).states
+        errors.append(float((analysis._l1(states, ref).max(axis=0) ** 2).mean()))
+        sizes.append((model.dimension * offset) ** 2)
+    return analysis.StabilityReport(tuple(sizes), tuple(errors),
+                                    analysis._log_slope(sizes, errors), n_paths)
+
+
+class TestStabilityBatch:
+    """``stability_experiment`` steps the reference and every perturbed
+    ensemble as the row blocks of one batch on its tiled draw."""
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("mode, offsets", [
+        ("white_noise", (0.1, 0.0, -0.05, 0.01)),
+        ("ou_current", (-0.2, 0.1, 0.0, 0.001)),
+        ("ou_reflected", (0.1, 0.01, 0.0)),
+        ("ou_reflected_jumps", (0.1, 0.0, 0.01, 0.3)),
+        (None, (0.2, 0.02, -0.1, 0.0)),  # a box with jumps on both coordinates
+    ])
+    def test_one_batch_equals_the_per_offset_loop(self, mode, offsets, seed):
+        model = box_jump_model() if mode is None else make_scenario(parse_config(
+            f"[scenario]\ninput_mode = {mode}\nx0_e = 0.05\nx0_i = 0.2\n").scenario_config())
+        grid = uniform_grid(0.1, 5.0)
+        got = stability_experiment(model, grid, offsets, 7, seed)
+        want = stability_oracle(model, grid, offsets, 7, seed)
+        assert math.isfinite(want.fitted_slope)
+        assert got == want
+        assert got.errors[list(offsets).index(0.0)] == 0.0
+
+    def test_start_outside_the_domain(self):
+        model = make_scenario(parse_config("").scenario_config())  # [0, inf)^2 from the origin
+        with pytest.raises(ValueError, match="outside the domain"):
+            stability_experiment(model, uniform_grid(0.1, 1.0), [0.1, -0.01], 3, 1)
+
+    def test_abort_names_the_stream_and_its_ensemble(self):
+        # the drift blows up above 1.5, where only the 1.0 offset starts
+        model = ReflectedJumpSDE(1, lambda x, u: np.where(x > 1.5, np.inf, -x),
+                                 lambda x: np.full_like(x, 0.1), ReflectionDomain.unreflected(1),
+                                 np.array([1.0]))
+        with pytest.raises(analysis.SimulationAbort) as exc:
+            stability_experiment(model, uniform_grid(0.1, 1.0), [0.1, 1.0], 3, 1)
+        assert (exc.value.step_index, exc.value.row) == (0, 0)
+        assert "non-finite drift at step 0, stream 0 of the x0 offset 1.0 ensemble," in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        "",  # the default experiment: 200 paths, 3 offsets
+        "[jumps]\nintensity = 5\n[experiment]\noffsets = 0.1,0.2,0.3,0.4,0.5,0.6\nn_paths = 50\n",
+        "[scenario]\ninput_mode = white_noise\n[experiment]\nhorizon = 100\nn_paths = 20\n",
+    ])
+    def test_peak_within_the_counted_bytes(self, text, monkeypatch):
+        """What the config counts for ``stability`` covers the one batch's
+        peak: the tiled inputs and every row's history."""
+        counted = {}
+        check_budget = config.check_budget
+
+        def spy(command, *args, **kwargs):
+            counted[command] = check_budget(command, *args, **kwargs)
+            return counted[command]
+
+        monkeypatch.setattr(config, "check_budget", spy)
+        doc = parse_config("[experiment]\nkind = stability\n" + text)
+        exp = doc.experiment
+        model = make_scenario(doc.scenario_config())
+        tracemalloc.start()  # the grid counts too
+        try:
+            grid = uniform_grid(doc.dt, exp.horizon)
+            stability_experiment(model, grid, exp.offsets, exp.n_paths, doc.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted["stability"]
+
+
 class TestStrongConvergence:
     @pytest.mark.parametrize("n_paths", [1, 6])
     def test_terminal_states_are_the_full_histories_last_points(self, n_paths):
@@ -472,8 +554,8 @@ class TestStrongConvergence:
         for level in (2, 4, fine):
             times, stride = build_dyadic_partition(level, 2.0).times, 2 ** (fine - level)
             coarse = inputs.coarsened(stride)
-            full = analysis.integrate_batch(model, times, coarse)
-            terminal = analysis.integrate_batch(model, times, coarse, keep=0)
+            full = analysis.integrate_batch(model, times, coarse, model.x0)
+            terminal = analysis.integrate_batch(model, times, coarse, model.x0, keep=0)
             assert terminal.states.size == 0
             assert np.array_equal(terminal.terminal, full.states[-1])
         assert full.phi_lower.any()  # the paths reflect

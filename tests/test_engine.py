@@ -31,6 +31,7 @@ from skorokhod_sde import (
 )
 from skorokhod_sde.engine import (
     JUMP_TIMINGS,
+    BatchRecord,
     _exact_substeps,
     check_budget,
     integrate_batch,
@@ -133,7 +134,7 @@ def one_step(model, dW, dt, jump_sum=()):
     """One reflected Euler step of ``integrate_batch`` from ``model.x0``;
     returns (state, lower phi increment, upper phi increment)."""
     inputs = path_inputs([[dW]], np.zeros((2, 1)), jump_sum)
-    record = integrate_batch(model, np.array([0.0, dt]), inputs)
+    record = integrate_batch(model, np.array([0.0, dt]), inputs, model.x0)
     return record.states[1, 0], record.phi_lower[1, 0], record.phi_upper[1, 0]
 
 
@@ -172,7 +173,8 @@ class TestEulerStep:
         u = np.zeros((11, 1))
         u[7] = 1.0
         with pytest.raises(SimulationAbort) as exc:
-            integrate_batch(model, np.linspace(0.0, 1.0, 11), path_inputs(np.zeros((10, 1, 1)), u))
+            integrate_batch(model, np.linspace(0.0, 1.0, 11), path_inputs(np.zeros((10, 1, 1)), u),
+                            model.x0)
         assert exc.value.step_index == 7
 
 
@@ -581,8 +583,8 @@ class TestReducers:
     def test_terminal_is_the_last_point(self, keep):
         model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
         inputs = sample_path_inputs(model, grid, 4, range(5))
-        full = integrate_batch(model, grid.times, inputs)
-        record = integrate_batch(model, grid.times, inputs, keep=keep)
+        full = integrate_batch(model, grid.times, inputs, model.x0)
+        record = integrate_batch(model, grid.times, inputs, model.x0, keep=keep)
         assert np.array_equal(record.terminal, full.states[-1])
         kept = 5 if keep is None else keep
         assert record.states.shape == (grid.n_steps + 1, kept, 2)
@@ -743,3 +745,78 @@ class TestRowBatch:
         finally:
             tracemalloc.stop()
         assert peak <= counted
+
+
+def _step_inputs(model, grid, inputs, jump_timing, seed, streams):
+    substeps = (_exact_substeps(model, grid.times, inputs, seed, streams)
+                if jump_timing == "exact" else None)
+    return integrate_batch(model, grid.times, inputs, model.x0, substeps)
+
+
+class TestCoordinateMajorLayout:
+    """``integrate_batch`` steps (d, m) memory, the per-step layout of the
+    ``dW`` that :func:`sample_path_inputs` draws; the memory layout of the
+    inputs moves no bit of the result."""
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("mode, m", [
+        *((mode, m) for mode in INPUT_MODES for m in (1, 4, 200)),
+        (INPUT_MODES, 4),  # the four panels: one stream on four rows
+    ])
+    def test_record_independent_of_the_input_layout(self, mode, m, jump_timing):
+        # intensity 2: several jumps in some steps of a row with jumps
+        intensity = 2.0 if "ou_reflected_jumps" in ScenarioConfig(input_mode=mode).modes else 0.0
+        model = make_scenario(ScenarioConfig(
+            input_mode=mode, x0=(0.2, 0.1),
+            jumps=CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))))
+        grid = uniform_grid(0.1, 10.0)
+        if mode == INPUT_MODES:
+            streams = [0] * 4
+            d_major = sample_path_inputs(model, grid, 3, [0]).on_rows(model.row_jumps)
+        else:
+            streams = list(range(m))
+            d_major = sample_path_inputs(model, grid, 3, streams)
+        c_order = replace(d_major, dW=np.ascontiguousarray(d_major.dW))
+        assert c_order.dW.flags.c_contiguous
+        got = _step_inputs(model, grid, d_major, jump_timing, 3, streams)
+        want = _step_inputs(model, grid, c_order, jump_timing, 3, streams)
+        for name in BatchRecord._fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.terminal.flags.c_contiguous and want.terminal.flags.c_contiguous
+
+    @pytest.mark.parametrize("m", [4, 200])
+    def test_coarsened_inputs_keep_the_layout(self, m):
+        model = make_scenario(ScenarioConfig())
+        inputs = sample_path_inputs(model, build_dyadic_partition(6, 2.0), 3, range(m))
+        c_order = replace(inputs, dW=np.ascontiguousarray(inputs.dW))
+        times = build_dyadic_partition(3, 2.0).times
+        got = integrate_batch(model, times, inputs.coarsened(8), model.x0)
+        want = integrate_batch(model, times, c_order.coarsened(8), model.x0)
+        assert inputs.coarsened(8).dW[0].flags.f_contiguous
+        for name in BatchRecord._fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    def test_coefficients_get_f_ordered_views(self, jump_timing):
+        """Guards the layout: on drawn inputs, the drift, the diffusion and
+        the jump coefficient see F-ordered (m, d) states, and the
+        Wilson-Cowan drift hands back an F-ordered result, so no step
+        converts between layouts."""
+        model = make_scenario(ScenarioConfig())
+        seen = []
+
+        def spy(name):
+            coefficient = getattr(model, name)
+
+            def call(state, *args):
+                seen.append((name, state.shape, state.flags.f_contiguous,
+                             state.flags.c_contiguous))
+                value = coefficient(state, *args)
+                assert value.flags.f_contiguous, name
+                return value
+            return call
+
+        spied = replace(model, **{name: spy(name) for name in ("drift", "diffusion", "jump_coeff")})
+        simulate_ensemble(spied, uniform_grid(0.1, 5.0), 5, 3, retain=1, jump_timing=jump_timing)
+        assert set(seen) == {(name, (5, 2), True, False)
+                             for name in ("drift", "diffusion", "jump_coeff")}

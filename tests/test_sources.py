@@ -314,7 +314,7 @@ def _summed_jumps(inputs, times):
         jump_coeff=np.ones_like,
         jump_specs=(CompoundPoissonSpec(0.0, JumpSizeDist.constant(0.0)),) * d,
     )
-    return integrate_batch(model, times, inputs).states
+    return integrate_batch(model, times, inputs, model.x0).states
 
 
 def _running(sums):
