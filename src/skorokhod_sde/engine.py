@@ -165,11 +165,13 @@ def uniform_grid(dt: float, horizon: float) -> SimulationGrid:
 class ReflectedJumpSDE:
     """Coupled reflected jump-diffusion with diagonal noise.
 
-    ``drift(state, u)`` and ``diffusion(state)`` map a batch of states
-    (m, d) to (m, d); ``u`` is the exogenous input-current value per path
-    (zeros when there is no input process).  ``jump_coeff(state)`` scales the
-    drawn jump sizes per coordinate.  The states they get are (m, d) views
-    that may be F-ordered (:func:`integrate_batch` steps (d, m) memory).
+    ``drift(state, u)`` maps a batch of states (m, d) to (m, d); ``u`` is
+    the exogenous input-current value per path (zeros when there is no input
+    process).  ``diffusion(state)`` and ``jump_coeff(state)``, which scales
+    the drawn jump sizes per coordinate, return (m, d) values, or one float
+    that applies to every row and coordinate, such as a constant rho or the
+    0.0 of a model without white noise.  The states they get are (m, d)
+    views that may be F-ordered (:func:`integrate_batch` steps (d, m) memory).
 
     ``row_jumps`` marks a model whose batch rows are scenarios of their own,
     all driven by the inputs of one stream (:func:`simulate_rows`): one flag
@@ -255,13 +257,19 @@ def _check_finite(k, times, x, f, g, rho, prop=None, rows=None):
     """Raise :class:`SimulationAbort` for the first of drift, diffusion, jump
     coefficient and state proposal that is non-finite in any row, naming its
     first such row and that row's state ``x`` at the start of step ``k``.
-    ``rows`` are the batch rows of the proposal's rows, all by default."""
+    ``rows`` are the batch rows of the proposal's rows, all by default; a
+    float coefficient is every row's, so it names row 0."""
     for what, value in (("drift", f), ("diffusion", g), ("jump coefficient", rho),
                         ("state proposal", prop)):
         if value is not None and not np.isfinite(value).all():
             row = np.argwhere(~np.isfinite(np.atleast_2d(value)))[0, 0]
             row = int(row if rows is None or value is not prop else rows[row])
             raise SimulationAbort(k, what, row, float(times[k]), x[row].copy())
+
+
+def _on_rows(value, rows):
+    """The rows ``rows`` of a coefficient's value; a float is every row's."""
+    return value if isinstance(value, float) else value[rows]
 
 
 # A non-finite f, g or rho makes the step's whole proposal non-finite (inf * 0
@@ -283,18 +291,29 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     the per-step layout of :func:`sample_path_inputs`'s ``dW``: the
     coefficients and :func:`reflect_box` get F-ordered (m, d) views, and the
     Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.
+
+    Each step does only the arithmetic its model needs.  A float diffusion
+    or jump coefficient multiplies as a scalar; a diffusion of 0.0 adds no
+    noise term; with a float jump coefficient, a step without jumps adds no
+    jump sum, though a non-finite one still aborts; on a domain
+    ``open_above`` no upper reflection term is accumulated.  A skipped term
+    is a zero, which can change only the sign of a zero proposal, and
+    :func:`reflect_box` adds +0.0 or more to every coordinate, which clears
+    that sign: the record is bit for bit that of the full arithmetic.
     """
     n_steps = times.size - 1
     m, d = len(inputs), model.dimension
     keep = m if keep is None else keep
+    open_above = model.domain.open_above
     states = np.empty((n_steps + 1, keep, d))
     phi_lower = np.zeros((n_steps + 1, keep, d))
     phi_upper = np.zeros((n_steps + 1, keep, d))
     x = np.empty((d, m)).T
     x[...] = x0
     states[0] = x[:keep]
+    prop = np.empty((d, m)).T  # each step's proposal, built in place
     acc_lo = np.zeros((d, m)).T
-    acc_hi = np.zeros((d, m)).T
+    acc_hi = None if open_above else np.zeros((d, m)).T
     fields, spans, first = substeps or (None, None, None)
     binned = substeps is None and model.jump_specs
     if binned:
@@ -304,13 +323,13 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         order = np.argsort(step, kind="stable")
         del step  # before the sorted copies: check_budget counts that peak
         cells, sizes = (inputs.coord * m + inputs.path)[order], inputs.size[order]
-    for k in range(n_steps):
+    for k, dt in enumerate(np.diff(times)):
         start = x  # stepping makes a new x; a group step copies it first
         groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
         f = model.drift(x, inputs.u[k])
         g = model.diffusion(x)
         rho = model.jump_coeff(x) if binned or groups else None
-        dt = times[k + 1] - times[k]
+        noisy = not (isinstance(g, float) and g == 0.0)
         w = inputs.dW[k]
         if groups:
             # rho of a row without a jump never reaches a proposal, so it is
@@ -322,28 +341,40 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             for lo, hi in groups:
                 rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
                 dw = w[rows] * frac + noise
-                prop = x[rows] + f[rows] * sub + g[rows] * dw
-                prop[np.arange(rows.size), coord] += size * rho[rows, coord]
-                if not np.isfinite(prop).all():
-                    _check_finite(k, times, start, f, g, rho, prop, rows)
-                x[rows], linc, uinc = reflect_box(prop, model.domain, rows)
+                jump = x[rows] + f[rows] * sub
+                if noisy:
+                    jump += _on_rows(g, rows) * dw
+                jump[np.arange(rows.size), coord] += size * _on_rows(rho, (rows, coord))
+                if not np.isfinite(jump).all():
+                    _check_finite(k, times, start, f, g, rho, jump, rows)
+                x[rows], linc, uinc = reflect_box(jump, model.domain, rows)
                 acc_lo[rows] += linc
-                acc_hi[rows] += uinc
+                if not open_above:
+                    acc_hi[rows] += uinc
                 w[rows] -= dw
                 dt[rows] = rest
-        prop = x + f * dt + g * w
+        np.multiply(f, dt, out=prop)
+        prop += x
+        if noisy:
+            prop += g * w
         if binned:
-            js = np.bincount(cells[bounds[k]:bounds[k + 1]], sizes[bounds[k]:bounds[k + 1]], m * d)
-            prop = prop + rho * js.reshape(d, m).T
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo or not isinstance(rho, float):
+                js = np.bincount(cells[lo:hi], sizes[lo:hi], m * d).reshape(d, m).T
+                prop += rho * js
+            elif not math.isfinite(rho):
+                _check_finite(k, times, start, f, g, rho)
         if not np.isfinite(prop.T).all():  # on few rows, an F-ordered check costs more
             _check_finite(k, times, start, f, g, rho, prop)
         x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
-        acc_hi += uinc
+        if not open_above:
+            acc_hi += uinc
         if keep:
             states[k + 1] = x[:keep]
             phi_lower[k + 1] = acc_lo[:keep]
-            phi_upper[k + 1] = acc_hi[:keep]
+            if not open_above:
+                phi_upper[k + 1] = acc_hi[:keep]
     # C-ordered: numpy sums an F-ordered (m, d) array along axis 0 pairwise,
     # which would move the last bits of the ensemble moments
     return BatchRecord(states, phi_lower, phi_upper, np.ascontiguousarray(x))

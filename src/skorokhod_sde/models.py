@@ -102,12 +102,7 @@ def sigmoid_F(x, theta, a):
 
     Vanishes at x = 0; expit keeps the exponentials overflow-safe.
     """
-    return _shifted_logistic(np.asarray(x, dtype=float), theta, a, expit(-a * theta))
-
-
-def _shifted_logistic(x, theta, a, shift):
-    """:func:`sigmoid_F` given its shift, expit(-a theta)."""
-    return expit(a * (x - theta)) - shift
+    return expit(a * (np.asarray(x, dtype=float) - theta)) - expit(-a * theta)
 
 
 def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
@@ -117,9 +112,18 @@ def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
     an F-ordered ``state`` is read, and the result returned, without a copy."""
     r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
-    gain = _shifted_logistic(x, params.theta, params.a, params.F_shift)
-    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
+    x = params.w_from_E * r[0]
+    x -= params.w_from_I * r[1]
+    x += params.I_ext + u
+    x -= params.theta
+    x *= params.a
+    gain = expit(x, out=x)  # sigmoid_F less its shift
+    gain -= params.F_shift
+    d = params.delta * r
+    np.subtract(1.0, d, out=d)
+    d *= gain
+    d -= r  # y - r is -r + y, bit for bit
+    d /= params.tau
     return d.T.reshape(np.shape(state))
 
 
@@ -189,10 +193,12 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         def diffusion(state):
             if white_noise:
                 return wilson_cowan_diffusion(state, params)
-            return np.zeros_like(state, float)
+            return 0.0
+
+    rho = float(config.rho)
 
     def jump_coeff(state):
-        return np.full_like(np.asarray(state, dtype=float), config.rho)
+        return rho
 
     def domain(reflected):
         return ReflectionDomain.half_line(0.0, 2) if reflected else ReflectionDomain.unreflected(2)

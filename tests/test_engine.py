@@ -1,6 +1,7 @@
 """Tests for grids and the reflected Euler stepper: freezing of coefficients
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
 import bisect
+import copy
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import skorokhod_sde.engine as engine
 from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
@@ -797,26 +799,145 @@ class TestCoordinateMajorLayout:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
-    def test_coefficients_get_f_ordered_views(self, jump_timing):
+    @pytest.mark.parametrize("mode, intensity, floats", [
+        pytest.param("ou_reflected_jumps", 0.5, {"diffusion", "jump_coeff"}, id="floats"),
+        pytest.param("white_noise", 0.0, set(), id="arrays"),
+    ])
+    def test_coefficients_get_f_ordered_views(self, mode, intensity, floats, jump_timing):
         """Guards the layout: on drawn inputs, the drift, the diffusion and
-        the jump coefficient see F-ordered (m, d) states, and the
-        Wilson-Cowan drift hands back an F-ordered result, so no step
-        converts between layouts."""
-        model = make_scenario(ScenarioConfig())
+        the jump coefficient see F-ordered (m, d) states, and a coefficient
+        hands back an F-ordered result or one float, so no step converts
+        between layouts.  The Wilson-Cowan drift and white-noise diffusion
+        are arrays; the noiseless diffusion and the jump coefficient are
+        floats."""
+        model = make_scenario(ScenarioConfig(
+            input_mode=mode, jumps=CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))))
+        names = ("drift", "diffusion", "jump_coeff") if model.jump_specs else ("drift", "diffusion")
         seen = []
 
         def spy(name):
             coefficient = getattr(model, name)
 
             def call(state, *args):
-                seen.append((name, state.shape, state.flags.f_contiguous,
-                             state.flags.c_contiguous))
                 value = coefficient(state, *args)
-                assert value.flags.f_contiguous, name
+                if isinstance(value, float):
+                    assert np.ndim(value) == 0, name
+                else:
+                    assert value.shape == state.shape and value.flags.f_contiguous, name
+                seen.append((name, state.shape, state.flags.f_contiguous,
+                             state.flags.c_contiguous, isinstance(value, float)))
                 return value
             return call
 
-        spied = replace(model, **{name: spy(name) for name in ("drift", "diffusion", "jump_coeff")})
+        spied = replace(model, **{name: spy(name) for name in names})
         simulate_ensemble(spied, uniform_grid(0.1, 5.0), 5, 3, retain=1, jump_timing=jump_timing)
-        assert set(seen) == {(name, (5, 2), True, False)
-                             for name in ("drift", "diffusion", "jump_coeff")}
+        assert set(seen) == {(name, (5, 2), True, False, name in floats) for name in names}
+
+
+def array_coefficient(coefficient):
+    """A coefficient in its array form: a float is spread over the state,
+    in its layout, as ``np.full_like(state, rho)`` or
+    ``np.zeros_like(state)``."""
+    def spread(state):
+        value = coefficient(state)
+        return np.full_like(state, value) if isinstance(value, float) else value
+    return spread
+
+
+def two_face_reflect(proposal, domain, rows=None):
+    """``reflect_box`` with both faces, whatever the domain."""
+    p = np.asarray(proposal, dtype=float)
+    lower, upper = domain.lower, domain.upper
+    if rows is not None and lower.ndim == 2:
+        lower, upper = lower[rows], upper[rows]
+    lower_inc = np.maximum(lower - p, 0.0)
+    upper_inc = np.maximum(p - upper, 0.0)
+    return p + lower_inc - upper_inc, lower_inc, upper_inc
+
+
+def oracle_model(model):
+    """``model`` with array coefficients on a domain not marked
+    ``open_above``, so every step multiplies arrays and accumulates an upper
+    reflection term: run under :func:`two_face_reflect`, the full
+    arithmetic that float coefficients and an open face skip."""
+    domain = copy.copy(model.domain)
+    object.__setattr__(domain, "open_above", False)
+    return replace(model, diffusion=array_coefficient(model.diffusion), domain=domain,
+                   jump_coeff=model.jump_coeff and array_coefficient(model.jump_coeff))
+
+
+class TestConstantCoefficients:
+    """A float diffusion or jump coefficient and an open upper face take
+    arithmetic out of the step, and no bit of the record changes."""
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("mode, m", [
+        *((mode, m) for mode in (*INPUT_MODES, "box") for m in (1, 4, 200)),
+        (INPUT_MODES, 4),  # the four panels: one stream on four rows
+    ])
+    def test_record_matches_the_array_oracle(self, mode, m, jump_timing, monkeypatch):
+        box = mode == "box"
+        config = ScenarioConfig(input_mode="ou_reflected_jumps" if box else mode)
+        jumps = "ou_reflected_jumps" in config.modes
+        # intensity 2: steps with several jumps and, on one row, steps without
+        model = make_scenario(replace(config, x0=(0.1, 0.05) if box else (0.0, 0.0), jumps=(
+            CompoundPoissonSpec(2.0 if jumps else 0.0, JumpSizeDist.exponential(1.0)))))
+        if box:  # a finite upper face, met often
+            model = replace(model, domain=ReflectionDomain.box([(0.0, 0.3), (0.0, 0.2)]))
+        assert model.domain.open_above != box
+        grid = uniform_grid(0.1, 10.0)
+        if model.row_jumps:
+            streams = [0] * m
+            inputs = sample_path_inputs(model, grid, 3, [0]).on_rows(model.row_jumps)
+        else:
+            streams = list(range(m))
+            inputs = sample_path_inputs(model, grid, 3, streams)
+        x = np.zeros((2, m)).T
+        assert isinstance(model.diffusion(x), float) == (mode not in ("white_noise", INPUT_MODES))
+        assert not jumps or isinstance(model.jump_coeff(x), float)
+        got = _step_inputs(model, grid, inputs, jump_timing, 3, streams)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "reflect_box", two_face_reflect)
+            want = _step_inputs(oracle_model(model), grid, inputs, jump_timing, 3, streams)
+        for name in BatchRecord._fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert want.phi_upper.any() == box
+
+    @staticmethod
+    def abort(model, grid, seed, m, timing):
+        with pytest.raises(SimulationAbort) as exc:
+            simulate_paths(model, grid, seed, range(m), timing)
+        e = exc.value
+        return str(e), e.step_index, e.what, e.row, e.time, e.state.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_diffusion_aborts_as_the_array(self, bad, timing):
+        model = make_scenario(ScenarioConfig(x0=(0.2, 0.1)))
+        model = replace(model, diffusion=lambda state: bad)
+        grid = uniform_grid(0.1, 5.0)
+        got = self.abort(model, grid, 2, 3, timing)
+        assert got == self.abort(oracle_model(model), grid, 2, 3, timing)
+        assert got[1:4] == (0, "diffusion", 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("timing", JUMP_TIMINGS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("intensity", [0.5, 50.0])
+    def test_non_finite_float_rho_aborts_as_the_array(self, intensity, bad, timing):
+        """At intensity 0.5 the seed is picked so that step 0 has no jump,
+        and end-of-step timing skips its jump sum; at 50 every step has
+        jumps.  Exact timing evaluates rho in steps with a jump only."""
+        model = make_scenario(ScenarioConfig(x0=(0.2, 0.1), rho=bad, jumps=CompoundPoissonSpec(
+            intensity, JumpSizeDist.exponential(1.0))))
+        grid, m = uniform_grid(0.1, 5.0), 3
+
+        def first_jump_step(seed):
+            return int(_cells(grid.times, sample_path_inputs(model, grid, seed, range(m)).time).min())
+
+        seed = next(s for s in range(100) if (first_jump_step(s) > 0) == (intensity < 1))
+        got = self.abort(model, grid, seed, m, timing)
+        assert got == self.abort(oracle_model(model), grid, seed, m, timing)
+        step = first_jump_step(seed) if timing == "exact" else 0
+        assert got[1:4] == (step, "jump coefficient", 0)

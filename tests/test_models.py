@@ -214,7 +214,8 @@ class TestScenarios:
     def test_ou_current_mode(self):
         model = make_scenario(self._config("ou_current"))
         assert model.input_current is not None
-        assert not model.diffusion(np.array([[0.2, 0.1]])).any()
+        g = model.diffusion(np.array([[0.2, 0.1]]))  # one float, every row's
+        assert type(g) is float and g == 0.0 and math.copysign(1.0, g) == 1.0
         assert not np.isfinite(model.domain.lower).any()
 
     def test_ou_reflected_mode(self):
@@ -264,7 +265,8 @@ class TestScenarioTable:
             alone = make_scenario(ScenarioConfig(input_mode=mode, params=params, jumps=jumps))
             own_u = np.zeros(1) if alone.input_current is None else u[j:j + 1]
             assert_same_bits(model.drift(state, u)[j], alone.drift(state[j:j + 1], own_u)[0])
-            assert_same_bits(model.diffusion(state)[j], alone.diffusion(state[j:j + 1])[0])
+            own_g = np.broadcast_to(alone.diffusion(state[j:j + 1]), (1, 2))
+            assert_same_bits(model.diffusion(state)[j], own_g[0])
             assert np.array_equal(model.domain.lower[j], alone.domain.lower)
             assert np.array_equal(model.domain.upper[j], alone.domain.upper)
 
@@ -289,7 +291,9 @@ class TestScenarioTable:
         spec = CompoundPoissonSpec(0.5 if jumps else 0.0, JumpSizeDist.exponential(1.0))
         model = make_scenario(ScenarioConfig(input_mode=mode, jumps=spec))
         state = np.array([[0.2, 0.1], [0.0, 0.7]])
-        assert model.diffusion(state).any() == white_noise
+        g = model.diffusion(state)  # a float 0.0 without white noise
+        assert np.any(g) == white_noise and isinstance(g, float) != white_noise
+        assert isinstance(model.jump_coeff(state), float) if jumps else model.jump_coeff is None
         assert np.array_equal(model.domain.lower, [0.0, 0.0]) == reflected
         assert (model.jump_specs == (spec, spec)) if jumps else model.jump_specs is None
         assert (model.input_current is None) == white_noise
