@@ -295,16 +295,14 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     Each step does only the arithmetic its model needs.  A float diffusion
     or jump coefficient multiplies as a scalar; a diffusion of 0.0 adds no
     noise term; with a float jump coefficient, a step without jumps adds no
-    jump sum, though a non-finite one still aborts; on a domain
-    ``open_above`` no upper reflection term is accumulated.  A skipped term
-    is a zero, which can change only the sign of a zero proposal, and
+    jump sum, though a non-finite one still aborts.  A skipped term is a
+    zero, which can change only the sign of a zero proposal, and
     :func:`reflect_box` adds +0.0 or more to every coordinate, which clears
     that sign: the record is bit for bit that of the full arithmetic.
     """
     n_steps = times.size - 1
     m, d = len(inputs), model.dimension
     keep = m if keep is None else keep
-    open_above = model.domain.open_above
     states = np.empty((n_steps + 1, keep, d))
     phi_lower = np.zeros((n_steps + 1, keep, d))
     phi_upper = np.zeros((n_steps + 1, keep, d))
@@ -313,7 +311,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     states[0] = x[:keep]
     prop = np.empty((d, m)).T  # each step's proposal, built in place
     acc_lo = np.zeros((d, m)).T
-    acc_hi = None if open_above else np.zeros((d, m)).T
+    acc_hi = np.zeros((d, m)).T
     fields, spans, first = substeps or (None, None, None)
     binned = substeps is None and model.jump_specs
     if binned:
@@ -337,21 +335,22 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             # endpoint (copy x, they may alias it); each group moves its
             # rows to their next jump, applies it and reflects.
             _check_finite(k, times, x, f, g, rho)
-            x, w, dt = x.copy(order="K"), w.copy(order="K"), np.full((m, 1), dt)
+            x, dt = x.copy(order="K"), np.full((m, 1), dt)
+            if noisy:  # else the Wiener increments are never read
+                w = w.copy(order="K")
             for lo, hi in groups:
                 rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
-                dw = w[rows] * frac + noise
                 jump = x[rows] + f[rows] * sub
                 if noisy:
+                    dw = w[rows] * frac + noise
                     jump += _on_rows(g, rows) * dw
+                    w[rows] -= dw
                 jump[np.arange(rows.size), coord] += size * _on_rows(rho, (rows, coord))
                 if not np.isfinite(jump).all():
                     _check_finite(k, times, start, f, g, rho, jump, rows)
                 x[rows], linc, uinc = reflect_box(jump, model.domain, rows)
                 acc_lo[rows] += linc
-                if not open_above:
-                    acc_hi[rows] += uinc
-                w[rows] -= dw
+                acc_hi[rows] += uinc
                 dt[rows] = rest
         np.multiply(f, dt, out=prop)
         prop += x
@@ -368,13 +367,11 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
             _check_finite(k, times, start, f, g, rho, prop)
         x, linc, uinc = reflect_box(prop, model.domain)
         acc_lo += linc
-        if not open_above:
-            acc_hi += uinc
+        acc_hi += uinc
         if keep:
             states[k + 1] = x[:keep]
             phi_lower[k + 1] = acc_lo[:keep]
-            if not open_above:
-                phi_upper[k + 1] = acc_hi[:keep]
+            phi_upper[k + 1] = acc_hi[:keep]
     # C-ordered: numpy sums an F-ordered (m, d) array along axis 0 pairwise,
     # which would move the last bits of the ensemble moments
     return BatchRecord(states, phi_lower, phi_upper, np.ascontiguousarray(x))

@@ -51,9 +51,9 @@ class WilsonCowanParams:
     firing rates.  ``__post_init__`` also sets (2, 1) columns, E over I:
     ``w_from_E`` = (w_EE, w_IE), ``w_from_I`` = (w_EI, w_II), ``I_ext``,
     ``theta``, ``a``, ``delta``, ``tau`` and ``sigma_ext``, and the constant
-    ``F_shift`` = expit(-a theta) that :func:`sigmoid_F` subtracts.  They are
-    plain attributes, since a field would be a config key and enter
-    ``astuple`` and ``==``.
+    ``F_shift`` = expit(-a theta), the shift of :func:`sigmoid_F`, which the
+    drift reuses in place of recomputing it.  They are plain attributes,
+    since a field would be a config key and enter ``astuple`` and ``==``.
     """
 
     tau_E: float = 1.0
@@ -102,7 +102,12 @@ def sigmoid_F(x, theta, a):
 
     Vanishes at x = 0; expit keeps the exponentials overflow-safe.
     """
-    return expit(a * (np.asarray(x, dtype=float) - theta)) - expit(-a * theta)
+    return _shifted_logistic(np.asarray(x, dtype=float), theta, a, expit(-a * theta))
+
+
+def _shifted_logistic(x, theta, a, shift):
+    """:func:`sigmoid_F` given its shift, expit(-a theta)."""
+    return expit(a * (x - theta)) - shift
 
 
 def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
@@ -112,18 +117,9 @@ def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
     an F-ordered ``state`` is read, and the result returned, without a copy."""
     r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    x = params.w_from_E * r[0]
-    x -= params.w_from_I * r[1]
-    x += params.I_ext + u
-    x -= params.theta
-    x *= params.a
-    gain = expit(x, out=x)  # sigmoid_F less its shift
-    gain -= params.F_shift
-    d = params.delta * r
-    np.subtract(1.0, d, out=d)
-    d *= gain
-    d -= r  # y - r is -r + y, bit for bit
-    d /= params.tau
+    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
+    gain = _shifted_logistic(x, params.theta, params.a, params.F_shift)
+    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
     return d.T.reshape(np.shape(state))
 
 

@@ -25,14 +25,11 @@ class ReflectionDomain:
     ``bounds`` holds one (lo, hi) pair per coordinate or, for a batch whose
     rows each live in a domain of their own, one such tuple per row.
     ``lower`` and ``upper`` are the bounds as read-only arrays, (d,) or
-    (rows, d), F-ordered like the states :func:`reflect_box` gets, and
-    ``open_above`` is true when every upper bound is +inf: then
-    :func:`reflect_box` has no upper face to reflect at."""
+    (rows, d), F-ordered like the states :func:`reflect_box` gets."""
 
     bounds: tuple
     lower: np.ndarray = field(init=False, repr=False, compare=False)
     upper: np.ndarray = field(init=False, repr=False, compare=False)
-    open_above: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = np.array(self.bounds, dtype=float)
@@ -45,7 +42,6 @@ class ReflectionDomain:
             a = bounds[..., side].copy(order="F")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "open_above", bool(np.isposinf(self.upper).all()))
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":
@@ -123,17 +119,13 @@ def reflect_box(proposal, domain: ReflectionDomain, rows=None):
     the result keeps the proposal's.  Bounds with a row axis,
     (m, d), apply row by row; ``rows`` picks the batch rows of a proposal
     that holds only some of them.  The proposal must be finite: then an
-    infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.  So on a
-    domain ``open_above`` the point is p + lower increments, bit for bit the
-    two-face formula, and the upper increments are +0.0, shaped like p.
+    infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
     """
     p = np.asarray(proposal, dtype=float)
     lower, upper = domain.lower, domain.upper
     if rows is not None and lower.ndim == 2:
         lower, upper = lower[rows], upper[rows]
     lower_inc = np.maximum(lower - p, 0.0)
-    if domain.open_above:
-        return p + lower_inc, lower_inc, np.zeros_like(p)
     upper_inc = np.maximum(p - upper, 0.0)
     return p + lower_inc - upper_inc, lower_inc, upper_inc
 

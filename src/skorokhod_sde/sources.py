@@ -275,11 +275,10 @@ def sample_ou_paths(
     dW = np.empty((grid.n_steps, len(stream_indices)))
     for j, (rng,) in enumerate(stream_rngs(master_seed, stream_indices, [component_index])):
         dW[:, j] = sample_wiener_increments(rng, grid)
-    dW *= params.sigma
     v = np.empty((grid.n_steps + 1, len(stream_indices)))
     v[0] = params.v0
     for k, width in enumerate(grid.widths):
-        np.add(v[k] + (params.mu - v[k] / params.gamma) * width, dW[k], out=v[k + 1])
+        v[k + 1] = v[k] + (params.mu - v[k] / params.gamma) * width + params.sigma * dW[k]
     return v
 
 

@@ -1,7 +1,6 @@
 """Tests for grids and the reflected Euler stepper: freezing of coefficients
 at left endpoints, jump insertion, reflection bookkeeping, ensembles."""
 import bisect
-import copy
 import math
 import re
 import tracemalloc
@@ -10,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import skorokhod_sde.engine as engine
 from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
@@ -844,38 +842,23 @@ def array_coefficient(coefficient):
     return spread
 
 
-def two_face_reflect(proposal, domain, rows=None):
-    """``reflect_box`` with both faces, whatever the domain."""
-    p = np.asarray(proposal, dtype=float)
-    lower, upper = domain.lower, domain.upper
-    if rows is not None and lower.ndim == 2:
-        lower, upper = lower[rows], upper[rows]
-    lower_inc = np.maximum(lower - p, 0.0)
-    upper_inc = np.maximum(p - upper, 0.0)
-    return p + lower_inc - upper_inc, lower_inc, upper_inc
-
-
 def oracle_model(model):
-    """``model`` with array coefficients on a domain not marked
-    ``open_above``, so every step multiplies arrays and accumulates an upper
-    reflection term: run under :func:`two_face_reflect`, the full
-    arithmetic that float coefficients and an open face skip."""
-    domain = copy.copy(model.domain)
-    object.__setattr__(domain, "open_above", False)
-    return replace(model, diffusion=array_coefficient(model.diffusion), domain=domain,
+    """``model`` with array coefficients, so every step does the full
+    arithmetic that float coefficients skip."""
+    return replace(model, diffusion=array_coefficient(model.diffusion),
                    jump_coeff=model.jump_coeff and array_coefficient(model.jump_coeff))
 
 
 class TestConstantCoefficients:
-    """A float diffusion or jump coefficient and an open upper face take
-    arithmetic out of the step, and no bit of the record changes."""
+    """A float diffusion or jump coefficient takes arithmetic out of the
+    step, and no bit of the record changes."""
 
     @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
     @pytest.mark.parametrize("mode, m", [
         *((mode, m) for mode in (*INPUT_MODES, "box") for m in (1, 4, 200)),
         (INPUT_MODES, 4),  # the four panels: one stream on four rows
     ])
-    def test_record_matches_the_array_oracle(self, mode, m, jump_timing, monkeypatch):
+    def test_record_matches_the_array_oracle(self, mode, m, jump_timing):
         box = mode == "box"
         config = ScenarioConfig(input_mode="ou_reflected_jumps" if box else mode)
         jumps = "ou_reflected_jumps" in config.modes
@@ -884,7 +867,6 @@ class TestConstantCoefficients:
             CompoundPoissonSpec(2.0 if jumps else 0.0, JumpSizeDist.exponential(1.0)))))
         if box:  # a finite upper face, met often
             model = replace(model, domain=ReflectionDomain.box([(0.0, 0.3), (0.0, 0.2)]))
-        assert model.domain.open_above != box
         grid = uniform_grid(0.1, 10.0)
         if model.row_jumps:
             streams = [0] * m
@@ -896,9 +878,7 @@ class TestConstantCoefficients:
         assert isinstance(model.diffusion(x), float) == (mode not in ("white_noise", INPUT_MODES))
         assert not jumps or isinstance(model.jump_coeff(x), float)
         got = _step_inputs(model, grid, inputs, jump_timing, 3, streams)
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "reflect_box", two_face_reflect)
-            want = _step_inputs(oracle_model(model), grid, inputs, jump_timing, 3, streams)
+        want = _step_inputs(oracle_model(model), grid, inputs, jump_timing, 3, streams)
         for name in BatchRecord._fields:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert want.phi_upper.any() == box

@@ -1,7 +1,5 @@
 """Tests for the one-dimensional reflection map, its streaming form, the
 componentwise box projection and the local-time bookkeeping."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,79 +193,6 @@ class TestReflectBox:
         # rows are ignored by bounds without a row axis
         half = ReflectionDomain.half_line(0.0, dim=2)
         assert np.array_equal(reflect_box(pts[:1], half, np.array([2]))[0], [[0.0, 0.5]])
-
-
-def two_face(p, lower, upper):
-    """The two-face projection, for every domain."""
-    lower_inc = np.maximum(lower - p, 0.0)
-    upper_inc = np.maximum(p - upper, 0.0)
-    return p + lower_inc - upper_inc, lower_inc, upper_inc
-
-
-# finite proposals, signed zeros, subnormals and the extremes included
-EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
-            0.5, -0.5, 1.5, -1.5, 1e308, -1e308, 1.7976931348623157e308,
-            -1.7976931348623157e308]
-
-
-class TestOpenAbove:
-    """On a domain whose upper bounds are all +inf, ``reflect_box`` skips
-    the upper face and keeps every bit of the two-face formula."""
-
-    @pytest.mark.parametrize("domain", [
-        ReflectionDomain.half_line(0.0, dim=2),
-        ReflectionDomain.half_line(-1.5, dim=2),
-        ReflectionDomain.half_line(-0.0, dim=2),
-        ReflectionDomain.unreflected(2),
-        ReflectionDomain(((-np.inf, np.inf), (0.0, np.inf))),
-        ReflectionDomain((((-np.inf, np.inf),) * 2, ((0.0, np.inf),) * 2,
-                          ((0.0, np.inf), (-1.0, np.inf)), ((-0.0, np.inf),) * 2)),
-    ])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_the_two_face_formula(self, domain, order):
-        assert domain.open_above
-        pairs = np.array(list(itertools.product(EXTREMES, repeat=2)))
-        if domain.lower.ndim == 2:  # bounds per row: blocks of that many rows
-            rows = domain.lower.shape[0]
-            cases = [(pairs[i:i + rows], None) for i in range(0, len(pairs) - rows + 1, rows)]
-            cases.append((pairs[:3], np.array([rows - 1, 0, 1])))
-        else:  # the batch and every (d,) point
-            cases = [(pairs, None), *((p, None) for p in pairs)]
-        for p, picked in cases:
-            p = np.asarray(p, order=order)
-            lower, upper = domain.lower, domain.upper
-            if picked is not None:
-                lower, upper = lower[picked], upper[picked]
-            point, lower_inc, upper_inc = reflect_box(p, domain, picked)
-            want_point, want_lower, _ = two_face(p, lower, upper)
-            assert point.tobytes() == want_point.tobytes()
-            assert lower_inc.tobytes() == want_lower.tobytes()
-            assert point.flags.f_contiguous == want_point.flags.f_contiguous
-            assert upper_inc.shape == p.shape
-            assert (upper_inc == 0.0).all() and not np.signbit(upper_inc).any()
-
-    def test_box_keeps_both_faces(self):
-        domain = ReflectionDomain.box([(0.0, 1.0), (-1.0, 0.5)])
-        assert not domain.open_above
-        pairs = np.array(list(itertools.product(EXTREMES, repeat=2)))
-        got = reflect_box(pairs, domain)
-        for a, b in zip(got, two_face(pairs, domain.lower, domain.upper)):
-            assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("bounds, open_above", [
-        (ReflectionDomain.half_line(0.0, dim=1).bounds, True),
-        (ReflectionDomain.half_line(0.0, dim=3).bounds, True),
-        (ReflectionDomain.unreflected(2).bounds, True),
-        (ReflectionDomain.box([(0.0, 1.0), (0.0, 2.0)]).bounds, False),
-        (((0.0, np.inf), (0.0, 1e308)), False),
-        ((((0.0, np.inf),) * 2, ((-np.inf, np.inf),) * 2), True),
-        ((((0.0, np.inf),) * 2, ((-np.inf, np.inf), (0.0, 3.0))), False),
-        ((((0.0, 1.0),) * 2, ((-np.inf, np.inf),) * 2), False),
-    ])
-    def test_open_above_is_derived(self, bounds, open_above):
-        domain = ReflectionDomain(bounds)
-        assert domain.open_above is open_above
-        assert domain == ReflectionDomain(bounds) and "open_above" not in repr(domain)
 
 
 class TestDomain:
