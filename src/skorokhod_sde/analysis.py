@@ -31,7 +31,7 @@ __all__ = [
 
 REFERENCE_OFFSET = 3  # the convergence reference is this many levels finer
 HOLDER_ALPHA, SOBOLEV_ALPHA, SOBOLEV_P = 0.25, 0.25, 2.0  # seminorm_report's exponents
-_PAIR_BLOCK = 2**16  # pairs per row block of the Sobolev seminorm
+_PAIR_BLOCK = 2**14  # pairs per row block of the Sobolev seminorm
 _PAIRWISE_FROM = 8  # numpy sums a trailing axis this long pairwise, not in order
 _BOUND_SLACK = 1e-12  # relative rounding allowance of the Hölder stopping bound
 
@@ -69,14 +69,19 @@ def _l1(a, b):
 
 
 def _pair_inputs(path, times):
+    """The paths of an (n,) or (n, d) path or of an (n, k, d) stack, each
+    an (n, d) copy with contiguous columns for _l1's loop or, from
+    _PAIRWISE_FROM on, where numpy's pairwise sums add in a
+    layout-dependent order, with contiguous rows; and the times."""
     values = _as_2d(path)
     times = np.asarray(times, dtype=float)
     if values.shape[0] != times.size or times.size < 2:
         raise ValueError("need >= 2 grid points with matching times")
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ValueError("times must be finite and strictly increasing")
-    # from _PAIRWISE_FROM on, numpy's pairwise sums add in a layout-dependent order
-    return np.ascontiguousarray(values), times
+    layout = np.asfortranarray if values.shape[-1] < _PAIRWISE_FROM else np.ascontiguousarray
+    stack = values if values.ndim == 3 else values[:, None]
+    return [layout(stack[:, j]) for j in range(stack.shape[1])], times
 
 
 def holder_seminorm(path, times, alpha: float) -> float:
@@ -89,9 +94,7 @@ def holder_seminorm(path, times, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    values, times = _pair_inputs(path, times)
-    if values.shape[1] < _PAIRWISE_FROM:  # contiguous columns for _l1's loop
-        values = np.asfortranarray(values)
+    (values,), times = _pair_inputs(path, times)
     # Float subtraction and sums are monotone, so osc bounds every pair's
     # 1-norm and a later lag's gaps are no smaller than this lag's smallest;
     # the slack covers the rounding of pow.
@@ -105,26 +108,31 @@ def holder_seminorm(path, times, alpha: float) -> float:
     return best
 
 
-def sobolev_seminorm(path, times, alpha: float, p: float) -> float:
+def sobolev_seminorm(path, times, alpha: float, p: float):
     """Double-integral seminorm int int |h(t)-h(s)|^p / |t-s|^{1+alpha p},
     trapezoid quadrature with the diagonal excluded.  Rows are taken in
     blocks of about ``_PAIR_BLOCK`` pairs, so memory is linear in the path
-    length."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    values, times = _pair_inputs(path, times)
+    length.  An (n, k, d) stack of k paths on one grid returns their k
+    values, and each block's weights |t-s|^{1+alpha p} serve every path."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 1.0 < p < np.inf:
+        raise ValueError("p must lie in (1, inf)")
+    paths, times = _pair_inputs(path, times)
     n = times.size
     step = max(1, _PAIR_BLOCK // n)
-    inner = np.empty(n)
+    inner = np.empty((len(paths), n))
     for i0 in range(0, n, step):
         rows = np.arange(i0, min(i0 + step, n))
-        dist = _l1(values, values[rows, None])
-        gap = np.abs(times - times[rows, None])
-        with np.errstate(invalid="ignore"):  # 0/0 on the diagonal
-            integrand = dist**p / gap ** (1.0 + alpha * p)
-        integrand[rows - i0, rows] = 0.0
-        inner[rows] = np.trapezoid(integrand, times, axis=1)
-    return float(np.trapezoid(inner, times))
+        weight = np.abs(times - times[rows, None]) ** (1.0 + alpha * p)
+        for j, x in enumerate(paths):
+            integrand = _l1(x, x[rows, None]) ** p
+            with np.errstate(invalid="ignore"):  # 0/0 on the diagonal
+                integrand /= weight
+            integrand[rows - i0, rows] = 0.0
+            inner[j, rows] = np.trapezoid(integrand, times, axis=1)
+    seminorms = np.trapezoid(inner, times, axis=1)
+    return seminorms if np.ndim(path) == 3 else float(seminorms[0])
 
 
 @dataclass(frozen=True)
@@ -138,14 +146,19 @@ class SeminormReport:
 
 
 def seminorm_report(path, times):
-    return SeminormReport(
-        sup_norm=sup_norm(path),
+    """The seminorms of an (n,) or (n, d) path; for an (n, k, d) stack, the
+    list of its k paths' reports, their Sobolev seminorms one batch."""
+    sobolev = np.atleast_1d(sobolev_seminorm(path, times, SOBOLEV_ALPHA, SOBOLEV_P))
+    paths = [path] if np.ndim(path) < 3 else [np.asarray(path)[:, j] for j in range(sobolev.size)]
+    reports = [SeminormReport(
+        sup_norm=sup_norm(x),
         holder_alpha=HOLDER_ALPHA,
-        holder_seminorm=holder_seminorm(path, times, HOLDER_ALPHA),
+        holder_seminorm=holder_seminorm(x, times, HOLDER_ALPHA),
         sobolev_alpha=SOBOLEV_ALPHA,
         sobolev_p=SOBOLEV_P,
-        sobolev_seminorm=sobolev_seminorm(path, times, SOBOLEV_ALPHA, SOBOLEV_P),
-    )
+        sobolev_seminorm=float(value),
+    ) for x, value in zip(paths, sobolev)]
+    return reports if np.ndim(path) == 3 else reports[0]
 
 
 @dataclass(frozen=True)

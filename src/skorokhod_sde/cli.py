@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -54,40 +55,45 @@ TRAJECTORY_HEADER = "t,r_E,r_I,phi_E,phi_I,jump_count_E,jump_count_I"
 
 def write_trajectory_csv(path: Path, bundle: TrajectoryBundle) -> None:
     columns = [bundle.grid.times, bundle.states, bundle.phi, bundle.cumulative_jump_counts()]
-    np.savetxt(path, np.column_stack(columns), fmt=["%.17g"] * 5 + ["%d"] * 2,
-               delimiter=",", header=TRAJECTORY_HEADER, comments="")
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * 5 + ["%d"] * 2) + "\n"
+    path.write_text(f"{TRAJECTORY_HEADER}\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_long_csv(path: Path, panels: dict[str, TrajectoryBundle]) -> None:
     """Plot-ready long format: scenario,series,t,value."""
-    lines = ["scenario,series,t,value"]
+    chunks = ["scenario,series,t,value\n"]
     for mode, bundle in panels.items():
-        times = bundle.grid.times.tolist()
+        times = bundle.grid.times
         for series, col in (("r_E", 0), ("r_I", 1)):
-            lines += [f"{mode},{series},{t:.17g},{v:.17g}"
-                      for t, v in zip(times, bundle.states[:, col].tolist())]
-    path.write_text("\n".join(lines) + "\n")
+            row = f"{mode.replace('%', '%%')},{series},%.17g,%.17g\n"
+            pairs = np.column_stack([times, bundle.states[:, col]])
+            chunks.append((row * len(times)) % tuple(pairs.ravel().tolist()))
+    path.write_text("".join(chunks))
 
 
-def summarize(bundle: TrajectoryBundle) -> dict:
+def summarize(bundles: Sequence[TrajectoryBundle]) -> list[dict]:
     """Terminal state, peak rates, reflection local time, jump totals and
-    path seminorms of one trajectory."""
-    times = bundle.grid.times
-    states = bundle.states
-    counts = bundle.cumulative_jump_counts()
-    peaks = states.argmax(axis=0)
-    report = seminorm_report(states, times)
-    return {
-        "schema_version": 1,
-        "terminal_state": [float(v) for v in states[-1]],
-        "max_rate": [float(states[peaks[c], c]) for c in range(2)],
-        "max_rate_time": [float(times[peaks[c]]) for c in range(2)],
-        "reflection_local_time": [float(v) for v in bundle.phi_tv[-1]],
-        "jump_counts": [int(counts[-1, c]) for c in range(2)],
-        "seminorms": dataclasses.asdict(report),
-        "seed": {"master_seed": bundle.master_seed,
-                 "stream_index": bundle.stream_index},
-    }
+    path seminorms of each kept trajectory of one command, on one grid."""
+    times = bundles[0].grid.times
+    reports = seminorm_report(np.stack([b.states for b in bundles], axis=1), times)
+    summaries = []
+    for bundle, report in zip(bundles, reports):
+        states = bundle.states
+        counts = bundle.cumulative_jump_counts()
+        peaks = states.argmax(axis=0)
+        summaries.append({
+            "schema_version": 1,
+            "terminal_state": [float(v) for v in states[-1]],
+            "max_rate": [float(states[peaks[c], c]) for c in range(2)],
+            "max_rate_time": [float(times[peaks[c]]) for c in range(2)],
+            "reflection_local_time": [float(v) for v in bundle.phi_tv[-1]],
+            "jump_counts": [int(counts[-1, c]) for c in range(2)],
+            "seminorms": dataclasses.asdict(report),
+            "seed": {"master_seed": bundle.master_seed,
+                     "stream_index": bundle.stream_index},
+        })
+    return summaries
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -131,7 +137,7 @@ def cmd_simulate(doc: ConfigDocument) -> int:
         "config": emit_config(doc),
         "scenario": doc.input_mode,
         "n_paths": doc.n_paths,
-        "trajectories": [summarize(b) for b in result.bundles],
+        "trajectories": summarize(result.bundles),
         "ensemble_terminal_mean": [float(v) for v in result.terminal_mean],
         "ensemble_terminal_variance": [float(v) for v in result.terminal_variance],
     }
@@ -161,7 +167,7 @@ def cmd_panels(doc: ConfigDocument) -> int:
         raise SimulationAbort(exc.step_index, exc.what, 0, exc.time, exc.state,
                               f"panel {INPUT_MODES[exc.row]}, stream 0") from None
     panels = dict(zip(INPUT_MODES, bundles))
-    summaries = {mode: summarize(bundle) for mode, bundle in panels.items()}
+    summaries = dict(zip(INPUT_MODES, summarize(bundles)))
     out = _out_dir(doc)  # the JSON first, as in cmd_simulate
     _write_json(out / "panels_summary.json", {"master_seed": doc.seed, "panels": summaries})
     for mode, bundle in panels.items():

@@ -2,6 +2,7 @@
 experiments."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,12 +285,84 @@ class TestOracles:
         assert peak < budget
 
 
-@pytest.mark.parametrize("seminorm", [
-    lambda h, t: sup_norm(h),
-    lambda h, t: holder_seminorm(h, t, 0.25),
-    lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
-], ids=["sup", "holder", "sobolev"])
+def stack_of(paths):
+    """(n, k, d) stack of k (n, d) paths."""
+    return np.stack([np.asarray(x, dtype=float).reshape(len(x), -1) for x in paths], axis=1)
+
+
+class TestSobolevBatch:
+    """Each path of an (n, k, d) stack gets its own seminorm, bit for bit."""
+
+    @staticmethod
+    def assert_per_path(stack, t, p=2.0):
+        got = sobolev_seminorm(stack, t, 0.25, p)
+        assert got.shape == (stack.shape[1],)
+        for j in range(stack.shape[1]):
+            path = stack[:, j]
+            assert got[j] == sobolev_full_matrix_oracle(path, t, 0.25, p)
+            single = sobolev_seminorm(path, t, 0.25, p)
+            assert type(single) is float and got[j] == single
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_paths_match_the_oracle(self, monkeypatch, block, d, k):
+        if block is not None:
+            monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
+        t = grid_of("random", 33)
+        rng = np.random.default_rng(100 * k + d)
+        stack = rng.standard_normal((t.size, k, d)).cumsum(axis=0)
+        for p in (2.0, 2.5):
+            self.assert_per_path(stack, t, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    @pytest.mark.parametrize("grid", ["uniform", "random"])
+    def test_mixed_shapes(self, grid, d):
+        t = grid_of(grid)
+        stack = stack_of(shaped_path(shape, t, d) for shape in ("constant", "jump", "ramp"))
+        self.assert_per_path(stack, t)
+        assert sobolev_seminorm(stack, t, 0.25, 2.0)[0] == 0.0
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_layout_free_from_the_pairwise_threshold(self, d):
+        rng = np.random.default_rng(d)
+        t = np.linspace(0.0, 1.0, 65)
+        for _ in range(10):
+            x = rng.standard_normal((65, 3, d))
+            spaced = np.zeros((65, 6, d))
+            spaced[:, ::2] = x
+            want = [sobolev_seminorm(np.ascontiguousarray(x[:, j]), t, 0.25, 2.0)
+                    for j in range(3)]
+            for other in (np.asfortranarray(x), spaced[:, ::2],
+                          stack_of([np.asfortranarray(x[:, j]) for j in range(3)])):
+                assert sobolev_seminorm(other, t, 0.25, 2.0).tolist() == want
+
+    def test_memory_linear_in_path_length(self):
+        # the budget of a single path (TestOracles), for four
+        n = 4001
+        t = np.linspace(0.0, 40.0, n)
+        stack = np.random.default_rng(3).standard_normal((n, 4, 2)).cumsum(axis=0)
+        tracemalloc.start()
+        try:
+            sobolev_seminorm(stack, t, 0.25, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_report_per_path(self):
+        t = grid_of("uniform")
+        stack = stack_of(shaped_path(shape, t, 2) for shape in ("jump", "last_lag"))
+        reports = seminorm_report(stack, t)
+        assert reports == [seminorm_report(stack[:, j], t) for j in range(2)]
+
+
 class TestBadInputRejected:
+    @pytest.mark.parametrize("seminorm", [
+        lambda h, t: sup_norm(h),
+        lambda h, t: holder_seminorm(h, t, 0.25),
+        lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
+    ], ids=["sup", "holder", "sobolev"])
     @pytest.mark.parametrize("path", [
         [0.0, 1.0, math.nan, 0.5, 0.2, 0.1],
         [0.0, 1.0, math.inf, 0.5, 0.2, 0.1],
@@ -300,6 +373,22 @@ class TestBadInputRejected:
         # Python's max(0.0, nan) is 0.0, so a NaN must not reach a reduction
         with pytest.raises(ValueError, match="finite"):
             seminorm(path, np.linspace(0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("alpha, p", [
+        (math.nan, 2.0), (-1.0, 2.0), (0.0, 2.0), (1.0, 2.0), (math.inf, 2.0),
+        (0.25, math.nan), (0.25, math.inf), (0.25, 1.0), (0.25, -2.0),
+    ], ids=["alpha_nan", "alpha_-1", "alpha_0", "alpha_1", "alpha_inf",
+            "p_nan", "p_inf", "p_1", "p_-2"])
+    def test_bad_exponents(self, alpha, p):
+        # these returned nan, or warned of 0 ** -1 on the diagonal
+        t = np.linspace(0.0, 1.0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must lie in"):
+                sobolev_seminorm(t, t, alpha, p)
+            if not 0.0 < alpha < 1.0:
+                with pytest.raises(ValueError, match="must lie in"):
+                    holder_seminorm(t, t, alpha)
 
 
 @pytest.mark.parametrize("seminorm", [

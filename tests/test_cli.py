@@ -23,7 +23,7 @@ from skorokhod_sde import (
 from skorokhod_sde import cli
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
 from skorokhod_sde.config import _SCHEMA
-from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort
+from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort, simulate_rows
 from skorokhod_sde.models import INPUT_MODES
 
 SMALL = "[grid]\nhorizon = 5.0\ndt = 0.1\n"
@@ -330,7 +330,7 @@ class TestSummarize:
             phi_lower=phi_lower, phi_upper=phi_upper, jumps=(),
             master_seed=1, stream_index=0,
         )
-        summary = summarize(bundle)
+        summary, = summarize([bundle])
         assert summary["terminal_state"] == [0.2, 0.3]
         assert summary["max_rate"] == [0.4, 0.3]
         assert summary["max_rate_time"] == [0.5, 1.0]
@@ -346,9 +346,15 @@ class TestSummarize:
             grid=grid, states=states, phi=zeros, phi_lower=zeros,
             phi_upper=zeros, jumps=(), master_seed=0, stream_index=0,
         )
-        summary = summarize(bundle)
+        summary, = summarize([bundle])
         assert summary["max_rate"] == [0.7, 0.7]
         assert summary["reflection_local_time"] == [0.0, 0.0]
+
+    def test_batch_matches_one_bundle_at_a_time(self):
+        doc = parse_config("")
+        grid = uniform_grid(0.5, 20.0)
+        bundles = simulate_rows(make_scenario(doc.scenario_config(INPUT_MODES)), grid, 3)
+        assert summarize(bundles) == [summarize([b])[0] for b in bundles]
 
 
 def per_value(x) -> str:
@@ -387,7 +393,7 @@ class TestCsvWriters:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_long_csv_bytes(self, tmp_path):
-        panels = {"a": self.bundle(), "b": self.bundle()}
+        panels = {"a": self.bundle(), "b": self.bundle(), "c%d%%": self.bundle()}
         lines = ["scenario,series,t,value"]
         for mode, bundle in panels.items():
             for series, col in (("r_E", 0), ("r_I", 1)):
