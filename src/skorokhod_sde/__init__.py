@@ -39,9 +39,7 @@ from .models import (
     wilson_cowan_drift,
 )
 from .skorokhod import (
-    ReflectionAccumulator1D,
     ReflectionDomain,
-    minimal_push_oracle,
     reflect_box,
     reflect_stream_1d,
     total_variation,

@@ -116,7 +116,7 @@ def _load_config(args) -> ConfigDocument:
     text = ""
     if args.config is not None:
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([ConfigIssue(E_READ, 0, f"cannot read {args.config}: {exc}")])
     flags = {("engine", "seed"): args.seed, ("engine", "n_paths"): args.paths,

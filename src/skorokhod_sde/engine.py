@@ -426,19 +426,19 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
                   stream_indices: Sequence[int], jump_timing: str,
-                  keep: Optional[int] = None, on_rows: bool = False):
+                  keep: Optional[int] = None, per_row: bool = False):
     """Draw the inputs of the given trajectory streams and step them; returns
     the :func:`integrate_batch` record and the :class:`PathInputs`.  With
-    ``on_rows``, a model with ``row_jumps`` steps its one stream on every
+    ``per_row``, a model with ``row_jumps`` steps its one stream on every
     row; a path per stream is the only way to step any other model."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
-    if on_rows != (model.row_jumps is not None):
+    if per_row != (model.row_jumps is not None):
         raise ValueError("a model with row_jumps has a scenario per batch row and is "
                          "stepped by simulate_rows, which steps no other model")
     inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
-    if on_rows:
-        inputs = inputs.on_rows(model.row_jumps)
+    if per_row:
+        inputs = inputs.tiled(len(model.row_jumps), model.row_jumps)
         stream_indices = list(stream_indices) * len(inputs)
     substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
                 if jump_timing == "exact" else None)
@@ -484,7 +484,7 @@ def simulate_rows(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
     input current, the flagged rows take its jumps, and, under exact timing,
     their Brownian-bridge draws; row j's bundle is then bitwise the
     :func:`simulate_trajectory` of row j's scenario."""
-    record, inputs = _step_streams(model, grid, master_seed, [0], jump_timing, on_rows=True)
+    record, inputs = _step_streams(model, grid, master_seed, [0], jump_timing, per_row=True)
     return _bundles(grid, record, inputs, master_seed, [0] * len(inputs))
 
 

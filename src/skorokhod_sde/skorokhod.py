@@ -1,6 +1,6 @@
-"""Exact one-dimensional reflection map (running-minimum form), a streaming
-variant, the componentwise box projection used by the time stepper, and
-local-time bookkeeping.
+"""Exact one-dimensional reflection map (running-minimum form), the
+componentwise box projection used by the time stepper, and local-time
+bookkeeping.
 """
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ import numpy as np
 
 __all__ = [
     "ReflectionDomain",
-    "ReflectionAccumulator1D",
     "reflect_stream_1d",
-    "minimal_push_oracle",
     "reflect_box",
     "total_variation",
 ]
@@ -48,10 +46,6 @@ class ReflectionDomain:
         return cls(tuple((float(lo), math.inf) for _ in range(dim)))
 
     @classmethod
-    def box(cls, bounds) -> "ReflectionDomain":
-        return cls(tuple((float(lo), float(hi)) for lo, hi in bounds))
-
-    @classmethod
     def unreflected(cls, dim: int = 1) -> "ReflectionDomain":
         return cls(tuple((-math.inf, math.inf) for _ in range(dim)))
 
@@ -62,27 +56,6 @@ class ReflectionDomain:
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-
-class ReflectionAccumulator1D:
-    """Point-by-point form of :func:`reflect_stream_1d`: feed points one at a time.
-
-    Outputs are exactly (bitwise) the batch outputs on the same prefix.
-    """
-
-    def __init__(self, w0: float, lo: float = 0.0):
-        if w0 < lo:
-            raise ValueError(f"initial point {w0} lies below the boundary {lo}")
-        self.lo = lo
-        self.running_min = w0
-        self.phi = max(lo - w0, 0.0)
-
-    def update(self, next_w: float) -> tuple[float, float]:
-        """Advance by one sample; returns (xi, phi) at the new point."""
-        if next_w < self.running_min:
-            self.running_min = next_w
-        self.phi = max(self.lo - self.running_min, 0.0)
-        return next_w + self.phi, self.phi
 
 
 def reflect_stream_1d(w, lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -99,16 +72,6 @@ def reflect_stream_1d(w, lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
     phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
     return w + phi, phi
-
-
-def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
-    """Minimal nondecreasing push keeping w + phi >= lo.
-
-    Built as the running maximum of the deficit lo - w, independently of the
-    running-minimum formula; used to cross-check it.
-    """
-    w = np.ascontiguousarray(w, dtype=float)
-    return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
 def reflect_box(proposal, domain: ReflectionDomain, rows=None):

@@ -243,8 +243,6 @@ def sample_compound_poisson_arrays(
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
     count = rng.poisson(spec.intensity_alpha * horizon)
-    if count == 0:
-        return np.empty(0), np.empty(0)
     # Conditional-uniform order statistics: exact count law on the fixed
     # horizon and cheaper to reproduce than inter-arrival chaining.
     times = np.sort(rng.uniform(0.0, horizon, size=count))
@@ -334,29 +332,22 @@ class PathInputs:
         dW = self.dW.reshape(-1, stride, *self.dW.shape[1:]).sum(axis=1)
         return replace(self, dW=dW, u=self.u[::stride])
 
-    def tiled(self, reps: int) -> PathInputs:
-        """These inputs ``reps`` times over, as copies: path ``j + r * m`` of
-        the result is path ``j``, for r < ``reps``.  ``dW`` is d-major per
-        step."""
+    def tiled(self, reps: int, jumps=None) -> PathInputs:
+        """These inputs ``reps`` times over: path ``j + r * m`` of the result
+        is path ``j``, for r < ``reps``, with its jumps only in the blocks r
+        where ``jumps`` is set (every block by default).  One path's ``dW``
+        and ``u`` spread as read-only views; several paths' as copies, with
+        ``dW`` d-major per step."""
         m = len(self)
-        return PathInputs(np.tile(self.dW.transpose(0, 2, 1), reps).transpose(0, 2, 1),
-                          np.tile(self.u, reps), np.tile(self.time, reps),
-                          np.tile(self.size, reps),
-                          (self.path + m * np.arange(reps)[:, None]).ravel(),
-                          np.tile(self.coord, reps))
-
-    def on_rows(self, jumps) -> PathInputs:
-        """The inputs of this one path on ``len(jumps)`` rows: its Wiener
-        increments and input current on every row, as read-only views, and
-        its jumps on the rows where ``jumps`` is set."""
-        if len(self) != 1:
-            raise ValueError("on_rows spreads the inputs of one path")
-        rows = np.flatnonzero(jumps)
-        (n_steps, _, d), n_points = self.dW.shape, self.u.shape[0]
-        return PathInputs(np.broadcast_to(self.dW, (n_steps, len(jumps), d)),
-                          np.broadcast_to(self.u, (n_points, len(jumps))),
-                          np.tile(self.time, rows.size), np.tile(self.size, rows.size),
-                          np.repeat(rows, self.time.size), np.tile(self.coord, rows.size))
+        dW, u = self.dW.transpose(0, 2, 1), self.u
+        dW = np.broadcast_to(dW[:, :, None], (*dW.shape[:2], reps, m))
+        u = np.broadcast_to(u[:, None], (u.shape[0], reps, m))
+        blocks = np.arange(reps) if jumps is None else np.flatnonzero(jumps)
+        return PathInputs(dW.reshape(*dW.shape[:2], -1).transpose(0, 2, 1),
+                          u.reshape(u.shape[0], -1), np.tile(self.time, blocks.size),
+                          np.tile(self.size, blocks.size),
+                          (self.path + m * blocks[:, None]).ravel(),
+                          np.tile(self.coord, blocks.size))
 
 
 def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInputs:

@@ -493,7 +493,7 @@ def box_jump_model():
         dimension=2,
         drift=lambda state, u: u[..., None] - state,
         diffusion=lambda state: 0.3 * np.ones_like(state),
-        domain=ReflectionDomain.box([(0.0, 1.0), (0.0, 1.0)]),
+        domain=ReflectionDomain(((0.0, 1.0), (0.0, 1.0))),
         x0=np.array([0.4, 0.5]),
         jump_coeff=lambda state: 0.5 - state,
         jump_specs=(CompoundPoissonSpec(3.0, JumpSizeDist.exponential(0.2)),

@@ -450,6 +450,25 @@ class TestConfigSource:
         assert run("--config", str(path), "simulate") == 1
         assert "E_READ" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        text = SMALL + "[engine]\nseed = 5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        parser = cli.build_parser()
+        docs = [cli._load_config(parser.parse_args(["--config", str(path), "simulate"]))
+                for path in (plain, marked)]
+        assert docs[0] == docs[1] and docs[0].seed == 5
+
+    @pytest.mark.parametrize("data", [b"[grid]\ndt = 0.1 # \xe9\n",
+                                      b"\xef\xbb\xbf[grid]\ndt = \xff\n"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys, data):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(data)
+        assert run("--config", str(path), "--out", str(tmp_path / "x"), "simulate") == 1
+        assert "E_READ" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command, text, line", [
         ("stability", "[experiment]\nkind = stability\nn_paths = 0\n", 3),
         ("converge", "[experiment]\nkind = converge\nn_paths = 0\n", 3),

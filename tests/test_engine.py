@@ -393,7 +393,7 @@ def busy_jump_model(jump_coeff=lambda state: 0.5 + 0.2 * state):
         dimension=2,
         drift=lambda state, u: u[..., None] - state,
         diffusion=lambda state: 0.3 + 0.1 * state,
-        domain=ReflectionDomain.box([(0.0, 1.0), (-0.5, 0.5)]),
+        domain=ReflectionDomain(((0.0, 1.0), (-0.5, 0.5))),
         x0=np.array([0.5, 0.0]),
         jump_coeff=jump_coeff,
         jump_specs=(CompoundPoissonSpec(6.0, size), CompoundPoissonSpec(3.0, size)),
@@ -694,15 +694,36 @@ class TestRowBatch:
     def test_inputs_spread_to_rows(self):
         model = make_scenario(ScenarioConfig())
         one = sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, [0])
-        spread = one.on_rows((False, True, False, True))
+        spread = one.tiled(4, (False, True, False, True))
         assert len(spread) == 4 and not spread.dW.flags.writeable
+        assert not spread.u.flags.writeable
+        assert np.shares_memory(spread.dW, one.dW) and np.shares_memory(spread.u, one.u)
         for j in range(4):
             assert np.array_equal(spread.dW[:, j], one.dW[:, 0])
             assert np.array_equal(spread.u[:, j], one.u[:, 0])
         assert spread[0] == spread[2] == ()
         assert spread[1] == spread[3] == one[0] and one[0]
-        with pytest.raises(ValueError, match="one path"):
-            sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, [0, 1]).on_rows((True, True))
+
+    @pytest.mark.parametrize("flags", [None, (False, True, False, True)])
+    @pytest.mark.parametrize("m", [3, 200])
+    def test_inputs_tiled_over_blocks(self, m, flags):
+        """Path j + r * m is path j, with its jumps in the flagged blocks r:
+        the arrays of ``np.tile``, with ``dW[k]`` F-ordered."""
+        model = make_scenario(ScenarioConfig())
+        inputs = sample_path_inputs(model, uniform_grid(0.1, 20.0), 3, range(m))
+        spread = inputs.tiled(4, flags)
+        blocks = np.arange(4) if flags is None else np.flatnonzero(flags)
+        want = PathInputs(np.tile(inputs.dW, (1, 4, 1)), np.tile(inputs.u, (1, 4)),
+                          np.tile(inputs.time, blocks.size), np.tile(inputs.size, blocks.size),
+                          np.concatenate([inputs.path + r * m for r in blocks]),
+                          np.tile(inputs.coord, blocks.size))
+        for name in ("dW", "u", "time", "size", "path", "coord"):
+            got, ref = getattr(spread, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert all(spread.dW[k].flags.f_contiguous for k in range(spread.dW.shape[0]))
+        assert inputs.time.size
+        for j in range(4 * m):
+            assert spread[j] == (inputs[j % m] if j // m in blocks else ()), j
 
     def test_domain_per_row_needs_row_flags(self):
         domain = ReflectionDomain((((0.0, math.inf),),) * 2)
@@ -772,7 +793,8 @@ class TestCoordinateMajorLayout:
         grid = uniform_grid(0.1, 10.0)
         if mode == INPUT_MODES:
             streams = [0] * 4
-            d_major = sample_path_inputs(model, grid, 3, [0]).on_rows(model.row_jumps)
+            d_major = sample_path_inputs(model, grid, 3, [0]).tiled(
+                len(model.row_jumps), model.row_jumps)
         else:
             streams = list(range(m))
             d_major = sample_path_inputs(model, grid, 3, streams)
@@ -866,11 +888,12 @@ class TestConstantCoefficients:
         model = make_scenario(replace(config, x0=(0.1, 0.05) if box else (0.0, 0.0), jumps=(
             CompoundPoissonSpec(2.0 if jumps else 0.0, JumpSizeDist.exponential(1.0)))))
         if box:  # a finite upper face, met often
-            model = replace(model, domain=ReflectionDomain.box([(0.0, 0.3), (0.0, 0.2)]))
+            model = replace(model, domain=ReflectionDomain(((0.0, 0.3), (0.0, 0.2))))
         grid = uniform_grid(0.1, 10.0)
         if model.row_jumps:
             streams = [0] * m
-            inputs = sample_path_inputs(model, grid, 3, [0]).on_rows(model.row_jumps)
+            inputs = sample_path_inputs(model, grid, 3, [0]).tiled(
+                len(model.row_jumps), model.row_jumps)
         else:
             streams = list(range(m))
             inputs = sample_path_inputs(model, grid, 3, streams)

@@ -1,20 +1,28 @@
-"""Tests for the one-dimensional reflection map, its streaming form, the
-componentwise box projection and the local-time bookkeeping."""
+"""Tests for the one-dimensional reflection map, the componentwise box
+projection and the local-time bookkeeping."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorokhod_sde import (
-    ReflectionAccumulator1D,
     ReflectionDomain,
-    minimal_push_oracle,
     reflect_box,
     reflect_stream_1d,
     total_variation,
 )
 
 TOL_BOUNDARY = 1e-12
+
+
+def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
+    """Minimal nondecreasing push keeping w + phi >= lo.
+
+    Built as the running maximum of the deficit lo - w, independently of the
+    running-minimum formula; used to cross-check it.
+    """
+    w = np.ascontiguousarray(w, dtype=float)
+    return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
 def random_walk(rng, n, start_floor=0.0):
@@ -90,32 +98,6 @@ class TestReflectStream1D:
             assert np.array_equal(reflect_stream_1d(w)[1], minimal_push_oracle(w))
 
 
-class TestStreaming:
-    def test_interior_stepwise(self):
-        acc = ReflectionAccumulator1D(0.0)
-        assert acc.update(1.0) == (1.0, 0.0)
-        assert acc.update(2.0) == (2.0, 0.0)
-
-    def test_stepwise_example(self):
-        acc = ReflectionAccumulator1D(0.0)
-        stream = [acc.update(v)[1] for v in (-1.0, 0.5, -2.0)]
-        assert stream == [1.0, 1.0, 2.0]
-
-    def test_streaming_matches_batch_bitwise(self):
-        rng = np.random.default_rng(5)
-        w = random_walk(rng, 10**4)
-        xi, phi = reflect_stream_1d(w, lo=0.0)
-        acc = ReflectionAccumulator1D(w[0], lo=0.0)
-        for k in range(1, w.size):
-            xi_k, phi_k = acc.update(w[k])
-            assert xi_k == xi[k]
-            assert phi_k == phi[k]
-
-    def test_initial_point_rejected(self):
-        with pytest.raises(ValueError):
-            ReflectionAccumulator1D(-0.1, lo=0.0)
-
-
 @pytest.mark.parametrize("w, message", [
     ([], "nonempty 1d path"),
     ([[0.0, 1.0], [2.0, 3.0]], "nonempty 1d path"),
@@ -145,7 +127,7 @@ def test_reflection_properties(steps, start):
 
 class TestReflectBox:
     def test_inside_unchanged(self):
-        domain = ReflectionDomain.box([(0.0, 1.0), (0.0, 1.0)])
+        domain = ReflectionDomain(((0.0, 1.0), (0.0, 1.0)))
         point, lo_inc, hi_inc = reflect_box([0.3, 0.7], domain)
         assert np.array_equal(point, [0.3, 0.7])
         assert not lo_inc.any() and not hi_inc.any()
@@ -158,7 +140,7 @@ class TestReflectBox:
         assert hi_inc[0] == 0.0
 
     def test_upper_face(self):
-        domain = ReflectionDomain.box([(0.0, 1.0)])
+        domain = ReflectionDomain(((0.0, 1.0),))
         point, lo_inc, hi_inc = reflect_box([1.4], domain)
         assert point[0] == 1.0
         assert hi_inc[0] == pytest.approx(0.4)
@@ -205,7 +187,7 @@ class TestDomain:
             ReflectionDomain((0.0, 1.0))
 
     def test_contains(self):
-        domain = ReflectionDomain.box([(0.0, 1.0)])
+        domain = ReflectionDomain(((0.0, 1.0),))
         assert domain.contains([0.5])
         assert not domain.contains([1.5])
         assert not domain.contains([1.0 + 1e-12])
