@@ -171,8 +171,8 @@ class StabilityReport:
 
 def _log_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x over the points where
-    both are positive; NaN with fewer than two such points."""
-    points = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    both are positive and finite; NaN with fewer than two such points."""
+    points = [(x, y) for x, y in zip(xs, ys) if 0 < x < np.inf and 0 < y < np.inf]
     if len(points) < 2:
         return float("nan")
     lx = np.log([x for x, _ in points])
@@ -208,7 +208,7 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     for block, offset in enumerate(offsets, start=1):
         diff = _l1(states[:, block * n_paths:(block + 1) * n_paths], ref_states)  # (n_points, m)
         errors.append(float((diff.max(axis=0) ** 2).mean()))
-        sizes.append((d * offset) ** 2)
+        sizes.append((d * offset) * (d * offset))  # inf on overflow, not an error
     return StabilityReport(tuple(sizes), tuple(errors),
                            _log_slope(sizes, errors), n_paths)
 

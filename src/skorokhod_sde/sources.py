@@ -252,28 +252,17 @@ def sample_compound_poisson_arrays(
 
 def sample_ou_path(seed: SeedSpec, params: OUParams, grid) -> np.ndarray:
     """Euler path of the OU current on the grid (length = number of grid points)."""
-    return sample_ou_paths(
-        seed.master_seed, params, grid, [seed.stream_index], seed.component_index
-    )[:, 0]
+    return sample_ou_paths([seed.rng()], params, grid)[:, 0]
 
 
-def sample_ou_paths(
-    master_seed: int,
-    params: OUParams,
-    grid,
-    stream_indices,
-    component_index: int,
-) -> np.ndarray:
-    """Batch of OU paths, one per stream index, shape (n_points, n_paths).
-
-    Column ``j`` is driven by the Wiener stream
-    ``SeedSpec(master_seed, stream_indices[j], component_index)``.
-    """
-    stream_indices = list(stream_indices)
-    dW = np.empty((grid.n_steps, len(stream_indices)))
-    for j, (rng,) in enumerate(stream_rngs(master_seed, stream_indices, [component_index])):
+def sample_ou_paths(rngs, params: OUParams, grid) -> np.ndarray:
+    """Batch of OU paths, one per generator, shape (n_points, n_paths):
+    column ``j`` is driven by the Wiener increments of ``rngs[j]``."""
+    rngs = list(rngs)
+    dW = np.empty((grid.n_steps, len(rngs)))
+    for j, rng in enumerate(rngs):
         dW[:, j] = sample_wiener_increments(rng, grid)
-    v = np.empty((grid.n_steps + 1, len(stream_indices)))
+    v = np.empty((grid.n_steps + 1, len(rngs)))
     v[0] = params.v0
     for k, width in enumerate(grid.widths):
         v[k + 1] = v[k] + (params.mu - v[k] / params.gamma) * width + params.sigma * dW[k]
@@ -356,16 +345,18 @@ def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInp
     ``model`` supplies ``dimension``, ``jump_specs`` and ``input_current``.
     Column ``j`` holds exactly the draws of the single streams
     ``SeedSpec(master_seed, stream_indices[j], component)``, with the
-    components of :func:`stream_layout`.
+    components of :func:`stream_layout`; every stream drawn here is seeded
+    in one :func:`stream_rngs` call.
     """
     stream_indices = list(stream_indices)
     m, d = len(stream_indices), model.dimension
     wiener, jump, current, _ = stream_layout(d)
     specs = model.jump_specs or ()
+    ou = model.input_current
     dW = np.empty((grid.n_steps, d, m)).transpose(0, 2, 1)  # d-major per step
-    times, sizes, counts = [np.empty(0)], [np.empty(0)], []
-    rows = stream_rngs(master_seed, stream_indices, [*wiener, *jump[:len(specs)]])
-    for j, rngs in enumerate(rows):
+    times, sizes, counts, currents = [np.empty(0)], [np.empty(0)], [], []
+    components = [*wiener, *jump[:len(specs)]] + ([current] if ou is not None else [])
+    for j, rngs in enumerate(stream_rngs(master_seed, stream_indices, components)):
         for c, rng in enumerate(rngs[:d]):
             dW[:, j, c] = sample_wiener_increments(rng, grid)
         for spec, rng in zip(specs, rngs[d:]):
@@ -373,11 +364,8 @@ def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInp
             times.append(t)
             sizes.append(s)
             counts.append(t.size)
-    if model.input_current is not None:
-        u = sample_ou_paths(master_seed, model.input_current, grid,
-                            stream_indices, current)
-    else:
-        u = np.zeros((grid.n_steps + 1, m))
+        currents += rngs[d + len(specs):]
+    u = sample_ou_paths(currents, ou, grid) if ou is not None else np.zeros((grid.n_steps + 1, m))
     # index of each jump's (path, coord) stream, path-major
     stream = np.repeat(np.arange(m * len(specs)), np.array(counts, dtype=np.intp))
     path, coord = np.divmod(stream, max(len(specs), 1))

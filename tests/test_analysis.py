@@ -551,6 +551,15 @@ class TestStabilityExperiment:
         assert all(e > 0 for e in expected)
 
 
+class TestLogSlope:
+    def test_fits_only_positive_finite_points(self):
+        xs, ys = [np.inf, 1e-4, 1e-2, 0.0, 1.0], [1.0, 1e-8, 1e-4, 1.0, np.inf]
+        assert analysis._log_slope(xs, ys) == pytest.approx(2.0, rel=1e-12)
+
+    def test_nan_below_two_points(self):
+        assert math.isnan(analysis._log_slope([np.inf, 1e-2], [1.0, 1e-4]))
+
+
 def stability_oracle(model, grid, offsets, n_paths, master_seed):
     """The per-offset loop: the reference ensemble and each perturbed one
     stepped by a call of their own, on the one draw, the perturbed start

@@ -552,6 +552,10 @@ def _numbers(text: str) -> list[float]:
                             min_size=1, max_size=3))
 @example(command="converge", mode="white_noise", timing="end_of_step",
          keys={("experiment", "horizon"): "5e-324"})  # a dyadic step of 0
+@example(command="stability", mode="white_noise", timing="end_of_step",
+         keys={("experiment", "offsets"): "1e160,1e-3"})  # a perturbation size of inf
+@example(command="stability", mode="white_noise", timing="end_of_step",
+         keys={("experiment", "offsets"): "7e153,1"})
 def test_any_run_exits_cleanly(command, mode, timing, keys):
     """On a 2-unit horizon with 1 to 3 float keys at extreme values, every
     command ends in exit 0 with finite outputs, 1 (config errors, one stderr

@@ -19,6 +19,7 @@ from skorokhod_sde import (
     sample_wiener_increments,
     uniform_grid,
 )
+from skorokhod_sde import sources
 from skorokhod_sde.engine import SimulationGrid, integrate_batch
 from skorokhod_sde.sources import stream_layout, stream_rngs
 
@@ -107,8 +108,6 @@ class TestStreamRngs:
     def test_batch_draws_keep_the_seed_checks(self, master, streams, match):
         with pytest.raises(ValueError, match=match):
             sample_path_inputs(_two_coord_model(), uniform_grid(0.5, 1.0), master, streams)
-        with pytest.raises(ValueError, match=match):
-            sample_ou_paths(master, OUParams(), uniform_grid(0.5, 1.0), streams, 0)
 
 
 class TestWienerIncrements:
@@ -245,7 +244,7 @@ class TestOUPath:
     def test_mean_reversion(self):
         grid = uniform_grid(0.1, 20.0)
         params = OUParams(mu=2.0, gamma=1.0, sigma=0.2, v0=0.0)
-        v = sample_ou_paths(3, params, grid, range(2000), component_index=0)
+        v = sample_ou_paths(_ou_rngs(3, range(2000), 0), params, grid)
         terminal = v[-1]
         se = terminal.std(ddof=1) / np.sqrt(terminal.size)
         assert abs(terminal.mean() - 2.0) < 3.0 * se
@@ -253,29 +252,35 @@ class TestOUPath:
     def test_stationary_variance(self):
         grid = uniform_grid(0.1, 100.0)
         params = OUParams(mu=0.0, gamma=1.0, sigma=0.1, v0=0.0)
-        v = sample_ou_paths(42, params, grid, range(10**4), component_index=0)
+        v = sample_ou_paths(_ou_rngs(42, range(10**4), 0), params, grid)
         late = v[grid.times >= 50.0]
         assert abs(late.var() - 0.005) < 0.1 * 0.005
 
     def test_batch_matches_single(self):
         grid = uniform_grid(0.1, 5.0)
         params = OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1)
-        batch = sample_ou_paths(9, params, grid, [0, 5, 17], component_index=4)
+        batch = sample_ou_paths(_ou_rngs(9, [0, 5, 17], 4), params, grid)
         for j, idx in enumerate([0, 5, 17]):
             single = sample_ou_path(SeedSpec(9, idx, 4), params, grid)
             assert np.array_equal(batch[:, j], single)
 
 
-def _two_coord_model(intensity=1.5, ou=OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1)):
-    jumps = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
+def _ou_rngs(master, streams, component):
+    """One generator per stream, of the streams ``(master, stream, component)``."""
+    return [rng for (rng,) in stream_rngs(master, streams, [component])]
+
+
+def _two_coord_model(intensity=1.5, ou=OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1),
+                     jumps=True):
+    spec = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
     return ReflectedJumpSDE(
         dimension=2,
         drift=lambda x, u: np.zeros_like(x),
         diffusion=lambda x: np.zeros_like(x),
         domain=ReflectionDomain.half_line(0.0, dim=2),
         x0=np.zeros(2),
-        jump_coeff=lambda x: np.ones_like(x),
-        jump_specs=(jumps, jumps),
+        jump_coeff=(lambda x: np.ones_like(x)) if jumps else None,
+        jump_specs=(spec, spec) if jumps else None,
         input_current=ou,
     )
 
@@ -326,12 +331,19 @@ class TestPathInputs:
     def test_stream_layout(self):
         assert stream_layout(2) == (range(0, 2), range(2, 4), 4, 5)
 
-    @pytest.mark.parametrize("width", [1, 200])
-    def test_columns_equal_single_stream_draws(self, width):
-        model = _two_coord_model()
+    @pytest.mark.parametrize("master, streams", [
+        (17, [1]),
+        (17, [3 * j + 1 for j in range(200)]),
+        (2**40 + 5, [2**32 + 7, 0, 2**40 + 3]),  # two-word master and streams
+    ], ids=["one_path", "200_paths", "wide_seeds"])
+    @pytest.mark.parametrize("jumps", [True, False], ids=["jumps", "no_jumps"])
+    @pytest.mark.parametrize("current", [True, False], ids=["current", "no_current"])
+    def test_columns_equal_single_stream_draws(self, master, streams, jumps, current):
+        ou = OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1) if current else None
+        model = _two_coord_model(ou=ou, jumps=jumps)
         grid = uniform_grid(0.1, 4.0)
-        streams = [3 * j + 1 for j in range(width)]
-        inputs = sample_path_inputs(model, grid, 17, streams)
+        width = len(streams)
+        inputs = sample_path_inputs(model, grid, master, streams)
         assert len(inputs) == width
         assert inputs.dW.shape == (grid.n_steps, width, 2)
         assert inputs.u.shape == (grid.times.size, width)
@@ -340,15 +352,34 @@ class TestPathInputs:
         for j, idx in enumerate(streams):
             events = []
             for c in range(2):
-                draw = SeedSpec(17, idx, c).rng().standard_normal(grid.n_steps)
+                draw = SeedSpec(master, idx, c).rng().standard_normal(grid.n_steps)
                 assert np.array_equal(inputs.dW[:, j, c], draw * sqrt_dt)
-                events += sample_compound_poisson(
-                    SeedSpec(17, idx, 2 + c).rng(), model.jump_specs[c], 4.0, component=c
-                )
-            ou = _ou_oracle(SeedSpec(17, idx, 4), model.input_current, grid)
-            assert np.array_equal(inputs.u[:, j], ou)
+                if jumps:
+                    events += sample_compound_poisson(
+                        SeedSpec(master, idx, 2 + c).rng(), model.jump_specs[c], 4.0,
+                        component=c)
+            want = _ou_oracle(SeedSpec(master, idx, 4), ou, grid) if current else 0.0
+            assert np.array_equal(inputs.u[:, j], np.broadcast_to(want, grid.times.shape))
             assert inputs[j] == tuple(events)
             assert np.array_equal(summed[:, j, :], _running(_binned(events, grid.times, 2)))
+
+    @pytest.mark.parametrize("jumps, current, components", [
+        (True, True, [0, 1, 2, 3, 4]),
+        (True, False, [0, 1, 2, 3]),
+        (False, True, [0, 1, 4]),
+        (False, False, [0, 1]),
+    ])
+    def test_one_seeding_pass_per_batch(self, monkeypatch, jumps, current, components):
+        calls = []
+
+        def spy(master_seed, stream_indices, comps):
+            calls.append((master_seed, list(stream_indices), list(comps)))
+            return stream_rngs(master_seed, stream_indices, comps)
+
+        monkeypatch.setattr(sources, "stream_rngs", spy)
+        model = _two_coord_model(ou=OUParams() if current else None, jumps=jumps)
+        sample_path_inputs(model, uniform_grid(0.5, 2.0), 5, range(3))
+        assert calls == [(5, [0, 1, 2], components)]
 
     def test_without_jumps_or_current(self):
         model = ReflectedJumpSDE(
