@@ -176,7 +176,9 @@ def cmd_panels(doc: ConfigDocument) -> int:
     return 0
 
 
-def _require_experiment(doc: ConfigDocument, kind: str) -> None:
+def _experiment(doc: ConfigDocument, kind: str, file_name: str, run) -> int:
+    """Run the ``[experiment]`` of ``kind`` as ``run(model, experiment)`` on
+    the scenario model and write its report with the config to ``file_name``."""
     if doc.experiment.kind != kind:
         raise ConfigError([ConfigIssue(
             E_MISSING_SECTION, 0, f"{kind} needs an [experiment] section with kind = {kind}"
@@ -185,66 +187,52 @@ def _require_experiment(doc: ConfigDocument, kind: str) -> None:
         raise ConfigError([ConfigIssue(
             E_INVARIANT, 0, f"{kind} needs [engine] jump_timing = end_of_step"
         )])
+    report = run(make_scenario(doc.scenario_config()), doc.experiment)
+    _write_json(_out_dir(doc) / file_name,
+                {"config": emit_config(doc), **dataclasses.asdict(report)})
+    return 0
 
 
 def cmd_stability(doc: ConfigDocument) -> int:
-    _require_experiment(doc, "stability")
-    exp = doc.experiment
-    model = make_scenario(doc.scenario_config())
-    grid = uniform_grid(doc.dt, exp.horizon)
-    report = stability_experiment(model, grid, exp.offsets, exp.n_paths, doc.seed)
-    _write_json(_out_dir(doc) / "stability.json",
-                {"config": emit_config(doc), **dataclasses.asdict(report)})
-    return 0
+    return _experiment(doc, "stability", "stability.json", lambda model, exp: stability_experiment(
+        model, uniform_grid(doc.dt, exp.horizon), exp.offsets, exp.n_paths, doc.seed))
 
 
 def cmd_converge(doc: ConfigDocument) -> int:
-    _require_experiment(doc, "converge")
-    exp = doc.experiment
-    model = make_scenario(doc.scenario_config())
-    report = strong_convergence_experiment(
-        model, exp.levels, exp.n_paths, doc.seed, exp.horizon
-    )
-    _write_json(_out_dir(doc) / "convergence.json",
-                {"config": emit_config(doc), **dataclasses.asdict(report)})
-    return 0
+    return _experiment(doc, "converge", "convergence.json", lambda model, exp: (
+        strong_convergence_experiment(model, exp.levels, exp.n_paths, doc.seed, exp.horizon)))
 
 
 def cmd_validate(doc: ConfigDocument) -> int:
     params = doc.params
     box = (np.zeros(2), np.ones(2))
     n = 2 * 10**4
-    drift_L, _ = estimate_lipschitz_constant(
-        lambda x: wilson_cowan_drift(x, params), box, n_samples=n
-    )
-    diff_L, _ = estimate_lipschitz_constant(
-        lambda x: wilson_cowan_diffusion(x, params), box, n_samples=n
-    )
-    sig_L, _ = estimate_lipschitz_constant(
-        lambda x: sigmoid_F(x[:, 0], params.theta_E, params.a_E),
-        (np.array([-5.0]), np.array([10.0])), n_samples=n,
-    )
+    lipschitz = {name: estimate_lipschitz_constant(fn, on, n_samples=n) for name, fn, on in (
+        ("drift", lambda x: wilson_cowan_drift(x, params), box),
+        ("diffusion", lambda x: wilson_cowan_diffusion(x, params), box),
+        ("sigmoid", lambda x: sigmoid_F(x[:, 0], params.theta_E, params.a_E),
+         (np.array([-5.0]), np.array([10.0]))),
+    )}
     a3 = check_jump_coefficient_bound(
         lambda x, xi: doc.rho * xi, doc.scenario_config().jumps, box, n_samples=n
     )
     payload = {
         "config": emit_config(doc),
-        "lipschitz": {
-            "drift": drift_L,
-            "diffusion": diff_L,
-            "sigmoid": sig_L,
-            "sigmoid_analytic_bound": params.a_E / 4.0,
-        },
-        "jump_bound": {
-            "c_rho": a3.c_rho,
-            "growth_ratio": a3.growth_ratio,
-            "lipschitz_ratio": a3.lipschitz_ratio,
-            "passed": bool(a3.passed),
-        },
+        "lipschitz": {**lipschitz, "sigmoid_analytic_bound": params.a_E / 4.0},
+        "jump_bound": dataclasses.asdict(a3),
     }
     _write_json(_out_dir(doc) / "validate.json", payload)
     print(json.dumps(payload["lipschitz"], sort_keys=True))
     return 0
+
+
+_COMMANDS = {  # name: (handler, help)
+    "simulate": (cmd_simulate, "run one scenario and write trajectory/summary files"),
+    "panels": (cmd_panels, "run all four input scenarios with a shared master seed"),
+    "stability": (cmd_stability, "initial-condition stability experiment"),
+    "converge": (cmd_converge, "dyadic strong-convergence experiment"),
+    "validate": (cmd_validate, "numeric Lipschitz / jump-coefficient checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,24 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     parser.add_argument("--paths", help="number of trajectories override")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run one scenario and write trajectory/summary files"),
-        ("panels", "run all four input scenarios with a shared master seed"),
-        ("stability", "initial-condition stability experiment"),
-        ("converge", "dyadic strong-convergence experiment"),
-        ("validate", "numeric Lipschitz / jump-coefficient checks"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "panels": cmd_panels,
-    "stability": cmd_stability,
-    "converge": cmd_converge,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -283,7 +256,7 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         try:
             doc = _load_config(args)
-            return _COMMANDS[args.command](doc)
+            return _COMMANDS[args.command][0](doc)
         except ConfigError as exc:
             for issue in exc.issues:
                 print(f"config error: {issue}", file=sys.stderr)

@@ -22,6 +22,7 @@ from itertools import groupby
 from .analysis import REFERENCE_OFFSET
 from .engine import (
     JUMP_TIMINGS,
+    MAX_DYADIC_LEVEL,
     SimulationGrid,
     build_dyadic_partition,
     check_budget,
@@ -245,6 +246,9 @@ def _build(values: dict) -> ConfigDocument:
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
             raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
+        if max(exp.levels) + REFERENCE_OFFSET > MAX_DYADIC_LEVEL:
+            raise ValueError(f"converge levels capped at {MAX_DYADIC_LEVEL - REFERENCE_OFFSET}, "
+                             f"because the reference is {REFERENCE_OFFSET} levels finer")
         dyadic_steps(min(exp.levels), exp.horizon)
         check_budget("converge", model, exp.horizon,
                      dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0)

@@ -122,16 +122,18 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     net reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
     seed words of the 2d + 2 streams of every path, 32 bytes per stream
     (:func:`stream_rngs`), every path's input-current generator, 800 bytes,
-    held until the current is drawn, and per expected jump event 64 bytes
+    held until the current is drawn, the two small arrays of each path's
+    draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
+    lists until it joins them, and per expected jump event 64 bytes
     (:class:`PathInputs` and its copies while drawn or sorted by step), or
     8 * (23 + 2d) under ``exact`` timing, the peak of :func:`_exact_substeps`,
     and ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
     under tracemalloc, a fresh interpreter's 1-path ensemble on 2000 steps
     peaked 9.6-9.9 kB over the same call repeated."""
-    d, n_points = model.dimension, n_steps + 1
-    events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon * n_paths
+    d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
+    events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + 2 * n_points * n_paths
-                 + 4 * n_points * keep * d + (4 * (2 * d + 2) + 100) * n_paths)
+                 + 4 * n_points * keep * d + (4 * (2 * d + 2) + 100 + 32 * len(specs)) * n_paths)
             + events * 8 * (23 + 2 * d if exact else 8) + COLD_START_BYTES)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "

@@ -223,7 +223,7 @@ def estimate_lipschitz_constant(fn, box, n_samples: int = 10**5):
     """Max sampled difference quotient of ``fn`` over random point pairs.
 
     ``box`` is (lows, highs); ``fn`` maps (m, d) to (m,) or (m, k).  Distances
-    use the 1-norm on both sides.  Returns (estimate, n_samples).
+    use the 1-norm on both sides.
     """
     lows, highs = box
     rng = np.random.default_rng(0)
@@ -235,8 +235,8 @@ def estimate_lipschitz_constant(fn, box, n_samples: int = 10**5):
     den = np.abs(x - z).sum(axis=-1)
     ok = den > 0
     if not np.any(ok):
-        return 0.0, n_samples
-    return float(np.max(num[ok] / den[ok])), n_samples
+        return 0.0
+    return float(np.max(num[ok] / den[ok]))
 
 
 @dataclass(frozen=True)
@@ -283,4 +283,4 @@ def check_jump_coefficient_bound(rho, spec: CompoundPoissonSpec, box,
         if dist2 > 0:
             lip = max(lip, mean_sq(x, z) / dist2)
     c_rho = max(growth, lip)
-    return A3Report(c_rho, growth, lip, passed=np.isfinite(c_rho))
+    return A3Report(c_rho, growth, lip, passed=bool(np.isfinite(c_rho)))

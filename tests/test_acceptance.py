@@ -198,7 +198,7 @@ def test_criterion_7_jump_effect_direction():
 
 def test_criterion_8_assumption_validators():
     a = 1.2
-    sig_est, _ = estimate_lipschitz_constant(
+    sig_est = estimate_lipschitz_constant(
         lambda x: sigmoid_F(x[:, 0], 2.8, a),
         (np.array([-10.0]), np.array([15.0])),
         n_samples=10**5,

@@ -405,6 +405,24 @@ class TestCsvWriters:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+class TestHelp:
+    def test_subcommand_lines(self, capsys, monkeypatch):
+        """The five subcommands, in order, with their help strings."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "  {simulate,panels,stability,converge,validate}\n" in out
+        assert (
+            "    simulate            run one scenario and write trajectory/summary files\n"
+            "    panels              run all four input scenarios with a shared master seed\n"
+            "    stability           initial-condition stability experiment\n"
+            "    converge            dyadic strong-convergence experiment\n"
+            "    validate            numeric Lipschitz / jump-coefficient checks\n"
+        ) in out
+
+
 class TestConfigSource:
     def test_override_fixes_file_value(self, tmp_path):
         cfg = write_config(tmp_path, SMALL + "[engine]\nn_paths = 0\n")

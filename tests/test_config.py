@@ -219,6 +219,16 @@ class TestSinglePassValidation:
             parse_config(text)
         assert [issue.line for issue in exc.value.issues] == [line]
 
+    @pytest.mark.parametrize("levels", ["28,27", "4,28", "31,32"])
+    def test_converge_levels_cap_names_the_reference(self, levels):
+        # the reference is REFERENCE_OFFSET = 3 levels finer than the finest
+        # level written, and no level of "28,27" is over the grids' cap of 30
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[experiment]\nkind = converge\nlevels = {levels}\n")
+        assert [str(issue) for issue in exc.value.issues] == [
+            "line 3: [E_INVARIANT] converge levels capped at 27, "
+            "because the reference is 3 levels finer"]
+
     def test_grid_residual_is_relative_to_the_horizon(self):
         # 7e-11 does not divide 1e-10; its 1-step grid is 3e-11 short, which
         # an absolute 1e-9 allowance let through

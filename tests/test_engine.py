@@ -29,11 +29,13 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
+from skorokhod_sde.analysis import REFERENCE_OFFSET, strong_convergence_experiment
 from skorokhod_sde.engine import (
     JUMP_TIMINGS,
     BatchRecord,
     _exact_substeps,
     check_budget,
+    dyadic_steps,
     integrate_batch,
     simulate_paths,
     uniform_steps,
@@ -619,26 +621,41 @@ class TestReducers:
         assert peak(2 * m) - peak(m) < added + slack
 
 
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBudget:
     @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
-    @pytest.mark.parametrize("dt, n_paths, intensity", [
-        (0.1, 20, 0.5), (0.1, 1000, 0.5), (1.0, 20, 5.0), (0.05, 1, 0.5),
+    @pytest.mark.parametrize("horizon, dt, n_paths, intensity", [
+        (100.0, 0.1, 20, 0.5), (100.0, 0.1, 1000, 0.5), (100.0, 1.0, 20, 5.0),
+        (100.0, 0.05, 1, 0.5), (1.0, 0.5, 5000, 0.5),
     ])
-    def test_peak_within_the_counted_bytes(self, jump_timing, dt, n_paths, intensity):
+    def test_peak_within_the_counted_bytes(self, jump_timing, horizon, dt, n_paths, intensity):
         """What :func:`check_budget` counts covers the peak of the ensemble it
         bounds: on the default grid, with 10 jumps per step and path, where
-        the jumps dominate, and for one path, where the grid does."""
+        the jumps dominate, for one path, where the grid does, and for many
+        paths on 2 steps, where each path's own small arrays do."""
         jumps = CompoundPoissonSpec(intensity, JumpSizeDist.exponential(1.0))
         model = make_scenario(ScenarioConfig(jumps=jumps))
-        counted = check_budget("simulate", model, 100.0, uniform_steps(dt, 100.0), n_paths, 1,
-                               jump_timing == "exact")
-        tracemalloc.start()  # the grid counts too
-        try:
-            grid = uniform_grid(dt, 100.0)
-            simulate_ensemble(model, grid, n_paths, 5, retain=1, jump_timing=jump_timing)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        counted = check_budget("simulate", model, horizon, uniform_steps(dt, horizon), n_paths,
+                               1, jump_timing == "exact")
+        peak = _peak_bytes(lambda: simulate_ensemble(  # the grid counts too
+            model, uniform_grid(dt, horizon), n_paths, 5, retain=1, jump_timing=jump_timing))
+        assert peak <= counted
+
+    def test_converge_peak_within_the_counted_bytes(self):
+        """The count that config validation makes for ``converge`` covers
+        the experiment's peak, here on many paths and few steps."""
+        model, levels, n_paths = make_scenario(ScenarioConfig()), (1, 2), 5000
+        counted = check_budget("converge", model, 1.0,
+                               dyadic_steps(max(levels) + REFERENCE_OFFSET, 1.0), n_paths, 0)
+        peak = _peak_bytes(lambda: strong_convergence_experiment(model, levels, n_paths, 5, 1.0))
         assert peak <= counted
 
     def test_exact_substeps_are_flat(self):
