@@ -5,14 +5,34 @@ numeric validators for the Lipschitz and jump-coefficient assumptions.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import astuple, dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
+from os.path import isfile
 
 import numpy as np
-from scipy.special import expit
 
 from .engine import ReflectedJumpSDE
 from .skorokhod import ReflectionDomain
 from .sources import CompoundPoissonSpec, JumpSizeDist, OUParams
+
+
+def _load_expit(name="scipy.special._special_ufuncs"):
+    """scipy's ``expit`` ufunc, loaded without importing the whole ``scipy.special`` package."""
+    if name not in sys.modules:
+        pkg = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/special"
+        path = next(p for s in EXTENSION_SUFFIXES if isfile(p := f"{pkg}/_special_ufuncs{s}"))
+        spec = importlib.util.spec_from_file_location(name, path)
+        spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+        sys.modules[name] = module  # so `import scipy.special` reuses it, not a second copy
+    return sys.modules[name].expit
+
+
+try:
+    expit = _load_expit()
+except Exception:  # not found, not loadable, or no expit there (older scipy kept it elsewhere)
+    from scipy.special import expit
 
 __all__ = [
     "WilsonCowanParams",
