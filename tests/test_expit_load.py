@@ -30,6 +30,7 @@ x = np.concatenate([np.random.default_rng(0).normal(0.0, 5.0, 10**6), [
 def digest(f):
     return hashlib.sha256(f(x).tobytes()).hexdigest()
 """
+MODELS, SCIPY = "import skorokhod_sde.models", "import scipy.special"
 
 
 def run_fresh(code: str, cwd=None) -> dict:
@@ -72,11 +73,9 @@ print(json.dumps(seen))
                     ["import skorokhod_sde", "import skorokhod_sde.cli", *COMMANDS]}
 
 
-@pytest.mark.parametrize("models_first", [True, False], ids=["models_first", "scipy_first"])
-def test_expit_is_scipy_special_expit(models_first):
-    first, second = "import skorokhod_sde.models", "import scipy.special"
-    if not models_first:
-        first, second = second, first
+@pytest.mark.parametrize("first, second", [(MODELS, SCIPY), (SCIPY, MODELS)],
+                         ids=["models_first", "scipy_first"])
+def test_expit_is_scipy_special_expit(first, second):
     result = run_fresh(VALUES + f"""
 import json
 {first}
@@ -103,4 +102,3 @@ print(json.dumps({
 }))
 """)
     assert result == {"fallback": True, "same": True, "digest": reference_digest()}
-
