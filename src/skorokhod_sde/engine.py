@@ -50,6 +50,7 @@ __all__ = [
 MAX_DYADIC_LEVEL = 30  # grids have at most 2**MAX_DYADIC_LEVEL steps
 MEMORY_BUDGET = 2**30  # bytes of arrays one command may hold; see check_budget
 COLD_START_BYTES = 2**14  # numpy's small-buffer cache, Python's free lists; see check_budget
+_JUMP_BLOCK = 2**15  # jump sums per block of steps binned at once; see integrate_batch
 JUMP_TIMINGS = ("end_of_step", "exact")
 
 
@@ -117,24 +118,29 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     """Peak bytes of arrays of ``n_paths`` paths of ``model`` on ``n_steps``
     steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid and
     one stream's draw, 4 arrays of n_points, the Wiener increments, (n_steps,
-    n_paths, d), the input current and the increments it is drawn from,
-    (n_points, n_paths) each, the states, the two reflection terms and the
-    net reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
+    n_paths, d), the input current, (n_points, n_paths), whose increments
+    are drawn into it, the states, the two reflection terms and the net
+    reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
     seed words of the 2d + 2 streams of every path, 32 bytes per stream
     (:func:`stream_rngs`), every path's input-current generator, 800 bytes,
     held until the current is drawn, the two small arrays of each path's
     draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
     lists until it joins them, and per expected jump event 64 bytes
-    (:class:`PathInputs` and its copies while drawn or sorted by step), or
-    8 * (23 + 2d) under ``exact`` timing, the peak of :func:`_exact_substeps`,
-    and ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
+    (:class:`PathInputs` and its copies while drawn or grouped by block of
+    steps, the block keys among them), or 8 * (23 + 2d) under ``exact``
+    timing, the peak of :func:`_exact_substeps`.  End-of-step jumps add
+    the sums of one block of steps, about ``_JUMP_BLOCK`` values or one
+    step's n_paths * d, and a flag per step, 9 bytes.  And
+    ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
     under tracemalloc, a fresh interpreter's 1-path ensemble on 2000 steps
     peaked 9.6-9.9 kB over the same call repeated."""
     d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
-    need = (8 * (4 * n_points + n_steps * n_paths * d + 2 * n_points * n_paths
+    need = (8 * (4 * n_points + n_steps * n_paths * d + n_points * n_paths
                  + 4 * n_points * keep * d + (4 * (2 * d + 2) + 100 + 32 * len(specs)) * n_paths)
             + events * 8 * (23 + 2 * d if exact else 8) + COLD_START_BYTES)
+    if specs and not exact:  # one block of jump sums, a flag per step
+        need += 8 * max(n_paths * d, min(n_steps * n_paths * d, _JUMP_BLOCK)) + 9 * n_steps
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -313,17 +319,33 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     x[...] = x0
     states[0] = x[:keep]
     prop = np.empty((d, m)).T  # each step's proposal, built in place
+    gw = np.empty((d, m)).T  # each step's g * dW
     acc_lo = np.zeros((d, m)).T
     acc_hi = np.zeros((d, m)).T
     fields, spans, first = substeps or (None, None, None)
     binned = substeps is None and model.jump_specs
     if binned:
-        # the events by step, stable so a cell's jumps keep their time order
+        # the jump sums of a block of steps are one bincount over (step in
+        # block, coord, path) keys; the events are grouped by block in a
+        # stable sort, so each sum still adds its jumps in time order
+        block_steps = max(1, min(n_steps, _JUMP_BLOCK // (m * d)))
         step = _cells(times, inputs.time)
-        bounds = np.r_[0, np.cumsum(np.bincount(step, minlength=n_steps))]
-        order = np.argsort(step, kind="stable")
-        del step  # before the sorted copies: check_budget counts that peak
-        cells, sizes = (inputs.coord * m + inputs.path)[order], inputs.size[order]
+        jumpy = np.zeros(n_steps, dtype=bool)
+        jumpy[step] = True
+        jumpy = jumpy.tolist()
+        block, key = np.divmod(step, block_steps)
+        del step
+        n_blocks = -(-n_steps // block_steps)
+        edges = np.r_[0, np.cumsum(np.bincount(block, minlength=n_blocks))]
+        order = np.argsort(block.astype(np.min_scalar_type(n_blocks - 1)), kind="stable")
+        del block  # before the sorted copies: check_budget counts that peak
+        key *= d
+        key += inputs.coord
+        key *= m
+        key += inputs.path
+        key = key[order]
+        sizes = inputs.size[order]
+        del order
     for k, dt in enumerate(np.diff(times)):
         start = x  # stepping makes a new x; a group step copies it first
         groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
@@ -358,12 +380,17 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         np.multiply(f, dt, out=prop)
         prop += x
         if noisy:
-            prop += g * w
+            prop += np.multiply(g, w, out=gw)
         if binned:
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo or not isinstance(rho, float):
-                js = np.bincount(cells[lo:hi], sizes[lo:hi], m * d).reshape(d, m).T
-                prop += rho * js
+            b, i = divmod(k, block_steps)
+            if i == 0:
+                lo, hi = edges[b], edges[b + 1]
+                sums = js = None  # the last block goes before the next is made
+                sums = (np.bincount(key[lo:hi], sizes[lo:hi], block_steps * d * m) if hi > lo
+                        else np.zeros(block_steps * d * m)).reshape(block_steps, d, m)
+            if jumpy[k] or not isinstance(rho, float):
+                js = sums[i].T
+                prop += np.multiply(rho, js, out=js)
             elif not math.isfinite(rho):
                 _check_finite(k, times, start, f, g, rho)
         if not np.isfinite(prop.T).all():  # on few rows, an F-ordered check costs more

@@ -125,9 +125,12 @@ def sigmoid_F(x, theta, a):
     return _shifted_logistic(np.asarray(x, dtype=float), theta, a, expit(-a * theta))
 
 
-def _shifted_logistic(x, theta, a, shift):
-    """:func:`sigmoid_F` given its shift, expit(-a theta)."""
-    return expit(a * (x - theta)) - shift
+def _shifted_logistic(x, theta, a, shift, out=None):
+    """:func:`sigmoid_F` given its shift, expit(-a theta), into ``out`` if given."""
+    y = np.subtract(x, theta, out=out)
+    y = np.multiply(a, y, out=out)
+    y = expit(y, out=out)
+    return np.subtract(y, shift, out=out)
 
 
 def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
@@ -137,9 +140,17 @@ def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
     an F-ordered ``state`` is read, and the result returned, without a copy."""
     r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
-    gain = _shifted_logistic(x, params.theta, params.a, params.F_shift)
-    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
+    x = np.multiply(params.w_from_E, r[0])  # x, then the gain
+    d = np.multiply(params.w_from_I, r[1])  # scratch, then the drift
+    np.subtract(x, d, out=x)
+    np.add(params.I_ext, u, out=d)
+    np.add(x, d, out=x)
+    _shifted_logistic(x, params.theta, params.a, params.F_shift, out=x)
+    np.multiply(params.delta, r, out=d)
+    np.subtract(1.0, d, out=d)
+    np.multiply(d, x, out=d)
+    np.subtract(d, r, out=d)  # -r + d, exactly
+    np.divide(d, params.tau, out=d)
     return d.T.reshape(np.shape(state))
 
 

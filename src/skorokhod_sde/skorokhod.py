@@ -88,9 +88,13 @@ def reflect_box(proposal, domain: ReflectionDomain, rows=None):
     lower, upper = domain.lower, domain.upper
     if rows is not None and lower.ndim == 2:
         lower, upper = lower[rows], upper[rows]
-    lower_inc = np.maximum(lower - p, 0.0)
-    upper_inc = np.maximum(p - upper, 0.0)
-    return p + lower_inc - upper_inc, lower_inc, upper_inc
+    lower_inc = np.subtract(lower, p)
+    np.maximum(lower_inc, 0.0, out=lower_inc)
+    upper_inc = np.subtract(p, upper)
+    np.maximum(upper_inc, 0.0, out=upper_inc)
+    x = np.add(p, lower_inc)
+    np.subtract(x, upper_inc, out=x)
+    return x, lower_inc, upper_inc
 
 
 def total_variation(phi) -> np.ndarray:

@@ -10,7 +10,6 @@ identical samples; distinct triples give statistically independent streams.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,23 +75,37 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _state_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` of every column ``e``
-    of ``entropy``, (n_words, rows) uint32: (rows, 4) uint64."""
+    of ``entropy``, (n_words, rows) uint32: (rows, 4) uint64.  The mixes of
+    one source word into the other pool words are independent, so each
+    source is one round over the rows of its destinations."""
     const = _INIT_A
 
-    def hashmix(value, mult=_MULT_A):
+    def hashmix(value, n, mult=_MULT_A):
+        """hashmix of ``value`` with each of the next ``n`` constants, (n, rows)."""
         nonlocal const
-        old, const = const, const * mult & _MASK32
-        value = (value ^ old) * const
+        consts = [const]
+        for _ in range(n):
+            consts.append(consts[-1] * mult & _MASK32)
+        const = consts[-1]
+        consts = np.array(consts, dtype=np.uint32)[:, None]
+        value = (value ^ consts[:-1]) * consts[1:]
         return value ^ value >> 16
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * entropy[0]) for i in range(4)]
-    for src, dst in [*itertools.permutations(range(4), 2),
-                     *itertools.product(range(4, len(entropy)), range(4))]:
-        z = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else entropy[src]) * _MIX_R
-        pool[dst] = z ^ z >> 16
+    def mix(pool, value):
+        z = pool * _MIX_L - value * _MIX_R
+        return z ^ z >> 16
+
+    words = np.zeros((max(4, len(entropy)), entropy.shape[1]), dtype=np.uint32)
+    words[:len(entropy)] = entropy
+    pool = hashmix(words[:4], 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for src in range(4, len(entropy)):
+        pool = mix(pool, hashmix(entropy[src], 4))
     const = _INIT_B
-    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
-    return state.astype("<u4", copy=False).view("<u8")  # word pairs, low word first
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 8, _MULT_B)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")  # word pairs, low word first
 
 
 @dataclass(frozen=True)
@@ -119,12 +132,13 @@ def stream_rngs(master_seed: int, stream_indices, components):
     triples[..., 2] = np.array(components, dtype=np.uint64)
     triples = triples.reshape(-1, 3)
     wide = triples > _MASK32  # then two entropy words, the low one first
+    group = wide @ np.array([4, 2, 1])  # the three flags, packed
     words = np.empty((len(stream_indices), len(components), 4), dtype=np.uint64)
-    for shape in itertools.product((0, 1), repeat=3):
-        if (rows := (wide == shape).all(axis=1)).any():
-            halves = triples[rows].astype("<u8", copy=False).view("<u4").reshape(-1, 3, 2)
-            entropy = [halves[:, i, k] for i, two in enumerate(shape) for k in range(1 + two)]
-            words.reshape(-1, 4)[rows] = _state_words(np.array(entropy))
+    for key in set(group.tolist()):
+        rows = group == key
+        halves = triples[rows].astype("<u8", copy=False).view("<u4").reshape(-1, 3, 2)
+        entropy = [halves[:, i, k] for i in range(3) for k in range(1 + (key >> (2 - i) & 1))]
+        words.reshape(-1, 4)[rows] = _state_words(np.array(entropy))
     return (tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in row)
             for row in words)
 
@@ -257,15 +271,21 @@ def sample_ou_path(seed: SeedSpec, params: OUParams, grid) -> np.ndarray:
 
 def sample_ou_paths(rngs, params: OUParams, grid) -> np.ndarray:
     """Batch of OU paths, one per generator, shape (n_points, n_paths):
-    column ``j`` is driven by the Wiener increments of ``rngs[j]``."""
+    column ``j`` is driven by the Wiener increments of ``rngs[j]``.
+
+    The increments are drawn into the path itself, each at the point it
+    leads to, and scaled there by sigma; the Euler recurrence overwrites
+    ``v[k + 1]`` once it has read it:
+    v[k + 1] = (v[k] + (mu - v[k] / gamma) * width) + sigma * dW[k]."""
     rngs = list(rngs)
-    dW = np.empty((grid.n_steps, len(rngs)))
-    for j, rng in enumerate(rngs):
-        dW[:, j] = sample_wiener_increments(rng, grid)
     v = np.empty((grid.n_steps + 1, len(rngs)))
+    for j, rng in enumerate(rngs):
+        v[1:, j] = sample_wiener_increments(rng, grid)
+    np.multiply(params.sigma, v[1:], out=v[1:])
     v[0] = params.v0
-    for k, width in enumerate(grid.widths):
-        v[k + 1] = v[k] + (params.mu - v[k] / params.gamma) * width + params.sigma * dW[k]
+    mu, gamma = params.mu, params.gamma
+    for width, now, nxt in zip(grid.widths, v[:-1], v[1:]):
+        np.add(now + (mu - now / gamma) * width, nxt, out=nxt)
     return v
 
 

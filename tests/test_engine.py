@@ -29,6 +29,7 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
+from skorokhod_sde import engine
 from skorokhod_sde.analysis import REFERENCE_OFFSET, strong_convergence_experiment
 from skorokhod_sde.engine import (
     JUMP_TIMINGS,
@@ -43,6 +44,7 @@ from skorokhod_sde.engine import (
 from skorokhod_sde.models import INPUT_MODES
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
+from test_skorokhod import reflect_box_oracle
 
 
 def linear_model_1d(x0=1.0, drift_rate=-1.0, sigma=0.0, domain=None, **kw):
@@ -401,6 +403,81 @@ def busy_jump_model(jump_coeff=lambda state: 0.5 + 0.2 * state):
         jump_specs=(CompoundPoissonSpec(6.0, size), CompoundPoissonSpec(3.0, size)),
         input_current=OUParams(mu=0.2, gamma=1.0, sigma=0.5),
     )
+
+
+def per_step_bincount_oracle(model, times, inputs, x0):
+    """The end-of-step scheme with each step's jumps summed by a bincount of
+    its own over the events in a stable sort by step, each proposal made
+    fresh and reflected by :func:`reflect_box_oracle`: the bitwise
+    reference for binning a block of steps at once.  Returns the states and
+    both reflection terms, (n_points, m, d) each."""
+    n_steps, m, d = times.size - 1, len(inputs), model.dimension
+    step = _cells(times, inputs.time)
+    bounds = np.r_[0, np.cumsum(np.bincount(step, minlength=n_steps))]
+    order = np.argsort(step, kind="stable")
+    cells, sizes = (inputs.coord * m + inputs.path)[order], inputs.size[order]
+    x = np.empty((d, m)).T
+    x[...] = x0
+    states, lower, upper = [x], [np.zeros((m, d))], [np.zeros((m, d))]
+    for k, dt in enumerate(np.diff(times)):
+        f, g, rho = model.drift(x, inputs.u[k]), model.diffusion(x), model.jump_coeff(x)
+        prop = f * dt + x
+        if not (isinstance(g, float) and g == 0.0):
+            prop = prop + g * inputs.dW[k]
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo or not isinstance(rho, float):
+            prop = prop + rho * np.bincount(cells[lo:hi], sizes[lo:hi], m * d).reshape(d, m).T
+        x, linc, uinc = reflect_box_oracle(prop, model.domain)
+        states.append(x)
+        lower.append(lower[-1] + linc)
+        upper.append(upper[-1] + uinc)
+    return [np.array(a) for a in (states, lower, upper)]
+
+
+def order_sensitive_jumps(model, grid, m, seed):
+    """Inputs drawn for ``m`` paths with their jumps in the first half of
+    the grid only, so that later steps have none, and three more jumps in
+    step 4 of the last path's first coordinate, of sizes 1e16, -1e16 and 1:
+    summed in time order they give 1, in any order that does not add the
+    first two first 0."""
+    inputs = sample_path_inputs(model, grid, seed, range(m))
+    early = inputs.time <= grid.horizon / 2
+    t4 = grid.times[4] + grid.widths[4] * np.array([0.2, 0.5, 0.8])
+    time = np.r_[inputs.time[early], t4]
+    size = np.r_[inputs.size[early], 1e16, -1e16, 1.0]
+    path = np.r_[inputs.path[early], [m - 1] * 3]
+    coord = np.r_[inputs.coord[early], [0] * 3]
+    order = np.lexsort((time, coord, path))
+    return replace(inputs, time=time[order], size=size[order], path=path[order],
+                   coord=coord[order])
+
+
+class TestBlockJumpSums:
+    """Binning the jumps of a block of steps at once moves no bit of the
+    record, whatever the block: 37 steps are no multiple of 3 or 8."""
+
+    @pytest.mark.parametrize("block", [1, 3, 8, None])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("name", ["array coefficients", "float coefficients"])
+    def test_record_matches_the_per_step_oracle(self, monkeypatch, name, m, block):
+        model = (busy_jump_model() if name == "array coefficients"
+                 else make_scenario(ScenarioConfig(x0=(0.1, 0.05))))
+        grid = SimulationGrid(np.linspace(0.0, 3.7, 38))
+        if block is not None:
+            monkeypatch.setattr(engine, "_JUMP_BLOCK", block * m * model.dimension)
+        inputs = order_sensitive_jumps(model, grid, m, 4)
+        steps = _cells(grid.times, inputs.time)
+        assert not np.isin(np.arange(20, 37), steps).any()
+        assert np.bincount(steps + 37 * (inputs.coord + 2 * inputs.path)).max() >= 3
+        x = np.zeros((2, m)).T
+        arrays = name == "array coefficients"
+        assert isinstance(model.jump_coeff(x), float) != arrays
+        record = integrate_batch(model, grid.times, inputs, model.x0)
+        want = per_step_bincount_oracle(model, grid.times, inputs, model.x0)
+        for got, ref in zip(record, want):
+            assert got.tobytes() == ref.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert record.terminal.tobytes() == want[0][-1].tobytes()
 
 
 class TestExactAgainstOracle:

@@ -22,6 +22,7 @@ from skorokhod_sde import (
     wilson_cowan_drift,
 )
 from skorokhod_sde.models import INPUT_MODES, SCENARIOS
+from test_skorokhod import STATE_CASES, assert_bitwise, states_case
 
 
 def reference_F(x, theta, a):
@@ -54,6 +55,16 @@ def oracle_drift(state, p: WilsonCowanParams, i_ext_e, i_ext_i):
     d_e = (-r_e + (1.0 - p.delta_E * r_e) * oracle_F(x_e, p.theta_E, p.a_E)) / p.tau_E
     d_i = (-r_i + (1.0 - p.delta_I * r_i) * oracle_F(x_i, p.theta_I, p.a_I)) / p.tau_I
     return np.stack([d_e, d_i], axis=-1)
+
+
+def fresh_drift_oracle(state, params: WilsonCowanParams, u=0.0):
+    """:func:`wilson_cowan_drift` as a fresh array per operation, in the
+    same order: the bitwise reference for its in-place form."""
+    r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
+    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
+    gain = expit(params.a * (x - params.theta)) - params.F_shift
+    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
+    return d.T.reshape(np.shape(state))
 
 
 def oracle_diffusion(state, p: WilsonCowanParams):
@@ -326,6 +337,25 @@ class TestScenarioTable:
         assert_same_bits(wilson_cowan_drift(state, params, u),
                          oracle_drift(state, params, params.I_ext_E + u, params.I_ext_I + u))
         assert_same_bits(model.diffusion(state), oracle_diffusion(state, params))
+
+
+class TestInPlaceDrift:
+    @pytest.mark.parametrize("current", ["none", "per row"])
+    @pytest.mark.parametrize("case", STATE_CASES)
+    @pytest.mark.parametrize("params", [
+        WilsonCowanParams(),
+        WilsonCowanParams(I_ext_E=-0.0, I_ext_I=-0.0, w_EE=-0.0, theta_E=0.0, theta_I=0.0),
+        WilsonCowanParams(tau_E=0.7, tau_I=3.1, a_E=1.3, a_I=0.9, delta_E=0.15, delta_I=0.35),
+    ])
+    def test_matches_the_fresh_oracle(self, params, case, current):
+        rng = np.random.default_rng(11)
+        state = states_case(rng, case, -3.0, 3.0)
+        u = 0.0 if current == "none" else rng.normal(0.0, 3.0, state.shape[:-1])
+        before = state.copy(order="K")
+        got = wilson_cowan_drift(state, params, u)
+        assert_bitwise(got, fresh_drift_oracle(state, params, u))
+        assert not np.shares_memory(got, state)
+        assert_bitwise(state, before)
 
 
 class TestLipschitzEstimate:

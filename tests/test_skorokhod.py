@@ -25,6 +25,42 @@ def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
     return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
+def reflect_box_oracle(proposal, domain, rows=None):
+    """:func:`reflect_box` as a fresh array per operation, in the same
+    order: the bitwise reference for its in-place form."""
+    p = np.asarray(proposal, dtype=float)
+    lower, upper = domain.lower, domain.upper
+    if rows is not None and lower.ndim == 2:
+        lower, upper = lower[rows], upper[rows]
+    lower_inc = np.maximum(lower - p, 0.0)
+    upper_inc = np.maximum(p - upper, 0.0)
+    return p + lower_inc - upper_inc, lower_inc, upper_inc
+
+
+def assert_bitwise(got, want):
+    """Same shape, memory layout, bytes and sign bits."""
+    assert got.shape == want.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous, want.flags.f_contiguous)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def states_case(rng, case, low=-1.0, high=1.5):
+    """The states of an oracle case: a (2,) point, or (m, 2) in C or F
+    order, with a row and a coordinate of signed zeros."""
+    if case == "(2,)":
+        return np.array([rng.uniform(low, high), -0.0])
+    m, order = case
+    state = np.asarray(rng.uniform(low, high, (m, 2)), order=order)
+    state[0] = (-0.0, 0.0)
+    state[-1, 1] = -0.0
+    return state
+
+
+STATE_CASES = ["(2,)", *((m, order) for m in (1, 4, 200, 1000) for order in "CF")]
+
+
 def random_walk(rng, n, start_floor=0.0):
     w = np.cumsum(rng.standard_normal(n) * 0.3)
     w += start_floor - min(w[0], 0.0)
@@ -175,6 +211,43 @@ class TestReflectBox:
         # rows are ignored by bounds without a row axis
         half = ReflectionDomain.half_line(0.0, dim=2)
         assert np.array_equal(reflect_box(pts[:1], half, np.array([2]))[0], [[0.0, 0.5]])
+
+
+class TestReflectBoxOracle:
+    """The in-place projection is bitwise the expression it replaced."""
+
+    DOMAINS = {
+        "half line": ReflectionDomain.half_line(0.0, dim=2),
+        "box": ReflectionDomain(((0.0, 0.3), (-0.2, 0.5))),
+        "unreflected": ReflectionDomain.unreflected(2),
+        "signed zero faces": ReflectionDomain(((-0.0, 1.0), (0.0, np.inf))),
+    }
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("case", STATE_CASES)
+    def test_matches_the_oracle(self, case, domain):
+        proposal = states_case(np.random.default_rng(5), case)
+        before = proposal.copy(order="K")
+        got = reflect_box(proposal, self.DOMAINS[domain])
+        for a, b in zip(got, reflect_box_oracle(proposal, self.DOMAINS[domain])):
+            assert_bitwise(a, b)
+            assert not np.shares_memory(a, proposal)
+        assert_bitwise(proposal, before)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("m", [1, 4, 200, 1000])
+    def test_bounds_per_row_match_the_oracle(self, m, order):
+        rng = np.random.default_rng(m)
+        lo = rng.uniform(-1.0, 0.5, (m + 3, 2))
+        lo[::2, 1] = -0.0
+        hi = lo + rng.uniform(0.1, 1.0, lo.shape)
+        hi[1::3] = np.inf
+        domain = ReflectionDomain(tuple(tuple(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())))
+        rows = rng.permutation(m + 3)[:m]
+        proposal = states_case(rng, (m, order))
+        for a, b in zip(reflect_box(proposal, domain, rows),
+                        reflect_box_oracle(proposal, domain, rows)):
+            assert_bitwise(a, b)
 
 
 class TestDomain:

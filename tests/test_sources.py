@@ -1,5 +1,7 @@
 """Tests for the seeded noise generators: Wiener increments, compound
 Poisson jump streams, OU input currents and the stream addressing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,57 @@ class TestOUPath:
         for j, idx in enumerate([0, 5, 17]):
             single = sample_ou_path(SeedSpec(9, idx, 4), params, grid)
             assert np.array_equal(batch[:, j], single)
+
+
+def two_buffer_ou_oracle(rngs, params: OUParams, grid) -> np.ndarray:
+    """:func:`sample_ou_paths` with its increments in a buffer of their
+    own and each step's sum made fresh: the bitwise reference for drawing
+    in place."""
+    rngs = list(rngs)
+    dW = np.empty((grid.n_steps, len(rngs)))
+    for j, rng in enumerate(rngs):
+        dW[:, j] = sample_wiener_increments(rng, grid)
+    v = np.empty((grid.n_steps + 1, len(rngs)))
+    v[0] = params.v0
+    for k, width in enumerate(grid.widths):
+        v[k + 1] = v[k] + (params.mu - v[k] / params.gamma) * width + params.sigma * dW[k]
+    return v
+
+
+class TestOUInPlace:
+    GRIDS = {
+        "uniform": uniform_grid(0.1, 20.0),
+        "uneven": SimulationGrid(np.cumsum(np.r_[0.0, np.random.default_rng(2).uniform(
+            1e-3, 0.5, 300)])),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("m", [1, 4, 200])
+    @pytest.mark.parametrize("params", [
+        OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1),
+        OUParams(mu=-0.0, gamma=0.05, sigma=3.0, v0=-0.0),
+        OUParams(mu=1e-300, gamma=7.0, sigma=0.0, v0=-2.5),
+    ])
+    def test_matches_the_two_buffer_oracle(self, params, m, grid):
+        got = sample_ou_paths(_ou_rngs(4, range(m), 6), params, self.GRIDS[grid])
+        want = two_buffer_ou_oracle(_ou_rngs(4, range(m), 6), params, self.GRIDS[grid])
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_peak_is_the_path(self):
+        """The draw holds no second (n_points, m) array: its tracemalloc peak
+        stays within the path plus 128 KiB, where the increments of a second
+        buffer would add 6.3 MiB at m = 200 on 4096 steps."""
+        grid, m = SimulationGrid(np.linspace(0.0, 100.0, 4097)), 200
+        rngs = _ou_rngs(1, range(m), 4)
+        tracemalloc.start()
+        try:
+            v = sample_ou_paths(rngs, OUParams(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.shape == (4097, m)
+        assert peak <= v.nbytes + 2**17
 
 
 def _ou_rngs(master, streams, component):
