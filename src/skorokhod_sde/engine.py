@@ -123,7 +123,11 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
     seed words of the 2d + 2 streams of every path, 32 bytes per stream
     (:func:`stream_rngs`), every path's input-current generator, 800 bytes,
-    held until the current is drawn, the two small arrays of each path's
+    held until the current is drawn, 11 d-vectors and a reference per path,
+    the parameters and the domain widened to the batch width (the 9
+    Wilson-Cowan parameter rows of :func:`models.make_scenario`, and the
+    lower and upper bounds and the tuple of row bounds of
+    :meth:`ReflectionDomain.widened`), the two small arrays of each path's
     draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
     lists until it joins them, and per expected jump event 64 bytes
     (:class:`PathInputs` and its copies while drawn or grouped by block of
@@ -137,7 +141,8 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + n_points * n_paths
-                 + 4 * n_points * keep * d + (4 * (2 * d + 2) + 100 + 32 * len(specs)) * n_paths)
+                 + 4 * n_points * keep * d
+                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + 1) * n_paths)
             + events * 8 * (23 + 2 * d if exact else 8) + COLD_START_BYTES)
     if specs and not exact:  # one block of jump sums, a flag per step
         need += 8 * max(n_paths * d, min(n_steps * n_paths * d, _JUMP_BLOCK)) + 9 * n_steps
@@ -299,7 +304,10 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     The state and the reflection terms are (m, d) views of (d, m) memory,
     the per-step layout of :func:`sample_path_inputs`'s ``dW``: the
     coefficients and :func:`reflect_box` get F-ordered (m, d) views, and the
-    Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.
+    Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.  A domain
+    with bounds per coordinate is widened once per batch to bounds per row
+    (:meth:`ReflectionDomain.widened`), so each step's :func:`reflect_box`
+    works on same-shape operands.
 
     Each step does only the arithmetic its model needs.  A float diffusion
     or jump coefficient multiplies as a scalar; a diffusion of 0.0 adds no
@@ -322,6 +330,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     gw = np.empty((d, m)).T  # each step's g * dW
     acc_lo = np.zeros((d, m)).T
     acc_hi = np.zeros((d, m)).T
+    domain = model.domain.widened(m)
     fields, spans, first = substeps or (None, None, None)
     binned = substeps is None and model.jump_specs
     if binned:
@@ -373,7 +382,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 jump[np.arange(rows.size), coord] += size * _on_rows(rho, (rows, coord))
                 if not np.isfinite(jump).all():
                     _check_finite(k, times, start, f, g, rho, jump, rows)
-                x[rows], linc, uinc = reflect_box(jump, model.domain, rows)
+                x[rows], linc, uinc = reflect_box(jump, domain, rows)
                 acc_lo[rows] += linc
                 acc_hi[rows] += uinc
                 dt[rows] = rest
@@ -395,7 +404,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 _check_finite(k, times, start, f, g, rho)
         if not np.isfinite(prop.T).all():  # on few rows, an F-ordered check costs more
             _check_finite(k, times, start, f, g, rho, prop)
-        x, linc, uinc = reflect_box(prop, model.domain)
+        x, linc, uinc = reflect_box(prop, domain)
         acc_lo += linc
         acc_hi += uinc
         if keep:

@@ -10,6 +10,7 @@ import sys
 from dataclasses import astuple, dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
 from os.path import isfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,11 +111,15 @@ class WilsonCowanParams:
         if not (self.sigma_ext_E >= 0 and self.sigma_ext_I >= 0):
             raise ValueError("noise amplitudes must be nonnegative")
         columns = {"w_from_E": (self.w_EE, self.w_IE), "w_from_I": (self.w_EI, self.w_II)}
-        for name in ("I_ext", "theta", "a", "delta", "tau", "sigma_ext"):
+        for name in _COLUMNS[2:-1]:  # the E, I pairs
             columns[name] = (getattr(self, f"{name}_E"), getattr(self, f"{name}_I"))
         for name, pair in columns.items():
             object.__setattr__(self, name, np.array(pair, dtype=float).reshape(2, 1))
         object.__setattr__(self, "F_shift", expit(-self.a * self.theta))
+
+
+# the parameter columns WilsonCowanParams sets, F_shift last
+_COLUMNS = ("w_from_E", "w_from_I", "I_ext", "theta", "a", "delta", "tau", "sigma_ext", "F_shift")
 
 
 def sigmoid_F(x, theta, a):
@@ -139,25 +144,39 @@ def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     ``state`` is (2,) or (m, 2); ``u``, the current of both external inputs,
     broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
     an F-ordered ``state`` is read, and the result returned, without a copy."""
-    r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    x = np.multiply(params.w_from_E, r[0])  # x, then the gain
-    d = np.multiply(params.w_from_I, r[1])  # scratch, then the drift
-    np.subtract(x, d, out=x)
-    np.add(params.I_ext, u, out=d)
-    np.add(x, d, out=x)
-    _shifted_logistic(x, params.theta, params.a, params.F_shift, out=x)
-    np.multiply(params.delta, r, out=d)
-    np.subtract(1.0, d, out=d)
-    np.multiply(d, x, out=d)
-    np.subtract(d, r, out=d)  # -r + d, exactly
-    np.divide(d, params.tau, out=d)
-    return d.T.reshape(np.shape(state))
+    return _on_rows(_drift, np.asarray(state, dtype=float), params, u)
 
 
 def wilson_cowan_diffusion(state, params: WilsonCowanParams):
     """Diagonal noise amplitude sigma_ext (1 - delta r) / tau per population."""
-    r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    return (params.sigma_ext * (1.0 - params.delta * r) / params.tau).T.reshape(np.shape(state))
+    return _on_rows(_diffusion, np.asarray(state, dtype=float), params)
+
+
+def _on_rows(formula, state, c, *args):
+    """``formula`` of the contiguous (2, m) rows of a (2,) or (m, 2)
+    ``state``, with no copy of an F-ordered one, and of ``c``, the
+    parameters as the (2, 1) columns of a :class:`WilsonCowanParams` or as
+    (2, m) rows, which give the same bits; returned in the state's shape."""
+    r = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
+    return formula(r, c, *args).T.reshape(state.shape)
+
+
+def _drift(r, c, u):
+    x = np.multiply(c.w_from_E, r[0])  # x, then the gain
+    d = np.multiply(c.w_from_I, r[1])  # scratch, then the drift
+    np.subtract(x, d, out=x)
+    np.add(c.I_ext, u, out=d)
+    np.add(x, d, out=x)
+    _shifted_logistic(x, c.theta, c.a, c.F_shift, out=x)
+    np.multiply(c.delta, r, out=d)
+    np.subtract(1.0, d, out=d)
+    np.multiply(d, x, out=d)
+    np.subtract(d, r, out=d)  # -r + d, exactly
+    return np.divide(d, c.tau, out=d)
+
+
+def _diffusion(r, c):
+    return c.sigma_ext * (1.0 - c.delta * r) / c.tau
 
 
 @dataclass(frozen=True)
@@ -197,7 +216,11 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
     A tuple of modes gives one batch row per mode, all driven by the inputs
     of one stream (:func:`engine.simulate_rows`).  A switch that differs
     between the rows is a (rows, 1) column; one that does not stays a scalar,
-    so the model of one mode steps as it would alone."""
+    so the model of one mode steps as it would alone.
+
+    The coefficients take the parameters as contiguous (2, m) rows, built
+    once per batch width m and kept in the model, so that every ufunc of
+    theirs gets same-shape operands."""
     params = config.params
     table = np.array([SCENARIOS[mode] for mode in config.modes])  # (rows, 3)
     white_noise, reflected = (c[:, None] if c.any() != c.all() else bool(c[0])  # rows differ
@@ -207,20 +230,27 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         raise ScenarioError(
             f"jump intensity > 0 contradicts input_mode={config.input_mode}, which has no jumps")
 
+    rows_by_width = {}
+
+    def on_rows(formula, state, *args):
+        c = rows_by_width.get(m := state.size // 2)
+        if c is None:
+            c = rows_by_width[m] = SimpleNamespace(**{
+                name: np.broadcast_to(getattr(params, name), (2, m)).copy() for name in _COLUMNS})
+        return _on_rows(formula, state, c, *args)
+
     if np.ndim(white_noise):  # a white-noise row has no input current
         def drift(state, u):
-            return wilson_cowan_drift(state, params, np.where(white_noise[:, 0], 0.0, u))
+            return on_rows(_drift, state, np.where(white_noise[:, 0], 0.0, u))
 
         def diffusion(state):
-            return np.where(white_noise, wilson_cowan_diffusion(state, params), 0.0)
+            return np.where(white_noise, on_rows(_diffusion, state), 0.0)
     else:
         def drift(state, u):
-            return wilson_cowan_drift(state, params, u)
+            return on_rows(_drift, state, u)
 
         def diffusion(state):
-            if white_noise:
-                return wilson_cowan_diffusion(state, params)
-            return 0.0
+            return on_rows(_diffusion, state) if white_noise else 0.0
 
     rho = float(config.rho)
 

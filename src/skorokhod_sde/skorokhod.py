@@ -36,10 +36,25 @@ class ReflectionDomain:
         for lo, hi in bounds.reshape(-1, 2).tolist():
             if not lo < hi:
                 raise ValueError(f"need lo < hi per coordinate, got [{lo}, {hi}]")
-        for name, side in (("lower", 0), ("upper", 1)):
-            a = bounds[..., side].copy(order="F")
+        self._set_arrays(bounds[..., 0], bounds[..., 1])
+
+    def _set_arrays(self, lower, upper):
+        for name, a in (("lower", lower), ("upper", upper)):
+            a = a.copy(order="F")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    def widened(self, m: int) -> "ReflectionDomain":
+        """The per-row domain of a batch of ``m`` rows that each live in this
+        one, so that :func:`reflect_box` meets same-shape (m, d) bounds.  Its
+        arrays are made directly, with no check or loop per row; a domain
+        that has its rows already is returned as it is."""
+        if self.lower.ndim == 2:
+            return self
+        wide = object.__new__(ReflectionDomain)
+        object.__setattr__(wide, "bounds", (self.bounds,) * m)
+        wide._set_arrays(*(np.broadcast_to(a, (m, self.dim)) for a in (self.lower, self.upper)))
+        return wide
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":

@@ -1,0 +1,69 @@
+"""The law of the scheme's output against closed forms: moments that hold
+exactly at any step size for an unreflected jump-diffusion with constant
+coefficients, and the known discretization bias of reflected Brownian
+motion.  Tolerances are 4 standard errors or more; the seeds are fixed."""
+import math
+
+import numpy as np
+import pytest
+
+from skorokhod_sde import (
+    CompoundPoissonSpec,
+    JumpSizeDist,
+    ReflectedJumpSDE,
+    ReflectionDomain,
+    simulate_ensemble,
+    uniform_grid,
+)
+from skorokhod_sde.engine import JUMP_TIMINGS
+
+
+@pytest.mark.parametrize("timing", JUMP_TIMINGS)
+def test_jump_diffusion_moments(timing):
+    """dX = mu dt + sigma dW + rho dN, N compound Poisson at rate alpha with
+    Exp(1) sizes, unreflected: X_T has mean x0 + (mu + rho alpha) T and
+    cumulants k2 = (sigma^2 + 2 rho^2 alpha) T, k4 = 24 rho^4 alpha T, at
+    any dt and under either jump timing."""
+    mu, sigma, alpha, rho, x0, horizon, n = 0.3, 0.5, 2.0, 0.4, 0.1, 1.0, 10**4
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=lambda state, u: np.full_like(state, mu),
+        diffusion=lambda state: sigma,
+        domain=ReflectionDomain.unreflected(1),
+        x0=np.array([x0]),
+        jump_coeff=lambda state: rho,
+        jump_specs=(CompoundPoissonSpec(alpha, JumpSizeDist.exponential(1.0)),),
+    )
+    result = simulate_ensemble(model, uniform_grid(0.05, horizon), n, 3, jump_timing=timing)
+    k2 = (sigma**2 + 2 * rho**2 * alpha) * horizon
+    k4 = 24 * rho**4 * alpha * horizon
+    mean, var = result.terminal_mean[0], result.terminal_variance[0]
+    assert abs(mean - (x0 + (mu + rho * alpha) * horizon)) <= 4 * math.sqrt(k2 / n)
+    # the sample variance has variance (mu_4 - k2^2) / n = (k4 + 2 k2^2) / n
+    assert abs(var - k2) <= 4 * math.sqrt((k4 + 2 * k2**2) / n)
+
+
+@pytest.mark.parametrize("dt, n", [(0.01, 4 * 10**4), (0.0025, 2 * 10**4)])
+def test_reflected_brownian_motion_bias(dt, n):
+    """Projected Euler for Brownian motion reflected at 0 from 0, T = 1:
+    phi_T is the running maximum of the Gaussian random walk -S, so by
+    Spitzer's identity E[X_T] = E[phi_T] = sqrt(dt / 2 pi) sum_{k <= n}
+    k^(-1/2), whose expansion is the Asmussen-Glynn-Pitman bias
+    sqrt(2 / pi) + zeta(1/2) sqrt(dt / 2 pi) + O(dt), 0.5826 sqrt(dt)
+    below the continuum value sqrt(2 / pi)."""
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=lambda state, u: np.zeros_like(state),
+        diffusion=lambda state: 1.0,
+        domain=ReflectionDomain.half_line(0.0, 1),
+        x0=np.array([0.0]),
+    )
+    grid = uniform_grid(dt, 1.0)
+    result = simulate_ensemble(model, grid, n, 7)
+    mean, se = result.terminal_mean[0], math.sqrt(result.terminal_variance[0] / n)
+    expected = math.sqrt(dt / (2 * math.pi)) * np.sum(np.arange(1, grid.n_steps + 1) ** -0.5)
+    # the next term of the expansion is dt / (2 sqrt(2 pi)) = 0.1995 dt
+    assert abs(expected - (math.sqrt(2 / math.pi) - 0.5826 * math.sqrt(dt))) <= 0.25 * dt
+    assert abs(mean - expected) <= 4 * se
+    if dt == 0.01:  # the bias is about 19 standard errors: a test that can see it
+        assert math.sqrt(2 / math.pi) - mean > 10 * se

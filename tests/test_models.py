@@ -358,6 +358,56 @@ class TestInPlaceDrift:
         assert_bitwise(state, before)
 
 
+class TestParameterRows:
+    """A scenario model's coefficients take the parameters as (2, m) rows
+    kept per batch width; at every width, and back at one seen before,
+    they give the oracles' bits."""
+
+    PARAMS = [
+        WilsonCowanParams(),
+        WilsonCowanParams(I_ext_E=-0.0, I_ext_I=-0.0, w_EE=-0.0, theta_E=0.0, theta_I=0.0),
+        WilsonCowanParams(tau_E=0.7, tau_I=3.1, a_E=1.3, a_I=0.9, delta_E=0.15, delta_I=0.35,
+                          sigma_ext_E=0.07, sigma_ext_I=0.13),
+    ]
+    WIDTHS = (1, 4, 200, 1000, 4)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_drift_at_every_width(self, params, order):
+        model = make_scenario(ScenarioConfig(params=params))
+        rng = np.random.default_rng(12)
+        for m in self.WIDTHS:
+            state = states_case(rng, (m, order), -3.0, 3.0)
+            u = rng.normal(0.0, 3.0, m)
+            assert_bitwise(model.drift(state, u), fresh_drift_oracle(state, params, u))
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_white_noise_diffusion_at_every_width(self, params, order):
+        no_jumps = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
+        model = make_scenario(ScenarioConfig("white_noise", params, jumps=no_jumps))
+        rng = np.random.default_rng(13)
+        for m in self.WIDTHS:
+            state = states_case(rng, (m, order), -3.0, 3.0)
+            assert_same_bits(model.diffusion(state), oracle_diffusion(state, params))
+            zero = np.zeros(m)
+            assert_bitwise(model.drift(state, zero), fresh_drift_oracle(state, params, zero))
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_panels_rows(self, params):
+        """The 4-row batch of the four input modes has one width, 4."""
+        model = make_scenario(ScenarioConfig(input_mode=INPUT_MODES, params=params))
+        white_noise = np.array([SCENARIOS[mode][0] for mode in INPUT_MODES])
+        rng = np.random.default_rng(14)
+        for order in "CFC":
+            state = states_case(rng, (4, order), -3.0, 3.0)
+            u = rng.normal(0.0, 3.0, 4)
+            assert_bitwise(model.drift(state, u),
+                           fresh_drift_oracle(state, params, np.where(white_noise, 0.0, u)))
+            assert_same_bits(model.diffusion(state), np.where(
+                white_noise[:, None], oracle_diffusion(state, params), 0.0))
+
+
 class TestLipschitzEstimate:
     BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 

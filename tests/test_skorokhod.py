@@ -250,6 +250,41 @@ class TestReflectBoxOracle:
             assert_bitwise(a, b)
 
 
+class TestWidenedBounds:
+    """A domain widened to per-row bounds, the form the step loop reflects
+    into, gives the bits of the per-coordinate bounds it repeats."""
+
+    DOMAINS = {**TestReflectBoxOracle.DOMAINS,
+               "infinite faces": ReflectionDomain(((-np.inf, 0.0), (-0.0, np.inf)))}
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("case", STATE_CASES[1:])
+    def test_same_bits_as_the_bounds_it_repeats(self, case, domain):
+        domain = self.DOMAINS[domain]
+        rng = np.random.default_rng(9)
+        proposal = states_case(rng, case)  # with -0.0 rows and coordinates
+        m = len(proposal)
+        wide = domain.widened(m)
+        for a, b in zip(reflect_box(proposal, wide), reflect_box(proposal, domain)):
+            assert_bitwise(a, b)
+        # an exact-timing sub-step reflects a gather of some rows, C-ordered
+        rows = rng.permutation(m)[:max(1, m // 3)]
+        jump = proposal[rows]
+        for a, b in zip(reflect_box(jump, wide, rows), reflect_box(jump, domain, rows)):
+            assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("m", [1, 4, 1000])
+    def test_bound_arrays(self, m):
+        domain = ReflectionDomain(((0.0, 1.0), (-np.inf, np.inf)))
+        wide = domain.widened(m)
+        assert wide.bounds == (domain.bounds,) * m and wide.dim == 2
+        for got, bound in ((wide.lower, domain.lower), (wide.upper, domain.upper)):
+            assert got.shape == (m, 2) and got.flags.f_contiguous and not got.flags.writeable
+            assert np.array_equal(got, np.broadcast_to(bound, (m, 2)))
+        assert wide == ReflectionDomain((domain.bounds,) * m)
+        assert wide.widened(m) is wide  # a domain per row is widened already
+
+
 class TestDomain:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
