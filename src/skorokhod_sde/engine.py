@@ -131,10 +131,14 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
     lists until it joins them, and per expected jump event 64 bytes
     (:class:`PathInputs` and its copies while drawn or grouped by block of
-    steps, the block keys among them), or 8 * (23 + 2d) under ``exact``
-    timing, the peak of :func:`_exact_substeps`.  End-of-step jumps add
-    the sums of one block of steps, about ``_JUMP_BLOCK`` values or one
-    step's n_paths * d, and a flag per step, 9 bytes.  And
+    steps, the block keys among them), or under ``exact`` timing the more
+    of 8 * (23 + 2d), the peak of :func:`_exact_substeps`, and 8 * (26 +
+    d), the sub-steps it returns with a group's span as the Python list,
+    144 bytes, that :func:`integrate_batch` holds, which adds 40 bytes per
+    grid point for the list of each step's first group and 8 per path for
+    the row offsets.  End-of-step jumps add the sums of one block of steps,
+    about ``_JUMP_BLOCK`` values or one step's n_paths * d, and a flag per
+    step, 9 bytes.  And
     ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
     under tracemalloc, a fresh interpreter's 1-path ensemble on 2000 steps
     peaked 9.6-9.9 kB over the same call repeated."""
@@ -142,8 +146,9 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + n_points * n_paths
                  + 4 * n_points * keep * d
-                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + 1) * n_paths)
-            + events * 8 * (23 + 2 * d if exact else 8) + COLD_START_BYTES)
+                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + 1 + exact) * n_paths)
+            + (events * 8 * max(23 + 2 * d, 26 + d) + 40 * n_points if exact else events * 64)
+            + COLD_START_BYTES)
     if specs and not exact:  # one block of jump sums, a flag per step
         need += 8 * max(n_paths * d, min(n_steps * n_paths * d, _JUMP_BLOCK)) + 9 * n_steps
     if need > MEMORY_BUDGET:
@@ -306,8 +311,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     coefficients and :func:`reflect_box` get F-ordered (m, d) views, and the
     Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.  A domain
     with bounds per coordinate is widened once per batch to bounds per row
-    (:meth:`ReflectionDomain.widened`), so each step's :func:`reflect_box`
-    works on same-shape operands.
+    (:meth:`ReflectionDomain.widened`) for the reflection at each step's
+    end; a jump group's few rows meet the model's bounds as they are.
 
     Each step does only the arithmetic its model needs.  A float diffusion
     or jump coefficient multiplies as a scalar; a diffusion of 0.0 adds no
@@ -331,7 +336,9 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     acc_lo = np.zeros((d, m)).T
     acc_hi = np.zeros((d, m)).T
     domain = model.domain.widened(m)
-    fields, spans, first = substeps or (None, None, None)
+    if substeps:  # the spans as lists and the row offsets once per batch
+        (rows_at, coord_at, size_at, sub_at, frac_at, noise_at, rest_at), spans, first = substeps
+        spans, first, cols = spans.tolist(), first.tolist(), np.arange(m)
     binned = substeps is None and model.jump_specs
     if binned:
         # the jump sums of a block of steps are one bincount over (step in
@@ -357,7 +364,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         del order
     for k, dt in enumerate(np.diff(times)):
         start = x  # stepping makes a new x; a group step copies it first
-        groups = spans[first[k]:first[k + 1]].tolist() if substeps else ()
+        groups = spans[first[k]:first[k + 1]] if substeps else ()
         f = model.drift(x, inputs.u[k])
         g = model.diffusion(x)
         rho = model.jump_coeff(x) if binned or groups else None
@@ -365,27 +372,30 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         w = inputs.dW[k]
         if groups:
             # rho of a row without a jump never reaches a proposal, so it is
-            # checked here.  Coefficients stay frozen at the step's left
-            # endpoint (copy x, they may alias it); each group moves its
-            # rows to their next jump, applies it and reflects.
-            _check_finite(k, times, x, f, g, rho)
+            # checked here; drift and diffusion reach a group's or the step's
+            # proposal check.  Coefficients stay frozen at the step's left
+            # endpoint (copy x, they may alias it); each group's distinct rows
+            # move to their next jump, take it and reflect, added by np.add.at.
+            if not (math.isfinite(rho) if isinstance(rho, float) else np.isfinite(rho).all()):
+                _check_finite(k, times, x, f, g, rho)
             x, dt = x.copy(order="K"), np.full((m, 1), dt)
             if noisy:  # else the Wiener increments are never read
                 w = w.copy(order="K")
             for lo, hi in groups:
-                rows, coord, size, sub, frac, noise, rest = (a[lo:hi] for a in fields)
-                jump = x[rows] + f[rows] * sub
+                rows, coord = rows_at[lo:hi], coord_at[lo:hi]
+                jump = x[rows] + f[rows] * sub_at[lo:hi]
                 if noisy:
-                    dw = w[rows] * frac + noise
+                    dw = w[rows] * frac_at[lo:hi] + noise_at[lo:hi]
                     jump += _on_rows(g, rows) * dw
-                    w[rows] -= dw
-                jump[np.arange(rows.size), coord] += size * _on_rows(rho, (rows, coord))
+                    np.subtract.at(w, rows, dw)
+                size = size_at[lo:hi] * _on_rows(rho, (rows, coord))
+                np.add.at(jump, (cols[:hi - lo], coord), size)
                 if not np.isfinite(jump).all():
                     _check_finite(k, times, start, f, g, rho, jump, rows)
-                x[rows], linc, uinc = reflect_box(jump, domain, rows)
-                acc_lo[rows] += linc
-                acc_hi[rows] += uinc
-                dt[rows] = rest
+                x[rows], linc, uinc = reflect_box(jump, model.domain, rows)
+                np.add.at(acc_lo, rows, linc)
+                np.add.at(acc_hi, rows, uinc)
+                dt[rows] = rest_at[lo:hi]
         np.multiply(f, dt, out=prop)
         prop += x
         if noisy:

@@ -1,7 +1,8 @@
 """The law of the scheme's output against closed forms: moments that hold
 exactly at any step size for an unreflected jump-diffusion with constant
 coefficients, and the known discretization bias of reflected Brownian
-motion.  Tolerances are 4 standard errors or more; the seeds are fixed."""
+motion, with and without drift.  Tolerances are 4 standard errors or more;
+the seeds are fixed."""
 import math
 
 import numpy as np
@@ -67,3 +68,76 @@ def test_reflected_brownian_motion_bias(dt, n):
     assert abs(mean - expected) <= 4 * se
     if dt == 0.01:  # the bias is about 19 standard errors: a test that can see it
         assert math.sqrt(2 / math.pi) - mean > 10 * se
+
+
+AGP = 0.5825971579390106  # -zeta(1/2) / sqrt(2 pi), the Asmussen-Glynn-Pitman constant
+
+
+def normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2))
+
+
+def spitzer_mean(mu, sigma, dt, horizon=1.0):
+    """E[X_n] of projected Euler from 0 on [0, inf), drift mu, noise sigma:
+    the Lindley recursion X_k = max(X_{k-1} + xi_k, 0), so X_n is the
+    running maximum of the walk S_k, and by Spitzer's identity E[X_n] =
+    sum_{k <= n} E[S_k^+] / k, S_k ~ N(k mu dt, k sigma^2 dt)."""
+    total = 0.0
+    for k in range(1, round(horizon / dt) + 1):
+        m, s = k * mu * dt, sigma * math.sqrt(k * dt)
+        density = math.exp(-(m / s) ** 2 / 2) / math.sqrt(2 * math.pi)
+        total += (m * normal_cdf(m / s) + s * density) / k
+    return total
+
+
+def harrison_mean(mu, sigma, t=1.0):
+    """E[Z_t] from 0 of Brownian motion with drift mu and noise sigma
+    reflected at 0: the integral over y > 0 of P_0(Z_t > y), which by
+    Harrison (1985, section 1.8) is Phi-bar((y - mu t) / (sigma sqrt t))
+    + e^(2 mu y / sigma^2) Phi((-y - mu t) / (sigma sqrt t)), by 200-node
+    Gauss-Legendre on a finite range, past which the integrand is below
+    1e-80 and e^(2 mu y / sigma^2) stays far from overflow."""
+    st = sigma * math.sqrt(t)
+    upper = abs(mu) * t + 20 * st
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    total = 0.0
+    for node, weight in zip(nodes.tolist(), weights.tolist()):
+        y = upper * (node + 1) / 2
+        tail = (normal_cdf((mu * t - y) / st)
+                + math.exp(2 * mu * y / sigma**2) * normal_cdf((-y - mu * t) / st))
+        total += weight * tail
+    return total * upper / 2
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.5])
+def test_spitzer_means_approach_harrison_like_root_dt(mu):
+    """No Monte Carlo: the scheme's exact mean falls short of the continuum
+    mean by AGP sqrt(dt) - O(dt), the drift-free constant; by Spitzer's
+    identity the means at mu and -mu differ by mu T exactly."""
+    target = harrison_mean(mu, 1.0)
+    assert target - harrison_mean(-mu, 1.0) == pytest.approx(mu, abs=1e-12)
+    for dt in (0.01, 0.0025, 0.000625, 0.00015625):
+        gap = target - spitzer_mean(mu, 1.0, dt)
+        assert abs(gap / math.sqrt(dt) - AGP) <= 0.3 * math.sqrt(dt)
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.5])
+@pytest.mark.parametrize("dt, n", [(0.01, 2 * 10**4), (0.0025, 10**4)])
+def test_reflected_drifted_brownian_motion_mean(dt, n, mu):
+    """Projected Euler for Brownian motion with drift mu reflected at 0
+    from 0, T = 1: the terminal mean is the Spitzer sum.  At dt = 0.01 the
+    sum is over 8 standard errors short of Harrison's continuum mean, so
+    the 4-error tolerance cannot take the continuum mean for the scheme's."""
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=lambda state, u: np.full_like(state, mu),
+        diffusion=lambda state: 1.0,
+        domain=ReflectionDomain.half_line(0.0, 1),
+        x0=np.array([0.0]),
+    )
+    result = simulate_ensemble(model, uniform_grid(dt, 1.0), n, 11)
+    mean, se = result.terminal_mean[0], math.sqrt(result.terminal_variance[0] / n)
+    expected = spitzer_mean(mu, 1.0, dt)
+    assert abs(mean - expected) <= 4 * se
+    if dt == 0.01:
+        assert harrison_mean(mu, 1.0) - expected > 8 * se

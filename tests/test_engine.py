@@ -335,7 +335,8 @@ def exact_oracle(model, grid, master_seed, stream_index):
     Each step is split at its jump times; coefficients stay frozen at the
     step's left endpoint, the step's Brownian increment is shared out by
     conditional Brownian-bridge draws taken one at a time from the path's
-    bridge stream, and every sub-step is reflected.
+    bridge stream, and every sub-step is reflected.  A float coefficient is
+    every row's value.
     """
     inputs = sample_path_inputs(model, grid, master_seed, [stream_index])
     bridge_rng = SeedSpec(master_seed, stream_index, 2 * model.dimension + 1).rng()
@@ -359,8 +360,9 @@ def exact_oracle(model, grid, master_seed, stream_index):
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
         f = model.drift(x[None, :], u[k : k + 1])[0]
-        g = model.diffusion(x[None, :])[0]
-        rho = model.jump_coeff(x[None, :])[0] if model.jump_coeff is not None else None
+        g = np.broadcast_to(model.diffusion(x[None, :]), (1, d))[0]
+        rho = (np.broadcast_to(model.jump_coeff(x[None, :]), (1, d))[0]
+               if model.jump_coeff is not None else None)
         s = t0
         remaining = dW[k].copy()
         for ev in events_by_step.get(k, ()):
@@ -480,21 +482,71 @@ class TestBlockJumpSums:
         assert record.terminal.tobytes() == want[0][-1].tobytes()
 
 
+def assert_same_bits(got, want):
+    """Same shape, bytes and sign bits, whatever the memory layout."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_matches_oracle(bundle, model, grid, seed, stream_index):
+    states, lower, upper = exact_oracle(model, grid, seed, stream_index)
+    assert_same_bits(bundle.states, states)
+    assert_same_bits(bundle.phi_lower, lower)
+    assert_same_bits(bundle.phi_upper, upper)
+
+
+def groups_per_step(model, grid, inputs, seed, streams):
+    first = _exact_substeps(model, grid.times, inputs, seed, streams)[2]
+    return np.diff(first)
+
+
 class TestExactAgainstOracle:
     @pytest.mark.parametrize("n_paths", [1, 9])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_columns_match_oracle_bitwise(self, n_paths, seed):
+    @pytest.mark.parametrize("diffusion", ["array", "float"])
+    def test_columns_match_oracle_bitwise(self, n_paths, seed, diffusion):
         model, grid = busy_jump_model(), uniform_grid(0.5, 5.0)
+        if diffusion == "float":  # the noisy path with a scalar g
+            model = replace(model, diffusion=lambda state: 0.3)
         result = simulate_ensemble(model, grid, n_paths, seed, retain=n_paths,
                                    jump_timing="exact")
         for j, bundle in enumerate(result.bundles):
-            states, lower, upper = exact_oracle(model, grid, seed, j)
-            assert np.array_equal(bundle.states, states)
-            assert np.array_equal(bundle.phi_lower, lower)
-            assert np.array_equal(bundle.phi_upper, upper)
+            assert_matches_oracle(bundle, model, grid, seed, j)
         jump_steps = _cells(grid.times, [e.time for e in result.bundles[0].jumps])
         assert np.bincount(jump_steps).max() >= 3  # several jumps share a step
         assert result.bundles[-1].phi_lower.any() and result.bundles[-1].phi_upper.any()
+
+    def test_default_scenario_matches_oracle_bitwise(self):
+        """Diffusion 0.0, a float rho and the half-line domain, whose group
+        steps reflect against (d,) bounds, on 20 paths; some steps hold
+        two or more groups, some paths two jumps in a step."""
+        model, grid, seed, m = make_scenario(ScenarioConfig()), uniform_grid(0.1, 30.0), 5, 20
+        x = np.zeros((2, m)).T
+        assert model.diffusion(x) == 0.0 and isinstance(model.jump_coeff(x), float)
+        assert model.domain.lower.ndim == 1
+        inputs = sample_path_inputs(model, grid, seed, range(m))
+        assert groups_per_step(model, grid, inputs, seed, range(m)).max() >= 2
+        result = simulate_ensemble(model, grid, m, seed, retain=m, jump_timing="exact")
+        for j, bundle in enumerate(result.bundles):
+            assert_matches_oracle(bundle, model, grid, seed, j)
+        assert any(b.phi_lower.any() for b in result.bundles)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_panel_rows_match_their_oracles_bitwise(self, seed):
+        """The four-panel batch reflects each group against the bounds of
+        its own rows: a jumping row is bitwise the oracle of its scenario.
+        A negative rho pushes that row onto its boundary inside the groups."""
+        doc = parse_config("[jumps]\nintensity = 6\nrho = -0.05\n[grid]\nhorizon = 10.0\n")
+        grid, model = doc.build_grid(), make_scenario(doc.scenario_config(INPUT_MODES))
+        assert model.domain.lower.ndim == 2 and not model.row_jumps[0]
+        rows = simulate_rows(model, grid, seed, jump_timing="exact")
+        for mode, jumps, bundle in zip(INPUT_MODES, model.row_jumps, rows):
+            if jumps:
+                scenario = make_scenario(doc.scenario_config(mode))
+                assert_matches_oracle(bundle, scenario, grid, seed, 0)
+                assert bundle.phi_lower.any()
+        assert any(model.row_jumps)
 
     def test_nonfinite_jump_coefficient_aborts(self):
         model = busy_jump_model(jump_coeff=lambda state: np.full_like(state, np.nan))
@@ -575,6 +627,29 @@ class TestAbortOnPoisonedRows:
         assert (exc.value.step_index, exc.value.row) == (step, row)
         assert exc.value.time == grid.times[step]
         assert np.array_equal(exc.value.state, states[step, row])
+
+
+def test_clean_exact_steps_scan_no_coefficients(monkeypatch):
+    """Exact timing scans the coefficients before a step's groups only for
+    a non-finite rho: a clean run of the default scenario on the default
+    grid, 20 paths with jumps in most steps, never calls the scan."""
+    calls = []
+    scan = engine._check_finite
+
+    def spy(*args):
+        calls.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(engine, "_check_finite", spy)
+    model, grid = make_scenario(ScenarioConfig()), uniform_grid(0.1, 100.0)
+    inputs = sample_path_inputs(model, grid, 42, range(20))
+    assert (groups_per_step(model, grid, inputs, 42, range(20)) > 0).mean() > 0.5
+    simulate_ensemble(model, grid, 20, 42, jump_timing="exact")
+    assert calls == []
+    with pytest.raises(SimulationAbort, match="jump coefficient"):  # the spy sees a scan
+        simulate_ensemble(replace(model, jump_coeff=lambda state: math.nan), grid, 20, 42,
+                          jump_timing="exact")
+    assert calls == [int(_cells(grid.times, inputs.time).min())]
 
 
 class TestEnsemble:
