@@ -38,6 +38,9 @@ _BOUND_SLACK = 1e-12  # relative rounding allowance of the Hölder stopping boun
 
 def _as_2d(path) -> np.ndarray:
     path = np.asarray(path, dtype=float)
+    if not 1 <= path.ndim <= 3:
+        raise ValueError(f"need an (n,) or (n, d) path or an (n, k, d) stack, "
+                         f"got shape {path.shape}")
     if path.size == 0:
         raise ValueError("empty path")
     if not np.isfinite(path).all():
@@ -47,9 +50,16 @@ def _as_2d(path) -> np.ndarray:
     return path
 
 
+def _one_path(path) -> np.ndarray:
+    """:func:`_as_2d` of one (n,) or (n, d) path, not a stack."""
+    if np.ndim(path) not in (1, 2):
+        raise ValueError(f"need an (n,) or (n, d) path, got shape {np.shape(path)}")
+    return _as_2d(path)
+
+
 def sup_norm(path) -> float:
     """Grid maximum of |h(t)| with the componentwise 1-norm."""
-    return float(np.abs(_as_2d(path)).sum(axis=1).max())
+    return float(np.abs(_one_path(path)).sum(axis=1).max())
 
 
 def _l1(a, b):
@@ -94,7 +104,7 @@ def holder_seminorm(path, times, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    (values,), times = _pair_inputs(path, times)
+    (values,), times = _pair_inputs(_one_path(path), times)
     # Float subtraction and sums are monotone, so osc bounds every pair's
     # 1-norm and a later lag's gaps are no smaller than this lag's smallest;
     # the slack covers the rounding of pow.

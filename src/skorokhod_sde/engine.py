@@ -123,11 +123,10 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
     seed words of the 2d + 2 streams of every path, 32 bytes per stream
     (:func:`stream_rngs`), every path's input-current generator, 800 bytes,
-    held until the current is drawn, 11 d-vectors and a reference per path,
-    the parameters and the domain widened to the batch width (the 9
-    Wilson-Cowan parameter rows of :func:`models.make_scenario`, and the
-    lower and upper bounds and the tuple of row bounds of
-    :meth:`ReflectionDomain.widened`), the two small arrays of each path's
+    held until the current is drawn, 11 d-vectors per path, the parameters
+    and bounds spread to the batch width (the 9 Wilson-Cowan parameter rows
+    of :func:`models._rows` and the lower and upper bounds of
+    :func:`integrate_batch`), the two small arrays of each path's
     draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
     lists until it joins them, and per expected jump event 64 bytes
     (:class:`PathInputs` and its copies while drawn or grouped by block of
@@ -146,7 +145,7 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (4 * n_points + n_steps * n_paths * d + n_points * n_paths
                  + 4 * n_points * keep * d
-                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + 1 + exact) * n_paths)
+                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + exact) * n_paths)
             + (events * 8 * max(23 + 2 * d, 26 + d) + 40 * n_points if exact else events * 64)
             + COLD_START_BYTES)
     if specs and not exact:  # one block of jump sums, a flag per step
@@ -309,10 +308,10 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     The state and the reflection terms are (m, d) views of (d, m) memory,
     the per-step layout of :func:`sample_path_inputs`'s ``dW``: the
     coefficients and :func:`reflect_box` get F-ordered (m, d) views, and the
-    Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.  A domain
-    with bounds per coordinate is widened once per batch to bounds per row
-    (:meth:`ReflectionDomain.widened`) for the reflection at each step's
-    end; a jump group's few rows meet the model's bounds as they are.
+    Wilson-Cowan drift's (2, m) arithmetic needs no copy of them.  The
+    reflection at each step's end meets same-shape bounds: the domain's,
+    broadcast once per batch to F-ordered (m, d).  A jump group's few rows
+    meet the domain's (d,) bounds, or their own rows of bounds per row.
 
     Each step does only the arithmetic its model needs.  A float diffusion
     or jump coefficient multiplies as a scalar; a diffusion of 0.0 adds no
@@ -335,7 +334,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     gw = np.empty((d, m)).T  # each step's g * dW
     acc_lo = np.zeros((d, m)).T
     acc_hi = np.zeros((d, m)).T
-    domain = model.domain.widened(m)
+    lower, upper = model.domain.lower, model.domain.upper  # (d,), or (m, d) per row
+    wide = [np.broadcast_to(b, (m, d)).copy(order="F") for b in (lower, upper)]
     if substeps:  # the spans as lists and the row offsets once per batch
         (rows_at, coord_at, size_at, sub_at, frac_at, noise_at, rest_at), spans, first = substeps
         spans, first, cols = spans.tolist(), first.tolist(), np.arange(m)
@@ -392,7 +392,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 np.add.at(jump, (cols[:hi - lo], coord), size)
                 if not np.isfinite(jump).all():
                     _check_finite(k, times, start, f, g, rho, jump, rows)
-                x[rows], linc, uinc = reflect_box(jump, model.domain, rows)
+                bounds = (lower[rows], upper[rows]) if lower.ndim == 2 else (lower, upper)
+                x[rows], linc, uinc = reflect_box(jump, *bounds)
                 np.add.at(acc_lo, rows, linc)
                 np.add.at(acc_hi, rows, uinc)
                 dt[rows] = rest_at[lo:hi]
@@ -414,7 +415,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
                 _check_finite(k, times, start, f, g, rho)
         if not np.isfinite(prop.T).all():  # on few rows, an F-ordered check costs more
             _check_finite(k, times, start, f, g, rho, prop)
-        x, linc, uinc = reflect_box(prop, domain)
+        x, linc, uinc = reflect_box(prop, *wide)
         acc_lo += linc
         acc_hi += uinc
         if keep:

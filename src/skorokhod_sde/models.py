@@ -1,6 +1,6 @@
 """Concrete models: the stochastic Wilson-Cowan excitatory/inhibitory system,
 with one drift and one diffusion formula for both populations on the parameter
-columns of :class:`WilsonCowanParams`, the four input-current scenarios, and
+rows of :class:`WilsonCowanParams`, the four input-current scenarios, and
 numeric validators for the Lipschitz and jump-coefficient assumptions.
 """
 from __future__ import annotations
@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from dataclasses import astuple, dataclass, field
+from functools import cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from os.path import isfile
 from types import SimpleNamespace
@@ -69,12 +70,7 @@ class WilsonCowanParams:
 
     Defaults are the classic Wilson-Cowan parameter set (time constants in
     ms).  ``delta_*`` are the refractory saturation factors multiplying the
-    firing rates.  ``__post_init__`` also sets (2, 1) columns, E over I:
-    ``w_from_E`` = (w_EE, w_IE), ``w_from_I`` = (w_EI, w_II), ``I_ext``,
-    ``theta``, ``a``, ``delta``, ``tau`` and ``sigma_ext``, and the constant
-    ``F_shift`` = expit(-a theta), the shift of :func:`sigmoid_F`, which the
-    drift reuses in place of recomputing it.  They are plain attributes,
-    since a field would be a config key and enter ``astuple`` and ``==``.
+    firing rates.
     """
 
     tau_E: float = 1.0
@@ -110,16 +106,22 @@ class WilsonCowanParams:
                 raise ValueError(f"{name} must be nonnegative")
         if not (self.sigma_ext_E >= 0 and self.sigma_ext_I >= 0):
             raise ValueError("noise amplitudes must be nonnegative")
-        columns = {"w_from_E": (self.w_EE, self.w_IE), "w_from_I": (self.w_EI, self.w_II)}
-        for name in _COLUMNS[2:-1]:  # the E, I pairs
-            columns[name] = (getattr(self, f"{name}_E"), getattr(self, f"{name}_I"))
-        for name, pair in columns.items():
-            object.__setattr__(self, name, np.array(pair, dtype=float).reshape(2, 1))
-        object.__setattr__(self, "F_shift", expit(-self.a * self.theta))
 
 
-# the parameter columns WilsonCowanParams sets, F_shift last
-_COLUMNS = ("w_from_E", "w_from_I", "I_ext", "theta", "a", "delta", "tau", "sigma_ext", "F_shift")
+def _rows(params: WilsonCowanParams, m: int) -> SimpleNamespace:
+    """The parameters as contiguous (2, m) rows, E over I, so that every
+    ufunc of :func:`_drift` and :func:`_diffusion` on m states gets
+    same-shape operands: ``w_from_E`` = (w_EE, w_IE), ``w_from_I`` = (w_EI,
+    w_II), ``I_ext``, ``theta``, ``a``, ``delta``, ``tau``, ``sigma_ext``,
+    and ``F_shift`` = expit(-a theta), the shift of :func:`sigmoid_F`.
+    The public coefficients take m = 1, columns that broadcast, since they
+    are not called per step and a call may hold many states."""
+    pairs = {"w_from_E": (params.w_EE, params.w_IE), "w_from_I": (params.w_EI, params.w_II)}
+    for name in ("I_ext", "theta", "a", "delta", "tau", "sigma_ext"):
+        pairs[name] = (getattr(params, f"{name}_E"), getattr(params, f"{name}_I"))
+    c = {name: np.array(pair, dtype=float).reshape(2, 1) for name, pair in pairs.items()}
+    c["F_shift"] = expit(-c["a"] * c["theta"])
+    return SimpleNamespace(**{name: np.broadcast_to(a, (2, m)).copy() for name, a in c.items()})
 
 
 def sigmoid_F(x, theta, a):
@@ -144,19 +146,19 @@ def wilson_cowan_drift(state, params: WilsonCowanParams, u=0.0):
     ``state`` is (2,) or (m, 2); ``u``, the current of both external inputs,
     broadcasts against (m,).  Ufuncs loop over m on contiguous (2, m) rows:
     an F-ordered ``state`` is read, and the result returned, without a copy."""
-    return _on_rows(_drift, np.asarray(state, dtype=float), params, u)
+    return _on_rows(_drift, np.asarray(state, dtype=float), _rows(params, 1), u)
 
 
 def wilson_cowan_diffusion(state, params: WilsonCowanParams):
     """Diagonal noise amplitude sigma_ext (1 - delta r) / tau per population."""
-    return _on_rows(_diffusion, np.asarray(state, dtype=float), params)
+    return _on_rows(_diffusion, np.asarray(state, dtype=float), _rows(params, 1))
 
 
 def _on_rows(formula, state, c, *args):
     """``formula`` of the contiguous (2, m) rows of a (2,) or (m, 2)
     ``state``, with no copy of an F-ordered one, and of ``c``, the
-    parameters as the (2, 1) columns of a :class:`WilsonCowanParams` or as
-    (2, m) rows, which give the same bits; returned in the state's shape."""
+    parameter rows of :func:`_rows` at width m, or at width 1, which
+    broadcast to the same bits; returned in the state's shape."""
     r = np.ascontiguousarray(state.reshape(-1, state.shape[-1]).T)
     return formula(r, c, *args).T.reshape(state.shape)
 
@@ -230,14 +232,10 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
         raise ScenarioError(
             f"jump intensity > 0 contradicts input_mode={config.input_mode}, which has no jumps")
 
-    rows_by_width = {}
+    rows = cache(partial(_rows, params))  # built once per batch width
 
     def on_rows(formula, state, *args):
-        c = rows_by_width.get(m := state.size // 2)
-        if c is None:
-            c = rows_by_width[m] = SimpleNamespace(**{
-                name: np.broadcast_to(getattr(params, name), (2, m)).copy() for name in _COLUMNS})
-        return _on_rows(formula, state, c, *args)
+        return _on_rows(formula, state, rows(state.size // 2), *args)
 
     if np.ndim(white_noise):  # a white-noise row has no input current
         def drift(state, u):

@@ -36,25 +36,10 @@ class ReflectionDomain:
         for lo, hi in bounds.reshape(-1, 2).tolist():
             if not lo < hi:
                 raise ValueError(f"need lo < hi per coordinate, got [{lo}, {hi}]")
-        self._set_arrays(bounds[..., 0], bounds[..., 1])
-
-    def _set_arrays(self, lower, upper):
-        for name, a in (("lower", lower), ("upper", upper)):
-            a = a.copy(order="F")
+        for name, side in (("lower", 0), ("upper", 1)):
+            a = bounds[..., side].copy(order="F")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    def widened(self, m: int) -> "ReflectionDomain":
-        """The per-row domain of a batch of ``m`` rows that each live in this
-        one, so that :func:`reflect_box` meets same-shape (m, d) bounds.  Its
-        arrays are made directly, with no check or loop per row; a domain
-        that has its rows already is returned as it is."""
-        if self.lower.ndim == 2:
-            return self
-        wide = object.__new__(ReflectionDomain)
-        object.__setattr__(wide, "bounds", (self.bounds,) * m)
-        wide._set_arrays(*(np.broadcast_to(a, (m, self.dim)) for a in (self.lower, self.upper)))
-        return wide
 
     @classmethod
     def half_line(cls, lo: float = 0.0, dim: int = 1) -> "ReflectionDomain":
@@ -74,8 +59,8 @@ class ReflectionDomain:
 
 
 def reflect_stream_1d(w, lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Exact lower reflection of a nonempty 1d path ``w`` that starts at or
-    above ``lo``: returns (xi, phi).
+    """Exact lower reflection of a nonempty, finite 1d path ``w`` that starts
+    at or above ``lo``: returns (xi, phi).  ``lo = -inf`` reflects nothing.
 
     phi(t) = -min(0, min_{s<=t} (w(s) - lo)) and xi = w + phi, so xi >= lo at
     every grid point, phi(0) = 0 and phi is nondecreasing.
@@ -83,26 +68,27 @@ def reflect_stream_1d(w, lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("w must be a nonempty 1d path")
+    if not np.isfinite(w).all():
+        raise ValueError("path values must be finite")
+    if math.isnan(lo):
+        raise ValueError("the boundary lo must not be NaN")
     if w[0] < lo:
         raise ValueError(f"initial point {w[0]} lies below the boundary {lo}")
     phi = np.maximum(lo - np.minimum.accumulate(w), 0.0)
     return w + phi, phi
 
 
-def reflect_box(proposal, domain: ReflectionDomain, rows=None):
-    """Per-step componentwise projection into the domain.
+def reflect_box(proposal, lower, upper):
+    """Per-step componentwise projection onto the box [lower, upper].
 
     Returns (reflected point, lower-face increments, upper-face increments).
-    Works on a single point (d,) or a batch (m, d), of any memory layout;
-    the result keeps the proposal's.  Bounds with a row axis,
-    (m, d), apply row by row; ``rows`` picks the batch rows of a proposal
-    that holds only some of them.  The proposal must be finite: then an
-    infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
+    The bounds broadcast against the proposal, a single point (d,) or a
+    batch (m, d) of any memory layout: (d,) bounds apply to every row, and
+    (m, d) bounds row by row.  The result keeps the proposal's layout, given
+    (d,) bounds or bounds in that layout.  The proposal must be finite: then
+    an infinite face gives max(-inf - p, 0) = max(p - inf, 0) = 0.
     """
     p = np.asarray(proposal, dtype=float)
-    lower, upper = domain.lower, domain.upper
-    if rows is not None and lower.ndim == 2:
-        lower, upper = lower[rows], upper[rows]
     lower_inc = np.subtract(lower, p)
     np.maximum(lower_inc, 0.0, out=lower_inc)
     upper_inc = np.subtract(p, upper)

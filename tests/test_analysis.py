@@ -391,6 +391,42 @@ class TestBadInputRejected:
                     holder_seminorm(t, t, alpha)
 
 
+class TestBadShapesRejected:
+    """Only the Sobolev seminorm and the report take (n, k, d) stacks; each
+    function names the shapes it takes, rather than summing across paths
+    or failing inside numpy."""
+
+    T = np.linspace(0.0, 1.0, 6)
+    ONE_PATH = [
+        lambda h, t: sup_norm(h),
+        lambda h, t: holder_seminorm(h, t, 0.25),
+    ]
+    STACKS = [
+        lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),
+        lambda h, t: seminorm_report(h, t),
+    ]
+
+    @pytest.mark.parametrize("seminorm", ONE_PATH, ids=["sup", "holder"])
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 1, 1), ()],
+                             ids=["stack", "1-path stack", "0-d"])
+    def test_one_path_only(self, seminorm, shape):
+        with pytest.raises(ValueError, match=r"need an \(n,\) or \(n, d\) path, got shape"):
+            seminorm(np.zeros(shape), self.T)
+
+    @pytest.mark.parametrize("seminorm", STACKS, ids=["sobolev", "report"])
+    @pytest.mark.parametrize("shape", [(6, 2, 2, 1), (6, 1, 1, 1), ()],
+                             ids=["4-d", "4-d one", "0-d"])
+    def test_path_or_stack_only(self, seminorm, shape):
+        with pytest.raises(ValueError, match=r"or an \(n, k, d\) stack, got shape"):
+            seminorm(np.zeros(shape), self.T)
+
+    def test_stack_of_two_paths_is_not_summed(self):
+        stack = np.zeros((6, 2, 2))
+        stack[3, 1] = 1.0
+        assert [r.sup_norm for r in seminorm_report(stack, self.T)] == [0.0, 2.0]
+        assert sup_norm(stack[:, 1]) == 2.0
+
+
 @pytest.mark.parametrize("seminorm", [
     lambda h, t: holder_seminorm(h, t, 0.25),
     lambda h, t: sobolev_seminorm(h, t, 0.25, 2.0),

@@ -376,13 +376,13 @@ def exact_oracle(model, grid, master_seed, stream_index):
                 dw_sub = np.zeros(d)
             prop = x + f * sub + g * dw_sub
             prop[ev.component] += ev.size * rho[ev.component]
-            x, linc, uinc = reflect_box(prop, model.domain)
+            x, linc, uinc = reflect_box(prop, model.domain.lower, model.domain.upper)
             acc_lo += linc
             acc_hi += uinc
             remaining = remaining - dw_sub
             s = max(ev.time, s)
         prop = x + f * (t1 - s) + g * remaining
-        x, linc, uinc = reflect_box(prop, model.domain)
+        x, linc, uinc = reflect_box(prop, model.domain.lower, model.domain.upper)
         acc_lo += linc
         acc_hi += uinc
         states[k + 1] = x
@@ -429,7 +429,7 @@ def per_step_bincount_oracle(model, times, inputs, x0):
         lo, hi = bounds[k], bounds[k + 1]
         if hi > lo or not isinstance(rho, float):
             prop = prop + rho * np.bincount(cells[lo:hi], sizes[lo:hi], m * d).reshape(d, m).T
-        x, linc, uinc = reflect_box_oracle(prop, model.domain)
+        x, linc, uinc = reflect_box_oracle(prop, model.domain.lower, model.domain.upper)
         states.append(x)
         lower.append(lower[-1] + linc)
         upper.append(upper[-1] + uinc)

@@ -1,5 +1,6 @@
 """Tests for the Wilson-Cowan coefficients, the four input scenarios and the
 numeric assumption validators."""
+import dataclasses
 import itertools
 import math
 
@@ -21,7 +22,7 @@ from skorokhod_sde import (
     wilson_cowan_diffusion,
     wilson_cowan_drift,
 )
-from skorokhod_sde.models import INPUT_MODES, SCENARIOS
+from skorokhod_sde.models import INPUT_MODES, SCENARIOS, _rows
 from test_skorokhod import STATE_CASES, assert_bitwise, states_case
 
 
@@ -57,13 +58,20 @@ def oracle_drift(state, p: WilsonCowanParams, i_ext_e, i_ext_i):
     return np.stack([d_e, d_i], axis=-1)
 
 
-def fresh_drift_oracle(state, params: WilsonCowanParams, u=0.0):
+def fresh_drift_oracle(state, p: WilsonCowanParams, u=0.0):
     """:func:`wilson_cowan_drift` as a fresh array per operation, in the
-    same order: the bitwise reference for its in-place form."""
+    same order, on (2, 1) parameter columns built from the fields: the
+    bitwise reference for its in-place form on parameter rows."""
+    def column(e, i):
+        return np.array([[e], [i]])
+
     r = np.ascontiguousarray(np.atleast_2d(state).T, dtype=float)
-    x = params.w_from_E * r[0] - params.w_from_I * r[1] + (params.I_ext + u)
-    gain = expit(params.a * (x - params.theta)) - params.F_shift
-    d = (-r + (1.0 - params.delta * r) * gain) / params.tau
+    a, theta = column(p.a_E, p.a_I), column(p.theta_E, p.theta_I)
+    x = (column(p.w_EE, p.w_IE) * r[0] - column(p.w_EI, p.w_II) * r[1]
+         + (column(p.I_ext_E, p.I_ext_I) + u))
+    gain = expit(a * (x - theta)) - expit(-a * theta)
+    delta = column(p.delta_E, p.delta_I)
+    d = (-r + (1.0 - delta * r) * gain) / column(p.tau_E, p.tau_I)
     return d.T.reshape(np.shape(state))
 
 
@@ -362,6 +370,27 @@ class TestParameterRows:
     """A scenario model's coefficients take the parameters as (2, m) rows
     kept per batch width; at every width, and back at one seen before,
     they give the oracles' bits."""
+
+    def test_params_hold_only_their_fields(self):
+        params = WilsonCowanParams()
+        assert list(vars(params)) == [f.name for f in dataclasses.fields(params)]
+        assert len(vars(params)) == 16
+
+    @pytest.mark.parametrize("params", [WilsonCowanParams(), WilsonCowanParams(
+        tau_E=0.7, a_I=0.9, w_IE=-0.0, delta_I=0.35, sigma_ext_E=0.07, I_ext_I=-0.5)])
+    @pytest.mark.parametrize("m", [1, 4, 200, 1000])
+    def test_rows_are_contiguous_and_exact(self, params, m):
+        rows = vars(_rows(params, m))
+        assert list(rows) == ["w_from_E", "w_from_I", "I_ext", "theta", "a", "delta", "tau",
+                              "sigma_ext", "F_shift"]
+        p = params
+        want = {"w_from_E": (p.w_EE, p.w_IE), "w_from_I": (p.w_EI, p.w_II),
+                **{name: (getattr(p, f"{name}_E"), getattr(p, f"{name}_I"))
+                   for name in list(rows)[2:-1]},
+                "F_shift": (expit(-p.a_E * p.theta_E), expit(-p.a_I * p.theta_I))}
+        for name, row in rows.items():
+            assert row.shape == (2, m) and row.flags.c_contiguous, name
+            assert_bitwise(row, np.repeat(np.array(want[name])[:, None], m, axis=1))
 
     PARAMS = [
         WilsonCowanParams(),

@@ -25,13 +25,10 @@ def minimal_push_oracle(w, lo: float = 0.0) -> np.ndarray:
     return np.maximum(np.maximum.accumulate(lo - w), 0.0)
 
 
-def reflect_box_oracle(proposal, domain, rows=None):
+def reflect_box_oracle(proposal, lower, upper):
     """:func:`reflect_box` as a fresh array per operation, in the same
     order: the bitwise reference for its in-place form."""
     p = np.asarray(proposal, dtype=float)
-    lower, upper = domain.lower, domain.upper
-    if rows is not None and lower.ndim == 2:
-        lower, upper = lower[rows], upper[rows]
     lower_inc = np.maximum(lower - p, 0.0)
     upper_inc = np.maximum(p - upper, 0.0)
     return p + lower_inc - upper_inc, lower_inc, upper_inc
@@ -44,6 +41,13 @@ def assert_bitwise(got, want):
         want.flags.c_contiguous, want.flags.f_contiguous)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def widened(domain, m):
+    """The domain's (d,) bounds broadcast to F-ordered (m, d), as the step
+    loop spreads them over a batch of m rows."""
+    return [np.broadcast_to(b, (m, domain.dim)).copy(order="F")
+            for b in (domain.lower, domain.upper)]
 
 
 def states_case(rng, case, low=-1.0, high=1.5):
@@ -144,6 +148,26 @@ def test_malformed_path_rejected(w, message):
         reflect_stream_1d(w, 0.0)
 
 
+@pytest.mark.parametrize("w, lo, message", [
+    ([np.nan, 1.0], 0.0, "finite"),
+    ([0.0, -np.inf, 1.0], 0.0, "finite"),
+    ([0.0, np.inf], 0.0, "finite"),
+    ([0.0, 1.0], np.nan, "NaN"),
+    ([0.0, np.nan], -np.inf, "finite"),
+])
+def test_nonfinite_path_or_nan_boundary_rejected(w, lo, message):
+    with np.errstate(all="raise"):  # rejected before any arithmetic
+        with pytest.raises(ValueError, match=message):
+            reflect_stream_1d(w, lo)
+
+
+def test_no_lower_boundary_reflects_nothing():
+    w = [0.0, -1e300, 5.0, -7.0]
+    xi, phi = reflect_stream_1d(w, -np.inf)
+    assert np.array_equal(xi, w)
+    assert np.array_equal(phi, np.zeros(4)) and not np.signbit(phi).any()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     steps=st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=60),
@@ -164,34 +188,33 @@ def test_reflection_properties(steps, start):
 class TestReflectBox:
     def test_inside_unchanged(self):
         domain = ReflectionDomain(((0.0, 1.0), (0.0, 1.0)))
-        point, lo_inc, hi_inc = reflect_box([0.3, 0.7], domain)
+        point, lo_inc, hi_inc = reflect_box([0.3, 0.7], domain.lower, domain.upper)
         assert np.array_equal(point, [0.3, 0.7])
         assert not lo_inc.any() and not hi_inc.any()
 
     def test_lower_face(self):
         domain = ReflectionDomain.half_line(0.0, dim=1)
-        point, lo_inc, hi_inc = reflect_box([-0.3], domain)
+        point, lo_inc, hi_inc = reflect_box([-0.3], domain.lower, domain.upper)
         assert point[0] == 0.0
         assert lo_inc[0] == pytest.approx(0.3)
         assert hi_inc[0] == 0.0
 
     def test_upper_face(self):
-        domain = ReflectionDomain(((0.0, 1.0),))
-        point, lo_inc, hi_inc = reflect_box([1.4], domain)
+        point, lo_inc, hi_inc = reflect_box([1.4], [0.0], [1.0])
         assert point[0] == 1.0
         assert hi_inc[0] == pytest.approx(0.4)
         assert lo_inc[0] == 0.0
 
     def test_unreflected_passthrough(self):
         domain = ReflectionDomain.unreflected(2)
-        point, lo_inc, hi_inc = reflect_box([-7.0, 9.0], domain)
+        point, lo_inc, hi_inc = reflect_box([-7.0, 9.0], domain.lower, domain.upper)
         assert np.array_equal(point, [-7.0, 9.0])
         assert not lo_inc.any() and not hi_inc.any()
 
     def test_batch_shape(self):
         domain = ReflectionDomain.half_line(0.0, dim=2)
         pts = np.array([[-1.0, 0.5], [0.2, -0.2]])
-        out, lo_inc, _ = reflect_box(pts, domain)
+        out, lo_inc, _ = reflect_box(pts, domain.lower, domain.upper)
         assert out.shape == (2, 2)
         assert np.array_equal(out, [[0.0, 0.5], [0.2, 0.0]])
         assert np.array_equal(lo_inc, [[1.0, 0.0], [0.0, 0.2]])
@@ -201,16 +224,14 @@ class TestReflectBox:
                                    ((0.0, 1.0), (-1.0, 0.5))))
         assert domain.lower.shape == (3, 2) and domain.dim == 2
         pts = np.array([[-1.0, 0.5], [-1.0, 0.5], [-1.0, 0.75]])
-        out, lo_inc, hi_inc = reflect_box(pts, domain)
+        out, lo_inc, hi_inc = reflect_box(pts, domain.lower, domain.upper)
         assert np.array_equal(out, [[-1.0, 0.5], [0.0, 0.5], [0.0, 0.5]])
         assert np.array_equal(lo_inc, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         assert np.array_equal(hi_inc, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.25]])
         # a proposal for some of the rows meets the bounds of those rows
-        out, lo_inc, hi_inc = reflect_box(pts[[2, 0]], domain, np.array([2, 0]))
+        rows = np.array([2, 0])
+        out, lo_inc, hi_inc = reflect_box(pts[rows], domain.lower[rows], domain.upper[rows])
         assert np.array_equal(out, [[0.0, 0.5], [-1.0, 0.5]])
-        # rows are ignored by bounds without a row axis
-        half = ReflectionDomain.half_line(0.0, dim=2)
-        assert np.array_equal(reflect_box(pts[:1], half, np.array([2]))[0], [[0.0, 0.5]])
 
 
 class TestReflectBoxOracle:
@@ -228,8 +249,9 @@ class TestReflectBoxOracle:
     def test_matches_the_oracle(self, case, domain):
         proposal = states_case(np.random.default_rng(5), case)
         before = proposal.copy(order="K")
-        got = reflect_box(proposal, self.DOMAINS[domain])
-        for a, b in zip(got, reflect_box_oracle(proposal, self.DOMAINS[domain])):
+        bounds = self.DOMAINS[domain].lower, self.DOMAINS[domain].upper
+        got = reflect_box(proposal, *bounds)
+        for a, b in zip(got, reflect_box_oracle(proposal, *bounds)):
             assert_bitwise(a, b)
             assert not np.shares_memory(a, proposal)
         assert_bitwise(proposal, before)
@@ -245,14 +267,14 @@ class TestReflectBoxOracle:
         domain = ReflectionDomain(tuple(tuple(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())))
         rows = rng.permutation(m + 3)[:m]
         proposal = states_case(rng, (m, order))
-        for a, b in zip(reflect_box(proposal, domain, rows),
-                        reflect_box_oracle(proposal, domain, rows)):
+        bounds = domain.lower[rows], domain.upper[rows]
+        for a, b in zip(reflect_box(proposal, *bounds), reflect_box_oracle(proposal, *bounds)):
             assert_bitwise(a, b)
 
 
 class TestWidenedBounds:
-    """A domain widened to per-row bounds, the form the step loop reflects
-    into, gives the bits of the per-coordinate bounds it repeats."""
+    """(d,) bounds broadcast by hand to F-ordered (m, d), the form the step
+    loop reflects into, give the bits of the (d,) bounds they repeat."""
 
     DOMAINS = {**TestReflectBoxOracle.DOMAINS,
                "infinite faces": ReflectionDomain(((-np.inf, 0.0), (-0.0, np.inf)))}
@@ -264,25 +286,15 @@ class TestWidenedBounds:
         rng = np.random.default_rng(9)
         proposal = states_case(rng, case)  # with -0.0 rows and coordinates
         m = len(proposal)
-        wide = domain.widened(m)
-        for a, b in zip(reflect_box(proposal, wide), reflect_box(proposal, domain)):
+        wide = widened(domain, m)
+        bounds = domain.lower, domain.upper
+        for a, b in zip(reflect_box(proposal, *wide), reflect_box(proposal, *bounds)):
             assert_bitwise(a, b)
         # an exact-timing sub-step reflects a gather of some rows, C-ordered
         rows = rng.permutation(m)[:max(1, m // 3)]
         jump = proposal[rows]
-        for a, b in zip(reflect_box(jump, wide, rows), reflect_box(jump, domain, rows)):
+        for a, b in zip(reflect_box(jump, *(w[rows] for w in wide)), reflect_box(jump, *bounds)):
             assert_bitwise(a, b)
-
-    @pytest.mark.parametrize("m", [1, 4, 1000])
-    def test_bound_arrays(self, m):
-        domain = ReflectionDomain(((0.0, 1.0), (-np.inf, np.inf)))
-        wide = domain.widened(m)
-        assert wide.bounds == (domain.bounds,) * m and wide.dim == 2
-        for got, bound in ((wide.lower, domain.lower), (wide.upper, domain.upper)):
-            assert got.shape == (m, 2) and got.flags.f_contiguous and not got.flags.writeable
-            assert np.array_equal(got, np.broadcast_to(bound, (m, 2)))
-        assert wide == ReflectionDomain((domain.bounds,) * m)
-        assert wide.widened(m) is wide  # a domain per row is widened already
 
 
 class TestDomain:
