@@ -31,7 +31,7 @@ __all__ = [
 
 REFERENCE_OFFSET = 3  # the convergence reference is this many levels finer
 HOLDER_ALPHA, SOBOLEV_ALPHA, SOBOLEV_P = 0.25, 0.25, 2.0  # seminorm_report's exponents
-_PAIR_BLOCK = 2**14  # pairs per row block of the Sobolev seminorm
+_PAIR_BLOCK = 2**15  # pairs of all paths per row block of the Sobolev seminorm
 _PAIRWISE_FROM = 8  # numpy sums a trailing axis this long pairwise, not in order
 _BOUND_SLACK = 1e-12  # relative rounding allowance of the Hölder stopping bound
 
@@ -45,9 +45,7 @@ def _as_2d(path) -> np.ndarray:
         raise ValueError("empty path")
     if not np.isfinite(path).all():
         raise ValueError("path values must be finite")
-    if path.ndim == 1:
-        return path[:, None]
-    return path
+    return path[:, None] if path.ndim == 1 else path
 
 
 def _one_path(path) -> np.ndarray:
@@ -62,27 +60,26 @@ def sup_norm(path) -> float:
     return float(np.abs(_one_path(path)).sum(axis=1).max())
 
 
-def _l1(a, b):
+def _l1(a, b, out=None, work=None):
     """``np.abs(a - b).sum(axis=-1)``, bit for bit, at a fraction of its cost.
 
     Below ``_PAIRWISE_FROM`` trailing entries numpy adds them in order, so
     accumulating the columns in order gives the same floats; from there on
     it sums pairwise (in an order that depends on the memory layout), and
-    the plain reduction is kept."""
+    the plain reduction is kept.  ``out`` takes the sum, ``work`` the differences."""
     d = np.shape(a)[-1]
     if d >= _PAIRWISE_FROM:
-        return np.abs(a - b).sum(axis=-1)
-    total = np.abs(a[..., 0] - b[..., 0])
+        return np.abs(a - b).sum(axis=-1, out=out)
+    total = np.abs(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
     for c in range(1, d):
-        total += np.abs(a[..., c] - b[..., c])
+        total += np.abs(np.subtract(a[..., c], b[..., c], out=work), out=work)
     return total
 
 
 def _pair_inputs(path, times):
-    """The paths of an (n,) or (n, d) path or of an (n, k, d) stack, each
-    an (n, d) copy with contiguous columns for _l1's loop or, from
-    _PAIRWISE_FROM on, where numpy's pairwise sums add in a
-    layout-dependent order, with contiguous rows; and the times."""
+    """The paths of an (n,) or (n, d) path or an (n, k, d) stack as (k, n, d),
+    with contiguous (k, n) columns for _l1's loop or, from _PAIRWISE_FROM on,
+    where numpy's pairwise sums depend on the layout, contiguous rows; and the times."""
     values = _as_2d(path)
     times = np.asarray(times, dtype=float)
     if values.shape[0] != times.size or times.size < 2:
@@ -90,8 +87,7 @@ def _pair_inputs(path, times):
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ValueError("times must be finite and strictly increasing")
     layout = np.asfortranarray if values.shape[-1] < _PAIRWISE_FROM else np.ascontiguousarray
-    stack = values if values.ndim == 3 else values[:, None]
-    return [layout(stack[:, j]) for j in range(stack.shape[1])], times
+    return layout(values if values.ndim == 3 else values[:, None]).transpose(1, 0, 2), times
 
 
 def holder_seminorm(path, times, alpha: float) -> float:
@@ -120,27 +116,34 @@ def holder_seminorm(path, times, alpha: float) -> float:
 
 def sobolev_seminorm(path, times, alpha: float, p: float):
     """Double-integral seminorm int int |h(t)-h(s)|^p / |t-s|^{1+alpha p},
-    trapezoid quadrature with the diagonal excluded.  Rows are taken in
-    blocks of about ``_PAIR_BLOCK`` pairs, so memory is linear in the path
-    length.  An (n, k, d) stack of k paths on one grid returns their k
-    values, and each block's weights |t-s|^{1+alpha p} serve every path."""
+    trapezoid quadrature with the diagonal excluded; for an (n, k, d) stack,
+    its k paths' values.  Row blocks of about ``_PAIR_BLOCK`` pairs of up to
+    ``_PAIR_BLOCK // n`` paths share buffers made once: memory is linear in n."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
     paths, times = _pair_inputs(path, times)
-    n = times.size
-    step = max(1, _PAIR_BLOCK // n)
-    inner = np.empty((len(paths), n))
-    for i0 in range(0, n, step):
-        rows = np.arange(i0, min(i0 + step, n))
-        weight = np.abs(times - times[rows, None]) ** (1.0 + alpha * p)
-        for j, x in enumerate(paths):
-            integrand = _l1(x, x[rows, None]) ** p
-            with np.errstate(invalid="ignore"):  # 0/0 on the diagonal
-                integrand /= weight
-            integrand[rows - i0, rows] = 0.0
-            inner[j, rows] = np.trapezoid(integrand, times, axis=1)
+    k, n, _ = paths.shape
+    group = min(k, max(1, _PAIR_BLOCK // n))  # paths per sweep: buffers do not grow with k
+    step = min(n, max(1, _PAIR_BLOCK // (group * n)))
+    gaps, inner = np.diff(times), np.empty((k, n))
+    integrand, work = np.empty(group * step * n), np.empty(group * step * n)  # flat, for views
+    for j0 in range(0, k, group):
+        x = paths[j0:j0 + group]
+        for i0 in range(0, n, step):
+            g, r = len(x), min(step, n - i0)
+            y, diff = integrand[:g * r * n].reshape(g, r, n), work[:g * r * n].reshape(g, r, n)
+            w, trap = work[:r * n].reshape(r, n), work[:g * r * (n - 1)].reshape(g, r, n - 1)
+            _l1(x[:, None], x[:, i0:i0 + r, None], y, diff)
+            y **= p
+            np.abs(np.subtract(times, times[i0:i0 + r, None], out=w), out=w)  # into spent diff
+            w **= 1.0 + alpha * p
+            w[range(r), range(i0, i0 + r)] = 1.0  # so each excluded diagonal pair adds 0 / 1
+            y /= w
+            # np.trapezoid's (d * (y[1:] + y[:-1]) / 2.0).sum(-1); * 0.5 rounds as / 2.0 does
+            np.multiply(np.add(y[..., 1:], y[..., :-1], out=trap), gaps, out=trap)
+            inner[j0:j0 + g, i0:i0 + r] = np.multiply(trap, 0.5, out=trap).sum(axis=-1)
     seminorms = np.trapezoid(inner, times, axis=1)
     return seminorms if np.ndim(path) == 3 else float(seminorms[0])
 
@@ -201,6 +204,8 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     in the domain (:meth:`ReflectedJumpSDE.with_x0`).  Errors use the 1-norm
     squared.
     """
+    if model.row_jumps is not None:  # a scenario per batch row: see engine.simulate_rows
+        raise ValueError("stability_experiment takes no model with row_jumps")
     offsets = [float(p) for p in perturbations]
     starts = [model.x0] + [model.with_x0(model.x0 + offset).x0 for offset in offsets]
     inputs = sample_path_inputs(model, grid, master_seed, range(n_paths)).tiled(len(starts))
@@ -241,6 +246,8 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     input-current driving noise) are generated at the reference level and
     aggregated down to each coarser grid.
     """
+    if model.row_jumps is not None:  # as in stability_experiment
+        raise ValueError("strong_convergence_experiment takes no model with row_jumps")
     levels = sorted(int(n) for n in levels)
     ref_level = levels[-1] + REFERENCE_OFFSET
     fine_grid = build_dyadic_partition(ref_level, horizon)

@@ -51,25 +51,33 @@ from .models import (
 SEED_ENV_VAR = "SKOROKHOD_SDE_SEED"
 
 TRAJECTORY_HEADER = "t,r_E,r_I,phi_E,phi_I,jump_count_E,jump_count_I"
+_TRAJECTORY_ROW = "%s,%s,%s,%.17g,%.17g,%d,%d\n"  # texts of t, r_E, r_I; then phi, counts
 
 
-def write_trajectory_csv(path: Path, bundle: TrajectoryBundle) -> None:
-    columns = [bundle.grid.times, bundle.states, bundle.phi, bundle.cumulative_jump_counts()]
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * 5 + ["%d"] * 2) + "\n"
-    path.write_text(f"{TRAJECTORY_HEADER}\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+def _texts(values) -> list[str]:
+    """The ``%.17g`` text of each value, in C order."""
+    return ("%.17g\n" * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-def write_long_csv(path: Path, panels: dict[str, TrajectoryBundle]) -> None:
-    """Plot-ready long format: scenario,series,t,value."""
-    chunks = ["scenario,series,t,value\n"]
-    for mode, bundle in panels.items():
-        times = bundle.grid.times
-        for series, col in (("r_E", 0), ("r_I", 1)):
-            row = f"{mode.replace('%', '%%')},{series},%.17g,%.17g\n"
-            pairs = np.column_stack([times, bundle.states[:, col]])
-            chunks.append((row * len(times)) % tuple(pairs.ravel().tolist()))
-    path.write_text("".join(chunks))
+def write_trajectory_csv(path: Path, bundle: TrajectoryBundle, times=None, mode=None):
+    """Write the bundle's trajectory CSV from the texts of its grid ``times``,
+    if given, and of its states, each made once; with a scenario name
+    ``mode``, return its rows of the long CSV, which share those texts."""
+    times = _texts(bundle.grid.times) if times is None else times
+    states = _texts(bundle.states)
+    rows = zip(times, states[0::2], states[1::2], *bundle.phi.T.tolist(),
+               *bundle.cumulative_jump_counts().T.tolist())
+    path.write_text("".join([f"{TRAJECTORY_HEADER}\n", *map(_TRAJECTORY_ROW.__mod__, rows)]))
+    if mode is not None:
+        return "".join([f"{mode},r_E,{t},{v}\n" for t, v in zip(times, states[0::2])]
+                       + [f"{mode},r_I,{t},{v}\n" for t, v in zip(times, states[1::2])])
+
+
+def write_long_csv(path: Path, rows) -> None:
+    """Plot-ready long format: scenario,series,t,value, from the rows that
+    :func:`write_trajectory_csv` returned for each scenario."""
+    with path.open("w") as out:  # chunk by chunk, not joined
+        out.writelines(["scenario,series,t,value\n", *rows])
 
 
 def summarize(bundles: Sequence[TrajectoryBundle]) -> list[dict]:
@@ -144,9 +152,10 @@ def cmd_simulate(doc: ConfigDocument) -> int:
     # the JSON first: a value it cannot hold aborts before any file is written
     out = _out_dir(doc)
     _write_json(out / "summary.json", summary)
-    for bundle in result.bundles:
-        write_trajectory_csv(out / f"trajectory_{bundle.stream_index:03d}.csv", bundle)
-    write_long_csv(out / "long.csv", {doc.input_mode: result.bundles[0]})
+    times = _texts(result.bundles[0].grid.times)  # once per command
+    rows = [write_trajectory_csv(out / f"trajectory_{b.stream_index:03d}.csv", b, times, mode)
+            for b, mode in zip(result.bundles, [doc.input_mode] + [None] * len(result.bundles))]
+    write_long_csv(out / "long.csv", rows[:1])  # the first path's
     return 0
 
 
@@ -166,13 +175,12 @@ def cmd_panels(doc: ConfigDocument) -> int:
     except SimulationAbort as exc:  # name the panel, not its batch row
         raise SimulationAbort(exc.step_index, exc.what, 0, exc.time, exc.state,
                               f"panel {INPUT_MODES[exc.row]}, stream 0") from None
-    panels = dict(zip(INPUT_MODES, bundles))
     summaries = dict(zip(INPUT_MODES, summarize(bundles)))
     out = _out_dir(doc)  # the JSON first, as in cmd_simulate
     _write_json(out / "panels_summary.json", {"master_seed": doc.seed, "panels": summaries})
-    for mode, bundle in panels.items():
-        write_trajectory_csv(out / f"panel_{mode}.csv", bundle)
-    write_long_csv(out / "panels_long.csv", panels)
+    times = _texts(grid.times)
+    write_long_csv(out / "panels_long.csv", [write_trajectory_csv(
+        out / f"panel_{mode}.csv", b, times, mode) for mode, b in zip(INPUT_MODES, bundles)])
     return 0
 
 

@@ -350,6 +350,31 @@ class TestSobolevBatch:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_workload_shape(self):
+        # four 2-d paths of 1001 points on the default grid's times, as the
+        # panels command passes them: the last row block is ragged
+        t = np.linspace(0.0, 100.0, 1001)
+        rows = analysis._PAIR_BLOCK // (4 * t.size)
+        assert 1 < rows < t.size and t.size % rows != 0
+        stack = np.random.default_rng(29).standard_normal((t.size, 4, 2)).cumsum(axis=0)
+        self.assert_per_path(stack, t)
+
+    def test_buffers_do_not_grow_with_the_paths(self):
+        # past _PAIR_BLOCK // n paths the stack is swept in groups, so the
+        # peak holds the buffers of one group beside what grows with k: the
+        # (k, n, d) copy, the (k, n) inner integrals and np.trapezoid's two
+        # temporaries over them, 8 k n (d + 3) bytes
+        t = np.linspace(0.0, 1.0, 129)
+        stack = np.random.default_rng(5).standard_normal((t.size, 1024, 2)).cumsum(axis=0)
+        assert 1024 * t.size > 4 * analysis._PAIR_BLOCK
+        tracemalloc.start()
+        try:
+            sobolev_seminorm(stack, t, 0.25, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * t.size * 1024 * (2 + 3) + 2**20
+
     def test_report_per_path(self):
         t = grid_of("uniform")
         stack = stack_of(shaped_path(shape, t, 2) for shape in ("jump", "last_lag"))
@@ -676,6 +701,33 @@ class TestStabilityBatch:
         finally:
             tracemalloc.stop()
         assert peak <= counted["stability"]
+
+
+class TestScenarioRowsRejected:
+    """A model with ``row_jumps`` holds a scenario per batch row, not paths
+    of one scenario: both experiments refuse it before any draw."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "sample_path_inputs",
+                            lambda *args: calls.append(args))
+        return calls
+
+    def rows_model(self):
+        model = make_scenario(parse_config("").scenario_config(INPUT_MODES))
+        assert model.row_jumps is not None
+        return model
+
+    def test_stability(self, draws):
+        with pytest.raises(ValueError, match="stability_experiment .*row_jumps"):
+            stability_experiment(self.rows_model(), uniform_grid(0.1, 1.0), [0.1, 0.01], 3, 1)
+        assert draws == []
+
+    def test_convergence(self, draws):
+        with pytest.raises(ValueError, match="strong_convergence_experiment .*row_jumps"):
+            strong_convergence_experiment(self.rows_model(), [2, 3], 4, 1, 1.0)
+        assert draws == []
 
 
 class TestStrongConvergence:

@@ -401,8 +401,106 @@ class TestCsvWriters:
                     lines.append(f"{mode},{series},{per_value(t)},"
                                  f"{per_value(bundle.states[k, col])}")
         path = tmp_path / "long.csv"
-        cli.write_long_csv(path, panels)
+        cli.write_long_csv(path, [cli.write_trajectory_csv(tmp_path / "t.csv", bundle, None, mode)
+                                  for mode, bundle in panels.items()])
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def column_table_trajectory(bundle) -> str:
+    """The trajectory CSV as one ``%.17g``/``%d`` row template over the
+    float table of all seven columns."""
+    table = np.column_stack([bundle.grid.times, bundle.states, bundle.phi,
+                             bundle.cumulative_jump_counts()])
+    row = ",".join(["%.17g"] * 5 + ["%d"] * 2) + "\n"
+    return f"{TRAJECTORY_HEADER}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def column_table_long(panels) -> str:
+    """The long CSV as one ``%.17g`` row template per scenario and series."""
+    chunks = ["scenario,series,t,value\n"]
+    for mode, bundle in panels.items():
+        for series, col in (("r_E", 0), ("r_I", 1)):
+            row = f"{mode.replace('%', '%%')},{series},%.17g,%.17g\n"
+            pairs = np.column_stack([bundle.grid.times, bundle.states[:, col]])
+            chunks.append((row * len(pairs)) % tuple(pairs.ravel().tolist()))
+    return "".join(chunks)
+
+
+class TestSharedTexts:
+    """The writers share each value's text between the trajectory and long
+    CSVs; the bytes equal those of per-cell row templates."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e308, -1e308, 0.1, 1 / 3, 7.0]
+
+    def bundle(self, shift):
+        n = len(self.EDGES)
+        grid = uniform_grid(0.1, 0.1 * (n - 1))
+        values = np.roll(self.EDGES, shift)
+        states = np.column_stack([values, values[::-1]])
+        # x - 0.0 is x, so phi holds the edge values, -0.0 among them
+        phi_lower = np.column_stack([np.linspace(0.0, 1e-300, n), np.roll(self.EDGES, shift + 1)])
+        phi_upper = np.zeros((n, 2))
+        # integer-valued counts up to 12 in coordinate 0, one jump in coordinate 1
+        jumps = tuple(JumpEvent(0.01 * k, 1.0, 0) for k in range(12)) + (
+            JumpEvent(0.45, -2.0, 1),)
+        return TrajectoryBundle(
+            grid=grid, states=states, phi=phi_lower - phi_upper,
+            phi_lower=phi_lower, phi_upper=phi_upper, jumps=jumps,
+            master_seed=5, stream_index=shift,
+        )
+
+    def panels(self):
+        return {mode: self.bundle(k) for k, mode in
+                enumerate(["white_noise", "c%d%%", "%s,%(x)s", "%"])}
+
+    def test_edge_values_in_both_columns(self):
+        bundle = self.bundle(0)
+        assert bundle.cumulative_jump_counts()[-1].tolist() == [12, 1]
+        assert np.signbit(bundle.states).any() and np.signbit(bundle.phi).any()
+        assert (bundle.phi == 0.0).any() and (np.abs(bundle.phi) == 5e-324).any()
+
+    def test_shared_texts_match_row_templates(self, tmp_path):
+        # as cmd_panels writes them: one text of each grid time for all files
+        panels = self.panels()
+        times = cli._texts(self.bundle(0).grid.times)
+        rows = [cli.write_trajectory_csv(tmp_path / f"panel_{k}.csv", bundle, times, mode)
+                for k, (mode, bundle) in enumerate(panels.items())]
+        for k, bundle in enumerate(panels.values()):
+            assert (tmp_path / f"panel_{k}.csv").read_bytes() == (
+                column_table_trajectory(bundle).encode())
+        cli.write_long_csv(tmp_path / "long.csv", rows)
+        assert (tmp_path / "long.csv").read_bytes() == column_table_long(panels).encode()
+
+    def test_no_long_rows_without_a_mode(self, tmp_path):
+        bundle = self.bundle(3)
+        path = tmp_path / "trajectory.csv"
+        assert cli.write_trajectory_csv(path, bundle, cli._texts(bundle.grid.times)) is None
+        assert path.read_bytes() == column_table_trajectory(bundle).encode()
+
+    def test_each_writer_alone(self, tmp_path):
+        # no grid-time texts given: the writer makes its own
+        panels = self.panels()
+        rows = []
+        for mode, bundle in panels.items():
+            path = tmp_path / "trajectory.csv"
+            rows.append(cli.write_trajectory_csv(path, bundle, mode=mode))
+            assert path.read_bytes() == column_table_trajectory(bundle).encode()
+        cli.write_long_csv(tmp_path / "long.csv", rows)
+        assert (tmp_path / "long.csv").read_bytes() == column_table_long(panels).encode()
+
+    @pytest.mark.parametrize("command, text, files", [
+        ("panels", "", 4),
+        ("simulate", "[engine]\nn_paths = 5\n[outputs]\nretain = 3\n", 3),
+    ])
+    def test_each_value_formatted_once_per_command(self, tmp_path, monkeypatch,
+                                                   command, text, files):
+        formatted = []
+        texts = cli._texts
+        monkeypatch.setattr(cli, "_texts", lambda v: formatted.append(np.shape(v)) or texts(v))
+        cfg = write_config(tmp_path, SMALL + text)
+        assert run("--config", cfg, "--out", str(tmp_path / "out"), command) == 0
+        # the grid times, then each kept path's states
+        assert formatted == [(51,)] + [(51, 2)] * files
 
 
 class TestHelp:

@@ -1,11 +1,12 @@
 """The python examples in README.md run as written, and the figures it
-states for the memory budget are those the code computes."""
+states for the memory budget and the Sobolev row blocks are those the code
+computes."""
 import re
 from pathlib import Path
 
 import pytest
 
-from skorokhod_sde import make_scenario, parse_config
+from skorokhod_sde import analysis, make_scenario, parse_config
 from skorokhod_sde.engine import check_budget
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,3 +52,10 @@ def test_stated_paths_caps():
     assert stated, "README no longer states the default grid's --paths caps"
     caps = [int(n.replace(" ", "")) for n in stated.groups()]
     assert caps == [default_paths_cap(False), default_paths_cap(True)]
+
+
+def test_stated_sobolev_block():
+    words = r"`sobolev_seminorm` takes the rows of all its paths in blocks of about"
+    stated = re.search(words.replace(" ", r"\s+") + r"\s+(\d[\d ]*?)\s+pairs", TEXT)
+    assert stated, "README no longer states the Sobolev seminorm's block size"
+    assert int(stated.group(1).replace(" ", "")) == analysis._PAIR_BLOCK
