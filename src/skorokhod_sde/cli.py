@@ -165,9 +165,9 @@ def cmd_panels(doc: ConfigDocument) -> int:
     grid = doc.build_grid()
     try:
         model = make_scenario(doc.scenario_config(INPUT_MODES))
-        # one stream's inputs and the histories of the four rows
+        # one stream's inputs and the histories of the four rows, summarized
         check_budget("the four-panel batch", model, grid.horizon, grid.n_steps, 1,
-                     len(INPUT_MODES), doc.jump_timing == "exact")
+                     len(INPUT_MODES), doc.jump_timing == "exact", summarized=True)
     except ValueError as exc:  # x0 outside a reflected panel's domain, or over the budget
         raise ConfigError([ConfigIssue(E_INVARIANT, 0, f"panels: {exc}")]) from None
     try:

@@ -234,7 +234,8 @@ def _build(values: dict) -> ConfigDocument:
     if doc.retain < 0:
         raise ValueError("retain must be >= 0")
     check_budget("simulate", model, doc.horizon, n_steps, doc.n_paths,
-                 min(max(doc.retain, 1), doc.n_paths), doc.jump_timing == "exact")
+                 min(max(doc.retain, 1), doc.n_paths), doc.jump_timing == "exact",
+                 summarized=True)
     if exp.kind == "stability":
         # one batch: the reference and every perturbed ensemble, on the
         # inputs tiled once per ensemble, with every row's history kept

@@ -22,6 +22,7 @@ from .sources import (
     JumpEvent,
     OUParams,
     PathInputs,
+    _DRAW_BLOCK,
     _cells,
     sample_path_inputs,
     stream_layout,
@@ -114,42 +115,54 @@ def dyadic_steps(level: int, horizon: float) -> int:
 
 
 def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps: int,
-                 n_paths: int, keep: int, exact: bool = False) -> float:
+                 n_paths: int, keep: int, exact: bool = False, summarized: bool = False) -> float:
     """Peak bytes of arrays of ``n_paths`` paths of ``model`` on ``n_steps``
-    steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid and
-    one stream's draw, 4 arrays of n_points, the Wiener increments, (n_steps,
-    n_paths, d), the input current, (n_points, n_paths), whose increments
-    are drawn into it, the states, the two reflection terms and the net
-    reflection term of ``keep`` kept paths, (n_points, keep, d) each, the
-    seed words of the 2d + 2 streams of every path, 32 bytes per stream
-    (:func:`stream_rngs`), every path's input-current generator, 800 bytes,
-    held until the current is drawn, 11 d-vectors per path, the parameters
-    and bounds spread to the batch width (the 9 Wilson-Cowan parameter rows
-    of :func:`models._rows` and the lower and upper bounds of
-    :func:`integrate_batch`), the two small arrays of each path's
-    draw of each jump component, 256 bytes, held in :func:`sample_path_inputs`'
-    lists until it joins them, and per expected jump event 64 bytes
-    (:class:`PathInputs` and its copies while drawn or grouped by block of
-    steps, the block keys among them), or under ``exact`` timing the more
-    of 8 * (23 + 2d), the peak of :func:`_exact_substeps`, and 8 * (26 +
-    d), the sub-steps it returns with a group's span as the Python list,
-    144 bytes, that :func:`integrate_batch` holds, which adds 40 bytes per
-    grid point for the list of each step's first group and 8 per path for
-    the row offsets.  End-of-step jumps add the sums of one block of steps,
-    about ``_JUMP_BLOCK`` values or one step's n_paths * d, and a flag per
-    step, 9 bytes.  And
-    ``COLD_START_BYTES`` for the caches a process's first ensemble fills:
-    under tracemalloc, a fresh interpreter's 1-path ensemble on 2000 steps
-    peaked 9.6-9.9 kB over the same call repeated."""
+    steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid, 3
+    arrays of n_points, the block of paths :func:`sample_path_inputs` draws
+    at once, about ``_DRAW_BLOCK`` values or one path's n_steps * d (more
+    than the input current's draw vector, made after it), the Wiener
+    increments, (n_steps, n_paths, d), the input current, (n_points,
+    n_paths), whose increments are drawn into it, the states, the two
+    reflection terms and the net reflection term of ``keep`` kept paths,
+    (n_points, keep, d) each, the seed words of the 2d + 2 streams of every
+    path, 32 bytes per stream (:func:`stream_rngs`), every path's
+    input-current generator, 800 bytes, held until the current is drawn, 11
+    d-vectors per path, the parameters and bounds spread to the batch width
+    (the 9 Wilson-Cowan parameter rows of :func:`models._rows` and the lower
+    and upper bounds of :func:`integrate_batch`), the two small arrays of
+    each path's draw of each jump component, 256 bytes, held in
+    :func:`sample_path_inputs`' lists until it joins them, and per expected
+    jump event 64 bytes (:class:`PathInputs` and its copies while drawn or
+    grouped by block of steps, the block keys among them), or under
+    ``exact`` timing the more of 8 * (23 + 2d), the peak of
+    :func:`_exact_substeps`, and 8 * (26 + d), the sub-steps it returns with
+    a group's span as the Python list, 144 bytes, that
+    :func:`integrate_batch` holds, which adds 40 bytes per grid point for
+    the list of each step's first group and 8 per path for the row offsets.
+    End-of-step jumps add the sums of one block of steps, about
+    ``_JUMP_BLOCK`` values or one step's n_paths * d, and a flag per step, 9
+    bytes.  ``summarized`` kept paths add what :func:`cli.summarize` holds:
+    their :class:`JumpEvent` logs, 160 bytes per event, the stack of their
+    states and its layout copy, (n_points, keep, d) each, the Sobolev
+    seminorm's (keep, n_points) inner integrals with ``np.trapezoid``'s two
+    temporaries, and its two block buffers of about ``_PAIR_BLOCK`` values
+    or n_points.  And ``COLD_START_BYTES`` for the caches a process's first
+    ensemble fills: under tracemalloc, a fresh interpreter's 1-path ensemble
+    on 2000 steps peaked 9.6-9.9 kB over the same call repeated."""
     d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
-    need = (8 * (4 * n_points + n_steps * n_paths * d + n_points * n_paths
+    need = (8 * (3 * n_points + max(n_steps * d, min(n_steps * n_paths * d, _DRAW_BLOCK))
+                 + n_steps * n_paths * d + n_points * n_paths
                  + 4 * n_points * keep * d
                  + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + exact) * n_paths)
             + (events * 8 * max(23 + 2 * d, 26 + d) + 40 * n_points if exact else events * 64)
             + COLD_START_BYTES)
     if specs and not exact:  # one block of jump sums, a flag per step
         need += 8 * max(n_paths * d, min(n_steps * n_paths * d, _JUMP_BLOCK)) + 9 * n_steps
+    if summarized:
+        from .analysis import _PAIR_BLOCK  # not at the top: analysis imports this module
+        need += (8 * (2 * n_points * keep * d + 3 * n_points * keep
+                      + 2 * max(n_points, _PAIR_BLOCK)) + 160 * events / n_paths * keep)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")

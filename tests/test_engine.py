@@ -29,7 +29,7 @@ from skorokhod_sde import (
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde import engine
+from skorokhod_sde import cli, config, engine
 from skorokhod_sde.analysis import REFERENCE_OFFSET, strong_convergence_experiment
 from skorokhod_sde.engine import (
     JUMP_TIMINGS,
@@ -809,6 +809,38 @@ class TestMemoryBudget:
                                dyadic_steps(max(levels) + REFERENCE_OFFSET, 1.0), n_paths, 0)
         peak = _peak_bytes(lambda: strong_convergence_experiment(model, levels, n_paths, 5, 1.0))
         assert peak <= counted
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    def test_summarized_simulate_within_the_counted_bytes(self, jump_timing, monkeypatch):
+        """With every path retained, what the config counts for ``simulate``
+        covers the ensemble and then :func:`cli.summarize` of its bundles:
+        the kept jump logs, the stack of the kept states, its layout copy and
+        the Sobolev seminorm's arrays."""
+        counted = []
+        monkeypatch.setattr(config, "check_budget",
+                            lambda *args, **kwargs: counted.append(check_budget(*args, **kwargs)))
+        doc = parse_config(f"[engine]\nn_paths = 50\njump_timing = {jump_timing}\n"
+                           "[outputs]\nretain = 50\n")
+        model = make_scenario(doc.scenario_config())
+        peak = _peak_bytes(lambda: cli.summarize(simulate_ensemble(
+            model, doc.build_grid(), doc.n_paths, doc.seed, doc.retain, jump_timing).bundles))
+        assert peak <= counted[0]
+
+    @pytest.mark.parametrize("jump_timing", JUMP_TIMINGS)
+    def test_summarized_panels_within_the_counted_bytes(self, jump_timing, monkeypatch,
+                                                        tmp_path):
+        """What ``panels`` counts covers its batch and then :func:`cli.summarize`
+        of the four rows."""
+        counted = []
+        monkeypatch.setattr(cli, "check_budget",
+                            lambda *args, **kwargs: counted.append(check_budget(*args, **kwargs)))
+        config_path = tmp_path / "panels.cfg"
+        config_path.write_text(f"[engine]\njump_timing = {jump_timing}\n")
+        assert cli.main(["--config", str(config_path), "--out", str(tmp_path), "panels"]) == 0
+        model = make_scenario(ScenarioConfig(input_mode=INPUT_MODES))
+        peak = _peak_bytes(lambda: cli.summarize(simulate_rows(
+            model, uniform_grid(0.1, 100.0), 42, jump_timing=jump_timing)))
+        assert len(counted) == 1 and peak <= counted[0]
 
     def test_exact_substeps_are_flat(self):
         """The sub-steps hold 8 * (6 + d) bytes per jump, two offsets per

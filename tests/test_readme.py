@@ -1,12 +1,12 @@
 """The python examples in README.md run as written, and the figures it
-states for the memory budget and the Sobolev row blocks are those the code
-computes."""
+states for the memory budget, the Sobolev row blocks and the Wiener draw
+blocks are those the code computes."""
 import re
 from pathlib import Path
 
 import pytest
 
-from skorokhod_sde import analysis, make_scenario, parse_config
+from skorokhod_sde import analysis, make_scenario, parse_config, sources
 from skorokhod_sde.engine import check_budget
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,7 +32,7 @@ def default_paths_cap(exact: bool) -> int:
     def fits(n):
         try:
             check_budget("simulate", model, grid.horizon, grid.n_steps, n,
-                         min(max(doc.retain, 1), n), exact)
+                         min(max(doc.retain, 1), n), exact, summarized=True)
         except ValueError:
             return False
         return True
@@ -59,3 +59,10 @@ def test_stated_sobolev_block():
     stated = re.search(words.replace(" ", r"\s+") + r"\s+(\d[\d ]*?)\s+pairs", TEXT)
     assert stated, "README no longer states the Sobolev seminorm's block size"
     assert int(stated.group(1).replace(" ", "")) == analysis._PAIR_BLOCK
+
+
+def test_stated_draw_block():
+    words = r"draws the Wiener streams of a block of paths at a time, about"
+    stated = re.search(words.replace(" ", r"\s+") + r"\s+(\d[\d ]*?)\s+values", TEXT)
+    assert stated, "README no longer states the size of the Wiener draw block"
+    assert int(stated.group(1).replace(" ", "")) == sources._DRAW_BLOCK

@@ -138,6 +138,13 @@ class TestWienerIncrements:
         want = SeedSpec(4).rng().standard_normal(grid.n_steps) * np.sqrt(np.diff(grid.times))
         assert got.tobytes() == want.tobytes()
 
+    def test_out_is_filled_and_returned(self):
+        grid = SimulationGrid(np.array([0.0, 0.1, 0.3, 0.35, 1.7]))
+        buf = np.full(grid.n_steps, np.nan)
+        got = sample_wiener_increments(SeedSpec(4, 1, 2).rng(), grid, out=buf)
+        assert got is buf
+        assert buf.tobytes() == sample_wiener_increments(SeedSpec(4, 1, 2).rng(), grid).tobytes()
+
     def test_moments_large_sample(self):
         grid = uniform_grid(0.1, 100_000.0)
         inc = sample_wiener_increments(SeedSpec(0).rng(), grid)
@@ -415,6 +422,48 @@ class TestPathInputs:
             assert np.array_equal(inputs.u[:, j], np.broadcast_to(want, grid.times.shape))
             assert inputs[j] == tuple(events)
             assert np.array_equal(summed[:, j, :], _running(_binned(events, grid.times, 2)))
+
+    # 409 paths of 2 x 40 steps fill a draw block; 2 x 20 000 steps overfill one
+    BLOCK_GRIDS = {"short": uniform_grid(0.1, 4.0), "long": uniform_grid(0.1, 2000.0)}
+
+    @pytest.mark.parametrize("grid, edge", [
+        ("short", edge) for edge in ("one", "below", "at", "above", "two_and_three")
+    ] + [("long", edge) for edge in ("one", "at", "above", "two_and_three")])
+    def test_draw_blocks_keep_every_stream(self, grid, edge):
+        """``dW`` column j is bitwise stream j's draws scaled by the grid's
+        roots, for batches that end below, at and past the edge of a block
+        of paths drawn at once, and on a grid where a block is one path."""
+        grid = self.BLOCK_GRIDS[grid]
+        block = max(1, sources._DRAW_BLOCK // (2 * grid.n_steps))
+        m = {"one": 1, "below": block - 1, "at": block, "above": block + 1,
+             "two_and_three": 2 * block + 3}[edge]
+        streams = [3 * j + 1 for j in range(m)]
+        inputs = sample_path_inputs(_two_coord_model(), grid, 11, streams)
+        assert inputs.dW.transpose(0, 2, 1).flags.c_contiguous  # d-major per step
+        for j, idx in enumerate(streams):
+            for c in range(2):
+                want = SeedSpec(11, idx, c).rng().standard_normal(grid.n_steps) * grid.sqrt_widths
+                assert inputs.dW[:, j, c].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, n_steps", [(1, 50_000), (3, 20_000), (1000, 100), (5000, 2)])
+    def test_draw_holds_one_block(self, m, n_steps):
+        """Beyond its outputs and the seeding of its streams, the draw holds
+        at most one block of paths, about ``_DRAW_BLOCK`` values or one
+        path's, whatever the batch: a (paths, d, n_steps) array drawn whole
+        would add 1 MB at 3 paths of 20 000 steps or 1.6 MB at 1000 of 100."""
+        model, grid = _two_coord_model(jumps=False, ou=None), uniform_grid(1.0, float(n_steps))
+        block = 8 * max(2 * n_steps, min(2 * n_steps * m, sources._DRAW_BLOCK))
+        tracemalloc.start()
+        try:
+            for _ in stream_rngs(7, list(range(m)), [0, 1]):  # the indices listed, as drawn
+                pass
+            base, seeding = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            inputs = sample_path_inputs(model, grid, 7, range(m))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= inputs.dW.nbytes + inputs.u.nbytes + seeding + block + 2**13
 
     @pytest.mark.parametrize("jumps, current, components", [
         (True, True, [0, 1, 2, 3, 4]),
