@@ -46,7 +46,7 @@ from .skorokhod import (
 )
 from .sources import (
     CompoundPoissonSpec,
-    JumpEvent,
+    JUMP_LOG,
     JumpSizeDist,
     OUParams,
     PathInputs,

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,22 +63,23 @@ def _texts(values) -> list[str]:
 def write_trajectory_csv(path: Path, bundle: TrajectoryBundle, times=None, mode=None):
     """Write the bundle's trajectory CSV from the texts of its grid ``times``,
     if given, and of its states, each made once; with a scenario name
-    ``mode``, return its rows of the long CSV, which share those texts."""
+    ``mode``, return its rows of the long CSV, made as they are read."""
     times = _texts(bundle.grid.times) if times is None else times
     states = _texts(bundle.states)
     rows = zip(times, states[0::2], states[1::2], *bundle.phi.T.tolist(),
                *bundle.cumulative_jump_counts().T.tolist())
-    path.write_text("".join([f"{TRAJECTORY_HEADER}\n", *map(_TRAJECTORY_ROW.__mod__, rows)]))
+    with path.open("w") as out:  # row by row: no text of the whole file is made
+        out.writelines(chain([f"{TRAJECTORY_HEADER}\n"], map(_TRAJECTORY_ROW.__mod__, rows)))
     if mode is not None:
-        return "".join([f"{mode},r_E,{t},{v}\n" for t, v in zip(times, states[0::2])]
-                       + [f"{mode},r_I,{t},{v}\n" for t, v in zip(times, states[1::2])])
+        return (f"{mode},{series},{t},{v}\n" for series, values in
+                (("r_E", states[0::2]), ("r_I", states[1::2])) for t, v in zip(times, values))
 
 
-def write_long_csv(path: Path, rows) -> None:
+def write_long_csv(path: Path, scenarios) -> None:
     """Plot-ready long format: scenario,series,t,value, from the rows that
-    :func:`write_trajectory_csv` returned for each scenario."""
-    with path.open("w") as out:  # chunk by chunk, not joined
-        out.writelines(["scenario,series,t,value\n", *rows])
+    :func:`write_trajectory_csv` returned for each scenario, taken in turn."""
+    with path.open("w") as out:
+        out.writelines(chain(["scenario,series,t,value\n"], chain.from_iterable(scenarios)))
 
 
 def summarize(bundles: Sequence[TrajectoryBundle]) -> list[dict]:
@@ -88,7 +90,6 @@ def summarize(bundles: Sequence[TrajectoryBundle]) -> list[dict]:
     summaries = []
     for bundle, report in zip(bundles, reports):
         states = bundle.states
-        counts = bundle.cumulative_jump_counts()
         peaks = states.argmax(axis=0)
         summaries.append({
             "schema_version": 1,
@@ -96,7 +97,7 @@ def summarize(bundles: Sequence[TrajectoryBundle]) -> list[dict]:
             "max_rate": [float(states[peaks[c], c]) for c in range(2)],
             "max_rate_time": [float(times[peaks[c]]) for c in range(2)],
             "reflection_local_time": [float(v) for v in bundle.phi_tv[-1]],
-            "jump_counts": [int(counts[-1, c]) for c in range(2)],
+            "jump_counts": np.bincount(bundle.jumps["coord"], minlength=2).tolist(),
             "seminorms": dataclasses.asdict(report),
             "seed": {"master_seed": bundle.master_seed,
                      "stream_index": bundle.stream_index},
@@ -153,9 +154,10 @@ def cmd_simulate(doc: ConfigDocument) -> int:
     out = _out_dir(doc)
     _write_json(out / "summary.json", summary)
     times = _texts(result.bundles[0].grid.times)  # once per command
-    rows = [write_trajectory_csv(out / f"trajectory_{b.stream_index:03d}.csv", b, times, mode)
-            for b, mode in zip(result.bundles, [doc.input_mode] + [None] * len(result.bundles))]
-    write_long_csv(out / "long.csv", rows[:1])  # the first path's
+    for b, mode in zip(result.bundles, [doc.input_mode] + [None] * len(result.bundles)):
+        rows = write_trajectory_csv(out / f"trajectory_{b.stream_index:03d}.csv", b, times, mode)
+        if mode is not None:  # the first path's, before the next path's texts are made
+            write_long_csv(out / "long.csv", [rows])
     return 0
 
 
@@ -178,9 +180,9 @@ def cmd_panels(doc: ConfigDocument) -> int:
     summaries = dict(zip(INPUT_MODES, summarize(bundles)))
     out = _out_dir(doc)  # the JSON first, as in cmd_simulate
     _write_json(out / "panels_summary.json", {"master_seed": doc.seed, "panels": summaries})
-    times = _texts(grid.times)
-    write_long_csv(out / "panels_long.csv", [write_trajectory_csv(
-        out / f"panel_{mode}.csv", b, times, mode) for mode, b in zip(INPUT_MODES, bundles)])
+    times = _texts(grid.times)  # one bundle's other texts are held at a time
+    write_long_csv(out / "panels_long.csv", (write_trajectory_csv(
+        out / f"panel_{mode}.csv", b, times, mode) for mode, b in zip(INPUT_MODES, bundles)))
     return 0
 
 

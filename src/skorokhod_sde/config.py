@@ -252,7 +252,8 @@ def _build(values: dict) -> ConfigDocument:
                              f"because the reference is {REFERENCE_OFFSET} levels finer")
         dyadic_steps(min(exp.levels), exp.horizon)
         check_budget("converge", model, exp.horizon,
-                     dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0)
+                     dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
+                     coarse_steps=dyadic_steps(max(exp.levels), exp.horizon))
         if len(set(exp.levels)) < 2:
             raise ValueError("levels need two distinct values to fit an order")
     return doc

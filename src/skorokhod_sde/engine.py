@@ -19,7 +19,7 @@ import numpy as np
 from .skorokhod import ReflectionDomain, reflect_box, total_variation
 from .sources import (
     CompoundPoissonSpec,
-    JumpEvent,
+    JUMP_LOG,
     OUParams,
     PathInputs,
     _DRAW_BLOCK,
@@ -115,15 +115,17 @@ def dyadic_steps(level: int, horizon: float) -> int:
 
 
 def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps: int,
-                 n_paths: int, keep: int, exact: bool = False, summarized: bool = False) -> float:
+                 n_paths: int, keep: int, exact: bool = False, summarized: bool = False,
+                 coarse_steps: int = 0) -> float:
     """Peak bytes of arrays of ``n_paths`` paths of ``model`` on ``n_steps``
     steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid, 3
     arrays of n_points, the block of paths :func:`sample_path_inputs` draws
     at once, about ``_DRAW_BLOCK`` values or one path's n_steps * d (more
     than the input current's draw vector, made after it), the Wiener
-    increments, (n_steps, n_paths, d), the input current, (n_points,
-    n_paths), whose increments are drawn into it, the states, the two
-    reflection terms and the net reflection term of ``keep`` kept paths,
+    increments, (n_steps, n_paths, d), and their sums over ``coarse_steps``
+    steps (:meth:`PathInputs.coarsened`), the input current, (n_points,
+    n_paths), whose increments are drawn into it, the states and the two
+    reflection terms of ``keep`` kept paths,
     (n_points, keep, d) each, the seed words of the 2d + 2 streams of every
     path, 32 bytes per stream (:func:`stream_rngs`), every path's
     input-current generator, 800 bytes, held until the current is drawn, 11
@@ -140,10 +142,12 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     :func:`integrate_batch` holds, which adds 40 bytes per grid point for
     the list of each step's first group and 8 per path for the row offsets.
     End-of-step jumps add the sums of one block of steps, about
-    ``_JUMP_BLOCK`` values or one step's n_paths * d, and a flag per step, 9
-    bytes.  ``summarized`` kept paths add what :func:`cli.summarize` holds:
-    their :class:`JumpEvent` logs, 160 bytes per event, the stack of their
-    states and its layout copy, (n_points, keep, d) each, the Sobolev
+    ``_JUMP_BLOCK`` values or one step's rows * d (the batch has the more of
+    n_paths and ``keep`` rows: :func:`simulate_rows` steps one path on each
+    kept row), and a flag per step, 9 bytes.  ``summarized`` kept paths add
+    what :func:`cli.summarize` holds: their jump logs, ``JUMP_LOG.itemsize``
+    (24) bytes per event, the stack of their states and its layout copy,
+    (n_points, keep, d) each, the Sobolev
     seminorm's (keep, n_points) inner integrals with ``np.trapezoid``'s two
     temporaries, and its two block buffers of about ``_PAIR_BLOCK`` values
     or n_points.  And ``COLD_START_BYTES`` for the caches a process's first
@@ -152,17 +156,18 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (3 * n_points + max(n_steps * d, min(n_steps * n_paths * d, _DRAW_BLOCK))
-                 + n_steps * n_paths * d + n_points * n_paths
-                 + 4 * n_points * keep * d
+                 + (n_steps + coarse_steps) * n_paths * d + n_points * n_paths
+                 + 3 * n_points * keep * d
                  + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + exact) * n_paths)
             + (events * 8 * max(23 + 2 * d, 26 + d) + 40 * n_points if exact else events * 64)
             + COLD_START_BYTES)
     if specs and not exact:  # one block of jump sums, a flag per step
-        need += 8 * max(n_paths * d, min(n_steps * n_paths * d, _JUMP_BLOCK)) + 9 * n_steps
+        rows = max(n_paths, keep)
+        need += 8 * max(rows * d, min(n_steps * rows * d, _JUMP_BLOCK)) + 9 * n_steps
     if summarized:
         from .analysis import _PAIR_BLOCK  # not at the top: analysis imports this module
-        need += (8 * (2 * n_points * keep * d + 3 * n_points * keep
-                      + 2 * max(n_points, _PAIR_BLOCK)) + 160 * events / n_paths * keep)
+        need += (8 * ((2 * d + 3) * n_points * keep + 2 * max(n_points, _PAIR_BLOCK))
+                 + JUMP_LOG.itemsize * events / n_paths * keep)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -248,12 +253,15 @@ class TrajectoryBundle:
 
     grid: SimulationGrid
     states: np.ndarray           # (n_points, d)
-    phi: np.ndarray              # net reflection term, (n_points, d)
-    phi_lower: np.ndarray
-    phi_upper: np.ndarray
-    jumps: tuple[JumpEvent, ...]
+    phi_lower: np.ndarray        # (n_points, d)
+    phi_upper: np.ndarray        # (n_points, d)
+    jumps: np.ndarray            # a JUMP_LOG array
     master_seed: int
     stream_index: int
+
+    @property
+    def phi(self) -> np.ndarray:  # the net reflection term
+        return self.phi_lower - self.phi_upper
 
     @property
     def phi_tv(self) -> np.ndarray:
@@ -262,9 +270,8 @@ class TrajectoryBundle:
     def cumulative_jump_counts(self) -> np.ndarray:
         """Applied-jump counts per coordinate at each grid point."""
         counts = np.zeros(self.states.shape, dtype=int)
-        k = _cells(self.grid.times, [ev.time for ev in self.jumps])
-        coords = np.array([ev.component for ev in self.jumps], dtype=int)
-        np.add.at(counts, (k + 1, coords), 1)
+        k = _cells(self.grid.times, self.jumps["time"])
+        np.add.at(counts, (k + 1, self.jumps["coord"]), 1)
         return np.cumsum(counts, axis=0)
 
 
@@ -525,8 +532,7 @@ def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
 def _bundles(grid, record: BatchRecord, inputs: PathInputs, master_seed, stream_indices):
     """The bundles of the kept rows of ``record``, row j on stream
     ``stream_indices[j]``; their arrays are views of the record's."""
-    phi = record.phi_lower - record.phi_upper
-    return tuple(TrajectoryBundle(grid, record.states[:, j], phi[:, j], record.phi_lower[:, j],
+    return tuple(TrajectoryBundle(grid, record.states[:, j], record.phi_lower[:, j],
                                   record.phi_upper[:, j], inputs[j], master_seed, stream_index)
                  for j, stream_index in enumerate(stream_indices))
 

@@ -19,7 +19,7 @@ __all__ = [
     "SeedSpec",
     "JumpSizeDist",
     "CompoundPoissonSpec",
-    "JumpEvent",
+    "JUMP_LOG",
     "OUParams",
     "sample_wiener_increments",
     "sample_compound_poisson",
@@ -35,6 +35,7 @@ __all__ = [
 MAX_SEED = 2**64 - 1  # master seeds are 64-bit unsigned
 _DRAW_BLOCK = 2**15  # Wiener values per block of paths drawn at once; see sample_path_inputs
 JUMP_DISTS = ("constant", "exponential", "uniform")
+JUMP_LOG = np.dtype([("time", float), ("size", float), ("coord", np.intp)])  # 24 B per event
 
 
 def stream_layout(d: int) -> tuple[range, range, int, int]:
@@ -209,15 +210,6 @@ class CompoundPoissonSpec:
 
 
 @dataclass(frozen=True)
-class JumpEvent:
-    """One applied jump: time, drawn size and coordinate (0=active, 1=passive)."""
-
-    time: float
-    size: float
-    component: int
-
-
-@dataclass(frozen=True)
 class OUParams:
     """Ornstein-Uhlenbeck input current: dV = (mu - V/gamma) dt + sigma dW."""
 
@@ -242,21 +234,23 @@ def sample_wiener_increments(rng: np.random.Generator, grid, out=None) -> np.nda
     return np.multiply(out, grid.sqrt_widths, out=out)
 
 
-def sample_compound_poisson(
-    rng: np.random.Generator, spec: CompoundPoissonSpec, horizon: float, component: int = 0
-) -> list[JumpEvent]:
-    """Ordered jump events of the stream ``rng`` on [0, horizon], Poisson(alpha T) many."""
-    times, sizes = sample_compound_poisson_arrays(rng, spec, horizon)
-    return [JumpEvent(float(t), float(s), component) for t, s in zip(times, sizes)]
+def _jump_log(time, size, coord) -> np.ndarray:
+    log = np.empty(np.size(time), JUMP_LOG)
+    log["time"], log["size"], log["coord"] = time, size, coord
+    return log
+
+
+def sample_compound_poisson(rng: np.random.Generator, spec: CompoundPoissonSpec,
+                            horizon: float, component: int = 0) -> np.ndarray:
+    """Ordered jump events of the stream ``rng`` on [0, horizon], Poisson(alpha T)
+    many, as a :data:`JUMP_LOG` array whose ``coord`` is ``component``."""
+    return _jump_log(*sample_compound_poisson_arrays(rng, spec, horizon), component)
 
 
 def sample_compound_poisson_arrays(
     rng: np.random.Generator, spec: CompoundPoissonSpec, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`sample_compound_poisson`: (times, sizes).
-
-    Identical stream and law; cheaper for bulk replication studies.
-    """
+    """The (times, sizes) of :func:`sample_compound_poisson`'s jump log."""
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
     count = rng.poisson(spec.intensity_alpha * horizon)
@@ -315,8 +309,8 @@ class PathInputs:
     flat arrays ordered by (path, coord, time): ``path`` is the column
     0..m-1 and ``coord`` the coordinate each drawn ``size`` applies to.
 
-    ``inputs[j]`` is the jump log of column ``j`` as :class:`JumpEvent`
-    tuples, built on demand.
+    ``inputs[j]`` is the jump log of column ``j``, a :data:`JUMP_LOG`
+    array of its events, built on demand.
     """
 
     dW: np.ndarray
@@ -329,16 +323,11 @@ class PathInputs:
     def __len__(self) -> int:
         return self.dW.shape[1]
 
-    def __getitem__(self, j: int) -> tuple[JumpEvent, ...]:
+    def __getitem__(self, j: int) -> np.ndarray:
         if not 0 <= j < len(self):
             raise IndexError(j)
         lo, hi = np.searchsorted(self.path, [j, j + 1])
-        return tuple(
-            JumpEvent(t, s, c)
-            for t, s, c in zip(self.time[lo:hi].tolist(),
-                               self.size[lo:hi].tolist(),
-                               self.coord[lo:hi].tolist())
-        )
+        return _jump_log(self.time[lo:hi], self.size[lo:hi], self.coord[lo:hi])
 
     def coarsened(self, stride: int) -> PathInputs:
         """These inputs on every ``stride``-th point of their grid: Wiener

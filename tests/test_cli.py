@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skorokhod_sde import (
-    JumpEvent,
+    JUMP_LOG,
     TrajectoryBundle,
     make_scenario,
     parse_config,
     simulate_trajectory,
     uniform_grid,
 )
-from skorokhod_sde import cli
+from skorokhod_sde import cli, config
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
 from skorokhod_sde.config import _SCHEMA
-from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort, simulate_rows
+from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort, check_budget, simulate_rows
 from skorokhod_sde.models import INPUT_MODES
 
 SMALL = "[grid]\nhorizon = 5.0\ndt = 0.1\n"
@@ -326,9 +327,8 @@ class TestSummarize:
         phi_lower = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
         phi_upper = np.zeros((3, 2))
         bundle = TrajectoryBundle(
-            grid=grid, states=states, phi=phi_lower - phi_upper,
-            phi_lower=phi_lower, phi_upper=phi_upper, jumps=(),
-            master_seed=1, stream_index=0,
+            grid=grid, states=states, phi_lower=phi_lower, phi_upper=phi_upper,
+            jumps=np.array([], JUMP_LOG), master_seed=1, stream_index=0,
         )
         summary, = summarize([bundle])
         assert summary["terminal_state"] == [0.2, 0.3]
@@ -343,8 +343,8 @@ class TestSummarize:
         states = np.full((3, 2), 0.7)
         zeros = np.zeros((3, 2))
         bundle = TrajectoryBundle(
-            grid=grid, states=states, phi=zeros, phi_lower=zeros,
-            phi_upper=zeros, jumps=(), master_seed=0, stream_index=0,
+            grid=grid, states=states, phi_lower=zeros, phi_upper=zeros,
+            jumps=np.array([], JUMP_LOG), master_seed=0, stream_index=0,
         )
         summary, = summarize([bundle])
         assert summary["max_rate"] == [0.7, 0.7]
@@ -369,11 +369,10 @@ class TestCsvWriters:
         states = np.array([[-0.0, 5e-324], [1e308, 0.1], [1 / 3, -2.5], [7.0, 1e-17]])
         phi_lower = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 1 / 3], [0.3, 1 / 3]])
         phi_upper = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 2e-300]])
-        jumps = (JumpEvent(0.0, 1.0, 0), JumpEvent(1.0, 0.5, 1), JumpEvent(1.2, 2.0, 0))
+        jumps = np.array([(0.0, 1.0, 0), (1.0, 0.5, 1), (1.2, 2.0, 0)], JUMP_LOG)
         return TrajectoryBundle(
-            grid=grid, states=states, phi=phi_lower - phi_upper,
-            phi_lower=phi_lower, phi_upper=phi_upper, jumps=jumps,
-            master_seed=3, stream_index=0,
+            grid=grid, states=states, phi_lower=phi_lower, phi_upper=phi_upper,
+            jumps=jumps, master_seed=3, stream_index=0,
         )
 
     def test_trajectory_csv_bytes(self, tmp_path):
@@ -441,12 +440,10 @@ class TestSharedTexts:
         phi_lower = np.column_stack([np.linspace(0.0, 1e-300, n), np.roll(self.EDGES, shift + 1)])
         phi_upper = np.zeros((n, 2))
         # integer-valued counts up to 12 in coordinate 0, one jump in coordinate 1
-        jumps = tuple(JumpEvent(0.01 * k, 1.0, 0) for k in range(12)) + (
-            JumpEvent(0.45, -2.0, 1),)
+        jumps = np.array([(0.01 * k, 1.0, 0) for k in range(12)] + [(0.45, -2.0, 1)], JUMP_LOG)
         return TrajectoryBundle(
-            grid=grid, states=states, phi=phi_lower - phi_upper,
-            phi_lower=phi_lower, phi_upper=phi_upper, jumps=jumps,
-            master_seed=5, stream_index=shift,
+            grid=grid, states=states, phi_lower=phi_lower, phi_upper=phi_upper,
+            jumps=jumps, master_seed=5, stream_index=shift,
         )
 
     def panels(self):
@@ -704,3 +701,62 @@ def test_any_run_exits_cleanly(command, mode, timing, keys):
         if code == 2:
             assert written == [], text
             assert err.getvalue().count("\n") == 1, text
+
+
+SUMMARIZED = "[engine]\nn_paths = 5\n[outputs]\nretain = 5\n"
+STABILITY_20 = "[experiment]\nkind = stability\nn_paths = 20\n"
+CONVERGE = "[experiment]\nkind = converge\n"
+# the finer grids: dt = 0.01, a tenth of the default, on a 20 ms horizon for
+# simulate and panels, whose Sobolev seminorm costs n_points**2 per kept path
+# (panels takes 4.5 s at the default 100 ms); for converge, levels one finer
+# (steps 2x), as tracemalloc slows each step about 5x
+FINER_STEPS = "[grid]\nhorizon = 20.0\ndt = 0.01\n"
+WHOLE_COMMANDS = {  # id: (command, config text, the name check_budget counts it under)
+    "simulate": ("simulate", SUMMARIZED, "simulate"),
+    "simulate_finer": ("simulate", SUMMARIZED + FINER_STEPS, "simulate"),
+    "panels": ("panels", "", "the four-panel batch"),
+    "panels_finer": ("panels", FINER_STEPS, "the four-panel batch"),
+    "stability": ("stability", STABILITY_20, "stability"),
+    "stability_finer": ("stability", STABILITY_20 + "[grid]\ndt = 0.01\n", "stability"),
+    "converge": ("converge", CONVERGE, "converge"),
+    "converge_finer": ("converge", CONVERGE + "levels = 5,6,7,8,9,10\nn_paths = 20\n",
+                       "converge"),
+}
+
+
+class TestWholeCommandMemory:
+    """A whole command, run through :func:`cli.main`, holds at most the
+    bytes that its config's :func:`check_budget` call counted: ``simulate``
+    with every path retained, ``panels``, ``stability`` and ``converge``, on
+    the default grid and on a finer one."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def warm(self, tmp_path_factory):
+        """A process's first run of each command imports modules and fills
+        caches that later runs reuse; those are not the command's arrays."""
+        tiny = tmp_path_factory.mktemp("warm")
+        for command, text in (("simulate", ""), ("panels", ""),
+                              ("stability", "kind = stability\nn_paths = 2\n"),
+                              ("converge", "kind = converge\nn_paths = 2\nlevels = 2,3\n")):
+            cfg = write_config(tiny, f"[grid]\nhorizon = 1.0\n[experiment]\nhorizon = 1.0\n{text}")
+            assert run("--config", cfg, "--out", str(tiny / command), command) == 0
+
+    @pytest.mark.parametrize("case", WHOLE_COMMANDS)
+    def test_peak_within_the_counted_bytes(self, case, tmp_path, monkeypatch):
+        command, text, name = WHOLE_COMMANDS[case]
+        counted = {}
+
+        def spy(command, *args, **kwargs):
+            counted[command] = check_budget(command, *args, **kwargs)
+            return counted[command]
+
+        monkeypatch.setattr(config, "check_budget", spy)
+        monkeypatch.setattr(cli, "check_budget", spy)
+        cfg = write_config(tmp_path, text)
+        tracemalloc.start()
+        try:
+            assert run("--config", cfg, "--out", str(tmp_path / "out"), command) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[name]

@@ -1,8 +1,9 @@
 """The law of the scheme's output against closed forms: moments that hold
 exactly at any step size for an unreflected jump-diffusion with constant
-coefficients, and the known discretization bias of reflected Brownian
-motion, with and without drift.  Tolerances are 4 standard errors or more;
-the seeds are fixed."""
+coefficients, the known discretization bias of reflected Brownian motion,
+with and without drift, and the exact answer of the stability experiment on
+monotone one-dimensional models.  Tolerances are 4 standard errors or more,
+or rounding; the seeds are fixed."""
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from skorokhod_sde import (
     ReflectedJumpSDE,
     ReflectionDomain,
     simulate_ensemble,
+    stability_experiment,
     uniform_grid,
 )
 from skorokhod_sde.engine import JUMP_TIMINGS
@@ -141,3 +143,41 @@ def test_reflected_drifted_brownian_motion_mean(dt, n, mu):
     assert abs(mean - expected) <= 4 * se
     if dt == 0.01:
         assert harrison_mean(mu, 1.0) - expected > 8 * se
+
+
+def _ou(state, u):
+    return -state
+
+
+MONOTONE_MODELS = {  # name: (drift, domain, x0, jump law or None)
+    "ou_unreflected": (_ou, ReflectionDomain.unreflected(1), 0.3, None),
+    "brownian_half_line": (lambda state, u: np.zeros_like(state),
+                           ReflectionDomain.half_line(0.0, 1), 0.0, None),
+    "ou_half_line_jumps": (_ou, ReflectionDomain.half_line(0.0, 1), 0.2,
+                           CompoundPoissonSpec(3.0, JumpSizeDist.exponential(0.5))),
+    "ou_unit_interval": (_ou, ReflectionDomain(((0.0, 1.0),)), 0.5, None),
+}
+
+
+@pytest.mark.parametrize("name", MONOTONE_MODELS)
+def test_stability_exact_on_monotone_1d_models(name):
+    """d = 1 under common noise: the Euler map x -> x + f(x) dt is increasing
+    and non-expanding here (f = -x or 0, dt < 1), the noise and the jumps
+    shift the reference and the perturbed path alike, and a 1-d reflection is
+    monotone and 1-Lipschitz.  So the gap between the two paths never grows,
+    its maximum is the initial offset, and the experiment reports errors
+    equal to the perturbation sizes, up to rounding, and a slope of 1."""
+    drift, domain, x0, jumps = MONOTONE_MODELS[name]
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=drift,
+        diffusion=lambda state: 0.7,
+        domain=domain,
+        x0=np.array([x0]),
+        jump_coeff=None if jumps is None else (lambda state: 1.0),
+        jump_specs=None if jumps is None else (jumps,),
+    )
+    report = stability_experiment(model, uniform_grid(0.01, 1.0), (0.1, 0.01, 0.001), 500, 17)
+    assert report.perturbation_sizes == pytest.approx((0.1**2, 0.01**2, 0.001**2), rel=1e-15)
+    np.testing.assert_allclose(report.errors, report.perturbation_sizes, rtol=1e-12, atol=0)
+    assert abs(report.fitted_slope - 1.0) <= 1e-12

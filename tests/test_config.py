@@ -246,12 +246,12 @@ class TestSinglePassValidation:
         assert [str(issue)[:14] for issue in exc.value.issues] == ["[E_INVARIANT] "]
 
     def test_jump_events_count_against_the_budget(self):
-        # 2 coordinates x 2e4 jumps per unit time x T = 100 is 4e6 expected
-        # events: 64 bytes each and the kept path's 160-byte log entries
+        # 2 coordinates x 5e4 jumps per unit time x T = 100 is 1e7 expected
+        # events: 64 bytes each and the kept path's 24-byte log entries
         # fit, exact timing's sub-steps and the log not
-        assert parse_config("[jumps]\nintensity = 20000\n").jump_intensity == 2e4
+        assert parse_config("[jumps]\nintensity = 50000\n").jump_intensity == 5e4
         with pytest.raises(ConfigError, match="memory budget") as exc:
-            parse_config("[jumps]\nintensity = 20000\n[engine]\njump_timing = exact\n")
+            parse_config("[jumps]\nintensity = 50000\n[engine]\njump_timing = exact\n")
         assert [issue.line for issue in exc.value.issues] == [4]
 
     def test_each_bad_key_named(self):

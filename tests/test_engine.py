@@ -238,7 +238,7 @@ class TestSimulateTrajectory:
         b = simulate_trajectory(model, grid, master_seed=42, stream_index=3)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.phi, b.phi)
-        assert a.jumps == b.jumps
+        assert a.jumps.tobytes() == b.jumps.tobytes()
 
     def test_containment_and_complementarity(self):
         model = linear_model_1d(x0=0.2, drift_rate=-0.5, sigma=1.0)
@@ -281,7 +281,7 @@ class TestSimulateTrajectory:
         )
         bundle = simulate_trajectory(model, uniform_grid(0.1, 5.0), master_seed=3)
         assert len(bundle.jumps) > 0
-        total = sum(ev.size for ev in bundle.jumps)
+        total = sum(bundle.jumps["size"].tolist())
         assert bundle.states[-1, 0] == pytest.approx(0.5 + total, abs=1e-12)
         counts = bundle.cumulative_jump_counts()
         assert counts[-1, 0] == len(bundle.jumps)
@@ -317,13 +317,13 @@ class TestExactJumpTiming:
         exact = simulate_trajectory(self._jump_model(0.0), grid, 8, jump_timing="exact")
         end = simulate_trajectory(self._jump_model(0.0), grid, 8, jump_timing="end_of_step")
         assert np.allclose(exact.states, end.states, atol=1e-12)
-        assert exact.jumps == end.jumps
+        assert exact.jumps.tobytes() == end.jumps.tobytes()
 
     def test_same_jump_events_with_diffusion(self):
         grid = uniform_grid(0.1, 5.0)
         exact = simulate_trajectory(self._jump_model(0.4), grid, 8, jump_timing="exact")
         end = simulate_trajectory(self._jump_model(0.4), grid, 8, jump_timing="end_of_step")
-        assert exact.jumps == end.jumps
+        assert exact.jumps.tobytes() == end.jumps.tobytes()
         # terminal value differs only through the bridge redistribution of
         # Brownian mass, which sums back to the same step increment
         assert exact.states[-1, 0] == pytest.approx(end.states[-1, 0], abs=1e-9)
@@ -343,11 +343,11 @@ def exact_oracle(model, grid, master_seed, stream_index):
     times = grid.times
     dW, u = inputs.dW[:, 0], inputs.u[:, 0]
     # stable in time, so simultaneous jumps keep coordinate order
-    events = sorted(inputs[0], key=lambda e: e.time)
+    events = sorted(inputs[0].tolist(), key=lambda e: e[0])  # (time, size, coord)
     events_by_step = {}
     points = times.tolist()
     for ev in events:
-        k = min(max(bisect.bisect_left(points, ev.time) - 1, 0), grid.n_steps - 1)
+        k = min(max(bisect.bisect_left(points, ev[0]) - 1, 0), grid.n_steps - 1)
         events_by_step.setdefault(k, []).append(ev)
     d = model.dimension
     states = np.empty((times.size, d))
@@ -365,8 +365,8 @@ def exact_oracle(model, grid, master_seed, stream_index):
                if model.jump_coeff is not None else None)
         s = t0
         remaining = dW[k].copy()
-        for ev in events_by_step.get(k, ()):
-            sub = max(ev.time, s) - s
+        for time, size, coord in events_by_step.get(k, ()):
+            sub = max(time, s) - s
             total = t1 - s
             if total > 0 and sub > 0:
                 mean = remaining * (sub / total)
@@ -375,12 +375,12 @@ def exact_oracle(model, grid, master_seed, stream_index):
             else:
                 dw_sub = np.zeros(d)
             prop = x + f * sub + g * dw_sub
-            prop[ev.component] += ev.size * rho[ev.component]
+            prop[coord] += size * rho[coord]
             x, linc, uinc = reflect_box(prop, model.domain.lower, model.domain.upper)
             acc_lo += linc
             acc_hi += uinc
             remaining = remaining - dw_sub
-            s = max(ev.time, s)
+            s = max(time, s)
         prop = x + f * (t1 - s) + g * remaining
         x, linc, uinc = reflect_box(prop, model.domain.lower, model.domain.upper)
         acc_lo += linc
@@ -513,7 +513,7 @@ class TestExactAgainstOracle:
                                    jump_timing="exact")
         for j, bundle in enumerate(result.bundles):
             assert_matches_oracle(bundle, model, grid, seed, j)
-        jump_steps = _cells(grid.times, [e.time for e in result.bundles[0].jumps])
+        jump_steps = _cells(grid.times, result.bundles[0].jumps["time"])
         assert np.bincount(jump_steps).max() >= 3  # several jumps share a step
         assert result.bundles[-1].phi_lower.any() and result.bundles[-1].phi_upper.any()
 
@@ -715,7 +715,8 @@ class TestReducers:
         assert len(result.bundles) == min(retain, n_paths)
         for j, bundle in enumerate(result.bundles):
             single = simulate_trajectory(model, grid, seed, j, timing)
-            assert bundle.stream_index == j and bundle.jumps == single.jumps
+            assert bundle.stream_index == j
+            assert bundle.jumps.tobytes() == single.jumps.tobytes()
             for name in ("states", "phi", "phi_lower", "phi_upper"):
                 assert np.array_equal(getattr(bundle, name), getattr(single, name)), name
 
@@ -842,6 +843,33 @@ class TestMemoryBudget:
             model, uniform_grid(0.1, 100.0), 42, jump_timing=jump_timing)))
         assert len(counted) == 1 and peak <= counted[0]
 
+    def test_kept_logs_within_the_counted_bytes(self):
+        """The jump logs of kept paths hold what :func:`check_budget` counts
+        for them per expected event, and an array header per path: 24
+        bytes per event, where one ``JumpEvent`` object per event held 153."""
+        grid, n_paths, intensity = uniform_grid(1.0, 100.0), 4, 500.0
+
+        def model(alpha):
+            jumps = CompoundPoissonSpec(alpha, JumpSizeDist.exponential(1.0))
+            return make_scenario(ScenarioConfig(jumps=jumps))
+
+        def summarized(alpha):  # what summarizing the kept paths adds
+            args = ("simulate", model(alpha), grid.horizon, grid.n_steps, n_paths, n_paths)
+            return check_budget(*args, summarized=True) - check_budget(*args)
+
+        expected = 2 * intensity * grid.horizon * n_paths  # kept events, both coordinates
+        per_event = (summarized(intensity) - summarized(0.0)) / expected
+        inputs = sample_path_inputs(model(intensity), grid, 5, range(n_paths))
+        tracemalloc.start()
+        try:
+            logs = [inputs[j] for j in range(n_paths)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        events = sum(map(len, logs))
+        assert events > expected / 2
+        assert held <= per_event * events + 2**9 * n_paths
+
     def test_exact_substeps_are_flat(self):
         """The sub-steps hold 8 * (6 + d) bytes per jump, two offsets per
         group and one per grid point: about 77 bytes per jump at 20 paths,
@@ -859,10 +887,6 @@ class TestMemoryBudget:
         assert len(fields) == 7 and first.size == grid.times.size
         assert held <= 8 * (6 + d) * n + spans.nbytes + first.nbytes + 2**12
         assert held <= 100 * n
-
-
-def _events(jumps) -> bytes:
-    return np.array([(e.time, e.size, e.component) for e in jumps], dtype=float).tobytes()
 
 
 class TestRowBatch:
@@ -888,9 +912,9 @@ class TestRowBatch:
                                        jump_timing=timing)
             for name in ("states", "phi_lower", "phi_upper", "phi"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (mode, name)
-            assert _events(got.jumps) == _events(want.jumps), mode
+            assert got.jumps.tobytes() == want.jumps.tobytes(), mode
             assert (got.master_seed, got.stream_index) == (seed, 0)
-        assert rows[-1].jumps or "intensity = 0" in text
+        assert len(rows[-1].jumps) or "intensity = 0" in text
 
     def test_inputs_spread_to_rows(self):
         model = make_scenario(ScenarioConfig())
@@ -902,8 +926,8 @@ class TestRowBatch:
         for j in range(4):
             assert np.array_equal(spread.dW[:, j], one.dW[:, 0])
             assert np.array_equal(spread.u[:, j], one.u[:, 0])
-        assert spread[0] == spread[2] == ()
-        assert spread[1] == spread[3] == one[0] and one[0]
+        assert len(spread[0]) == len(spread[2]) == 0
+        assert spread[1].tobytes() == spread[3].tobytes() == one[0].tobytes() and len(one[0])
 
     @pytest.mark.parametrize("flags", [None, (False, True, False, True)])
     @pytest.mark.parametrize("m", [3, 200])
@@ -924,7 +948,8 @@ class TestRowBatch:
         assert all(spread.dW[k].flags.f_contiguous for k in range(spread.dW.shape[0]))
         assert inputs.time.size
         for j in range(4 * m):
-            assert spread[j] == (inputs[j % m] if j // m in blocks else ()), j
+            assert spread[j].tobytes() == (inputs[j % m].tobytes() if j // m in blocks
+                                           else b""), j
 
     def test_domain_per_row_needs_row_flags(self):
         domain = ReflectionDomain((((0.0, math.inf),),) * 2)

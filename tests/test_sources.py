@@ -181,7 +181,8 @@ class TestJumpSizeDist:
 class TestCompoundPoisson:
     def test_zero_intensity_empty(self):
         spec = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
-        assert sample_compound_poisson(SeedSpec(0).rng(), spec, 10.0) == []
+        events = sample_compound_poisson(SeedSpec(0).rng(), spec, 10.0)
+        assert events.dtype == sources.JUMP_LOG and len(events) == 0
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
@@ -199,8 +200,8 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(3.0, JumpSizeDist.exponential(1.0))
         a = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
         b = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
-        assert a == b
-        times = [ev.time for ev in a]
+        assert a.tobytes() == b.tobytes()
+        times = a["time"].tolist()
         assert times == sorted(times)
         assert all(0.0 <= t <= 5.0 for t in times)
 
@@ -209,8 +210,9 @@ class TestCompoundPoisson:
         for idx in range(20):
             events = sample_compound_poisson(SeedSpec(4, idx).rng(), spec, 3.0)
             times, sizes = sample_compound_poisson_arrays(SeedSpec(4, idx).rng(), spec, 3.0)
-            assert [ev.time for ev in events] == list(times)
-            assert [ev.size for ev in events] == list(sizes)
+            assert events["time"].tobytes() == times.tobytes()
+            assert events["size"].tobytes() == sizes.tobytes()
+            assert not events["coord"].any()  # component 0 by default
 
     def test_mean_count(self):
         # E N = alpha T = 10 for alpha=2, T=5.
@@ -226,7 +228,7 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(1.0, JumpSizeDist.exponential(0.5))
         reps = 10**4
         totals = np.array([
-            sum(ev.size for ev in sample_compound_poisson(SeedSpec(1, i).rng(), spec, 1.0))
+            sum(sample_compound_poisson(SeedSpec(1, i).rng(), spec, 1.0)["size"].tolist())
             for i in range(reps)
         ])
         se = totals.std(ddof=1) / np.sqrt(reps)
@@ -359,9 +361,9 @@ def _ou_oracle(seed, params, grid):
 def _binned(events, times, d):
     """Per-event binning into the cells (t_k, t_{k+1}], t = 0 in cell 0."""
     sums = np.zeros((times.size - 1, d))
-    for ev in events:
-        k = int(np.searchsorted(times, ev.time, side="left")) - 1
-        sums[min(max(k, 0), times.size - 2), ev.component] += ev.size
+    for time, size, coord in events.tolist():
+        k = int(np.searchsorted(times, time, side="left")) - 1
+        sums[min(max(k, 0), times.size - 2), coord] += size
     return sums
 
 
@@ -410,17 +412,18 @@ class TestPathInputs:
         summed = _summed_jumps(inputs, grid.times)
         sqrt_dt = np.sqrt(np.diff(grid.times))
         for j, idx in enumerate(streams):
-            events = []
+            events = [np.empty(0, sources.JUMP_LOG)]
             for c in range(2):
                 draw = SeedSpec(master, idx, c).rng().standard_normal(grid.n_steps)
                 assert np.array_equal(inputs.dW[:, j, c], draw * sqrt_dt)
                 if jumps:
-                    events += sample_compound_poisson(
+                    events.append(sample_compound_poisson(
                         SeedSpec(master, idx, 2 + c).rng(), model.jump_specs[c], 4.0,
-                        component=c)
+                        component=c))
+            events = np.concatenate(events)
             want = _ou_oracle(SeedSpec(master, idx, 4), ou, grid) if current else 0.0
             assert np.array_equal(inputs.u[:, j], np.broadcast_to(want, grid.times.shape))
-            assert inputs[j] == tuple(events)
+            assert inputs[j].tobytes() == events.tobytes()
             assert np.array_equal(summed[:, j, :], _running(_binned(events, grid.times, 2)))
 
     # 409 paths of 2 x 40 steps fill a draw block; 2 x 20 000 steps overfill one
@@ -494,10 +497,25 @@ class TestPathInputs:
         grid = uniform_grid(0.5, 2.0)
         inputs = sample_path_inputs(model, grid, 5, range(3))
         assert np.array_equal(inputs.u, np.zeros((5, 3)))
-        assert inputs.time.size == 0 and inputs[2] == ()
+        assert inputs.time.size == 0 and len(inputs[2]) == 0
         assert np.array_equal(_summed_jumps(inputs, grid.times), np.zeros((5, 3, 1)))
         with pytest.raises(IndexError):
             inputs[3]
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_log_is_the_path_slice_of_the_flat_arrays(self, m):
+        """``inputs[j]`` holds exactly path j's entries of the flat jump
+        arrays, in their order, also for the paths of tiled inputs that
+        take no jumps."""
+        inputs = sample_path_inputs(_two_coord_model(intensity=4.0), uniform_grid(0.1, 4.0),
+                                    8, range(m))
+        for batch in (inputs, inputs.tiled(2, (False, True))):
+            for j in range(len(batch)):
+                log, mine = batch[j], batch.path == j
+                assert log.dtype == sources.JUMP_LOG and len(log) == mine.sum()
+                for name in ("time", "size", "coord"):
+                    assert log[name].tobytes() == getattr(batch, name)[mine].tobytes(), name
+        assert all(len(inputs[j]) for j in range(m))
 
     def test_cell_boundaries(self):
         # cells are (t_k, t_{k+1}]: t = k dt lands in cell k-1, t = 0 in cell 0
