@@ -51,9 +51,7 @@ from .sources import (
     OUParams,
     PathInputs,
     SeedSpec,
-    sample_compound_poisson,
     sample_compound_poisson_arrays,
-    sample_ou_path,
     sample_ou_paths,
     sample_path_inputs,
     sample_wiener_increments,

@@ -256,7 +256,12 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     def terminal(level):
         times = build_dyadic_partition(level, horizon).times
         coarse = inputs.coarsened(2 ** (ref_level - level))
-        return integrate_batch(model, times, coarse, model.x0, keep=0).terminal
+        try:
+            return integrate_batch(model, times, coarse, model.x0, keep=0).terminal
+        except SimulationAbort as exc:  # name the stream and its level, as stability does
+            where = f"the reference level {level}" if level == ref_level else f"level {level}"
+            raise SimulationAbort(exc.step_index, exc.what, exc.row, exc.time, exc.state,
+                                  f"stream {exc.row} on {where}") from None
 
     terminal_ref = terminal(ref_level)
     dts, errs = [], []

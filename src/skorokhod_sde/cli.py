@@ -56,8 +56,8 @@ _TRAJECTORY_ROW = "%s,%s,%s,%.17g,%.17g,%d,%d\n"  # texts of t, r_E, r_I; then p
 
 
 def _texts(values) -> list[str]:
-    """The ``%.17g`` text of each value, in C order."""
-    return ("%.17g\n" * values.size % tuple(values.ravel().tolist())).splitlines()
+    """The ``%.17g`` text of each value of a 1-d array."""
+    return ("%.17g\n" * values.size % tuple(values.tolist())).splitlines()
 
 
 def write_trajectory_csv(path: Path, bundle: TrajectoryBundle, times=None, mode=None):
@@ -65,14 +65,14 @@ def write_trajectory_csv(path: Path, bundle: TrajectoryBundle, times=None, mode=
     if given, and of its states, each made once; with a scenario name
     ``mode``, return its rows of the long CSV, made as they are read."""
     times = _texts(bundle.grid.times) if times is None else times
-    states = _texts(bundle.states)
-    rows = zip(times, states[0::2], states[1::2], *bundle.phi.T.tolist(),
+    r_e, r_i = map(_texts, bundle.states.T)
+    rows = zip(times, r_e, r_i, *bundle.phi.T.tolist(),
                *bundle.cumulative_jump_counts().T.tolist())
     with path.open("w") as out:  # row by row: no text of the whole file is made
         out.writelines(chain([f"{TRAJECTORY_HEADER}\n"], map(_TRAJECTORY_ROW.__mod__, rows)))
     if mode is not None:
         return (f"{mode},{series},{t},{v}\n" for series, values in
-                (("r_E", states[0::2]), ("r_I", states[1::2])) for t, v in zip(times, values))
+                (("r_E", r_e), ("r_I", r_i)) for t, v in zip(times, values))
 
 
 def write_long_csv(path: Path, scenarios) -> None:

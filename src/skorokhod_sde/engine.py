@@ -44,7 +44,6 @@ __all__ = [
     "JUMP_TIMINGS",
     "simulate_trajectory",
     "simulate_rows",
-    "simulate_paths",
     "simulate_ensemble",
 ]
 
@@ -150,9 +149,14 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     (n_points, keep, d) each, the Sobolev
     seminorm's (keep, n_points) inner integrals with ``np.trapezoid``'s two
     temporaries, and its two block buffers of about ``_PAIR_BLOCK`` values
-    or n_points.  And ``COLD_START_BYTES`` for the caches a process's first
-    ensemble fills: under tracemalloc, a fresh interpreter's 1-path ensemble
-    on 2000 steps peaked 9.6-9.9 kB over the same call repeated."""
+    or n_points; and, per grid point, what :func:`cli.write_trajectory_csv`
+    holds of one path: the ``%.17g`` texts of the time and the d states, 81
+    bytes each (a list slot and a str of at most 24 characters), and per
+    coordinate phi and the jump count as list items, 32 and 36 bytes, and
+    the counts' array, 8.  And ``COLD_START_BYTES`` for the caches a
+    process's first ensemble fills: under tracemalloc, a fresh interpreter's
+    1-path ensemble on 2000 steps peaked 9.6-9.9 kB over the same call
+    repeated."""
     d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
     events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
     need = (8 * (3 * n_points + max(n_steps * d, min(n_steps * n_paths * d, _DRAW_BLOCK))
@@ -167,7 +171,7 @@ def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps:
     if summarized:
         from .analysis import _PAIR_BLOCK  # not at the top: analysis imports this module
         need += (8 * ((2 * d + 3) * n_points * keep + 2 * max(n_points, _PAIR_BLOCK))
-                 + JUMP_LOG.itemsize * events / n_paths * keep)
+                 + JUMP_LOG.itemsize * events / n_paths * keep + n_points * (81 + 157 * d))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -518,13 +522,7 @@ def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
                    master_seed: int, stream_indices: Sequence[int],
                    jump_timing: str = "end_of_step"):
-    """Simulate the given trajectory streams; returns (states, phi_lower,
-    phi_upper, inputs) with array shapes (n_points, m, d).  ``inputs`` is the
-    :class:`PathInputs` drawn for them; ``inputs[j]`` is path j's jump log.
-
-    ``jump_timing`` is ``"end_of_step"`` (each step's jumps are summed and
-    added at its end) or ``"exact"`` (each step is split at its jump times).
-    """
+    """(states, phi_lower, phi_upper, inputs) of the streams; perfbench is its last reader."""
     record, inputs = _step_streams(model, grid, master_seed, stream_indices, jump_timing)
     return record.states, record.phi_lower, record.phi_upper, inputs
 

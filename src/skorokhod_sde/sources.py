@@ -22,9 +22,7 @@ __all__ = [
     "JUMP_LOG",
     "OUParams",
     "sample_wiener_increments",
-    "sample_compound_poisson",
     "sample_compound_poisson_arrays",
-    "sample_ou_path",
     "sample_ou_paths",
     "PathInputs",
     "sample_path_inputs",
@@ -242,15 +240,15 @@ def _jump_log(time, size, coord) -> np.ndarray:
 
 def sample_compound_poisson(rng: np.random.Generator, spec: CompoundPoissonSpec,
                             horizon: float, component: int = 0) -> np.ndarray:
-    """Ordered jump events of the stream ``rng`` on [0, horizon], Poisson(alpha T)
-    many, as a :data:`JUMP_LOG` array whose ``coord`` is ``component``."""
+    """The jump log of one stream's draw, all at ``component``; perfbench is its last reader."""
     return _jump_log(*sample_compound_poisson_arrays(rng, spec, horizon), component)
 
 
 def sample_compound_poisson_arrays(
     rng: np.random.Generator, spec: CompoundPoissonSpec, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (times, sizes) of :func:`sample_compound_poisson`'s jump log."""
+    """Ordered jump times and sizes of the stream ``rng`` on [0, horizon],
+    Poisson(alpha T) many."""
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
     count = rng.poisson(spec.intensity_alpha * horizon)
@@ -263,7 +261,7 @@ def sample_compound_poisson_arrays(
 
 
 def sample_ou_path(seed: SeedSpec, params: OUParams, grid) -> np.ndarray:
-    """Euler path of the OU current on the grid (length = number of grid points)."""
+    """:func:`sample_ou_paths` of the one stream ``seed``; perfbench is its last reader."""
     return sample_ou_paths([seed.rng()], params, grid)[:, 0]
 
 

@@ -24,7 +24,7 @@ from skorokhod_sde import (
     uniform_grid,
 )
 from skorokhod_sde.cli import main
-from skorokhod_sde.engine import simulate_paths
+from test_engine import all_states
 from test_skorokhod import minimal_push_oracle
 
 
@@ -171,8 +171,8 @@ def test_criterion_6_reflection_effect():
     n_seeds = 100
     unref_model, grid = scenario_model("ou_current")
     refl_model, _ = scenario_model("ou_reflected")
-    unref_states, _, _, _ = simulate_paths(unref_model, grid, 0, range(n_seeds))
-    refl_states, _, _, _ = simulate_paths(refl_model, grid, 0, range(n_seeds))
+    unref_states = all_states(unref_model, grid, 0, n_seeds)
+    refl_states = all_states(refl_model, grid, 0, n_seeds)
     unref_mins = unref_states.min(axis=(0, 2))
     refl_mins = refl_states.min(axis=(0, 2))
     frac_negative = float(np.mean(unref_mins < 0.0))
@@ -186,8 +186,8 @@ def test_criterion_7_jump_effect_direction():
     n_seeds = 100
     jump_model, grid = scenario_model("ou_reflected_jumps")
     plain_model, _ = scenario_model("ou_reflected")
-    jump_states, _, _, _ = simulate_paths(jump_model, grid, 0, range(n_seeds))
-    plain_states, _, _, _ = simulate_paths(plain_model, grid, 0, range(n_seeds))
+    jump_states = all_states(jump_model, grid, 0, n_seeds)
+    plain_states = all_states(plain_model, grid, 0, n_seeds)
     jump_peak = jump_states[:, :, 0].max(axis=0).mean()
     plain_peak = plain_states[:, :, 0].max(axis=0).mean()
     report(

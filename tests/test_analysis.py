@@ -23,8 +23,9 @@ from skorokhod_sde import (
     uniform_grid,
 )
 from skorokhod_sde import analysis, config, make_scenario, parse_config
-from skorokhod_sde.engine import simulate_paths, simulate_trajectory
+from skorokhod_sde.engine import simulate_trajectory
 from skorokhod_sde.models import INPUT_MODES
+from test_engine import all_states
 
 
 def linear_model(drift_rate=-1.0, sigma=0.0, x0=(0.0,), domain=None, **kw):
@@ -602,10 +603,10 @@ class TestStabilityExperiment:
         monkeypatch.setattr(analysis, "sample_path_inputs", counted)
         report = stability_experiment(model, grid, offsets, 6, 11)
         assert len(draws) == 1
-        ref = simulate_paths(model, grid, 11, range(6))[0]
+        ref = all_states(model, grid, 11, 6)
         expected = []
         for offset in offsets:
-            states = simulate_paths(model.with_x0(model.x0 + offset), grid, 11, range(6))[0]
+            states = all_states(model.with_x0(model.x0 + offset), grid, 11, 6)
             diff = np.abs(states - ref).sum(axis=2)
             expected.append(float((diff.max(axis=0) ** 2).mean()))
         assert report.errors == tuple(expected)
@@ -780,6 +781,24 @@ class TestStrongConvergence:
         model = linear_model(drift_rate=-1.0, sigma=0.1, x0=(1.0,))
         with pytest.raises(ValueError, match="horizon"):
             strong_convergence_experiment(model, [3, 5], 2, 0, math.inf)
+
+    @pytest.mark.parametrize("levels, horizon, where, t, state", [
+        # the reference (level 8) is stable; on level 3, dt = 1/8 and the
+        # first step goes to 1 - 40 / 8 = -4, where the drift is infinite
+        ([3, 4, 5], 1.0, "level 3", 0.125, [-4.0]),
+        # the reference (level 5) steps first: dt = 1/4, to 1 - 40 / 4 = -9
+        ([1, 2], 8.0, "the reference level 5", 0.25, [-9.0]),
+    ])
+    def test_abort_names_the_stream_and_its_level(self, levels, horizon, where, t, state):
+        """A step index belongs to one level's grid, and the abort names it:
+        a drift of -40 x, infinite where |x| > 1.5, from 1 with no noise."""
+        model = ReflectedJumpSDE(1, lambda x, u: np.where(np.abs(x) > 1.5, np.inf, -40.0 * x),
+                                 lambda x: 0.0, ReflectionDomain.unreflected(1), np.array([1.0]))
+        with pytest.raises(analysis.SimulationAbort) as exc:
+            strong_convergence_experiment(model, levels, 2, 0, horizon)
+        assert str(exc.value) == (f"non-finite drift at step 1, stream 0 on {where}, "
+                                  f"t = {t!r}, state {state}")
+        assert (exc.value.step_index, exc.value.row, exc.value.time) == (1, 0, t)
 
     def test_shared_noise_with_input_current(self):
         model = ReflectedJumpSDE(

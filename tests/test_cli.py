@@ -496,8 +496,8 @@ class TestSharedTexts:
         monkeypatch.setattr(cli, "_texts", lambda v: formatted.append(np.shape(v)) or texts(v))
         cfg = write_config(tmp_path, SMALL + text)
         assert run("--config", cfg, "--out", str(tmp_path / "out"), command) == 0
-        # the grid times, then each kept path's states
-        assert formatted == [(51,)] + [(51, 2)] * files
+        # the grid times, then each kept path's states, one coordinate at a time
+        assert formatted == [(51,)] + [(51,)] * (2 * files)
 
 
 class TestHelp:
@@ -628,8 +628,8 @@ class TestConfigSource:
         assert not out.exists()
 
     def test_panels_over_the_memory_budget_is_config_error(self, tmp_path, capsys):
-        # 5e6 steps: simulate's one kept path fits the budget, four panels' do not
-        cfg = write_config(tmp_path, "[grid]\ndt = 2e-5\n")
+        # 1.6e6 steps: simulate's one kept path fits the budget, four panels' do not
+        cfg = write_config(tmp_path, "[grid]\ndt = 6.25e-5\n")
         out = tmp_path / "x"
         assert run("--config", cfg, "--out", str(out), "panels") == 1
         err = capsys.readouterr().err
@@ -711,9 +711,13 @@ CONVERGE = "[experiment]\nkind = converge\n"
 # (panels takes 4.5 s at the default 100 ms); for converge, levels one finer
 # (steps 2x), as tracemalloc slows each step about 5x
 FINER_STEPS = "[grid]\nhorizon = 20.0\ndt = 0.01\n"
+# one kept path on 3001 points: the CSV writers' texts and lists outgrow the
+# count's slack, which the arrays of a wider batch provide
+ONE_PATH_LONG = "[engine]\nn_paths = 1\n[grid]\nhorizon = 30.0\ndt = 0.01\n"
 WHOLE_COMMANDS = {  # id: (command, config text, the name check_budget counts it under)
     "simulate": ("simulate", SUMMARIZED, "simulate"),
     "simulate_finer": ("simulate", SUMMARIZED + FINER_STEPS, "simulate"),
+    "simulate_one_path_3001_points": ("simulate", ONE_PATH_LONG, "simulate"),
     "panels": ("panels", "", "the four-panel batch"),
     "panels_finer": ("panels", FINER_STEPS, "the four-panel batch"),
     "stability": ("stability", STABILITY_20, "stability"),

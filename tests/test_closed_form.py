@@ -2,8 +2,9 @@
 exactly at any step size for an unreflected jump-diffusion with constant
 coefficients, the known discretization bias of reflected Brownian motion,
 with and without drift, and the exact answer of the stability experiment on
-monotone one-dimensional models.  Tolerances are 4 standard errors or more,
-or rounding; the seeds are fixed."""
+monotone one-dimensional models, the strong order of the scheme for
+reflected Brownian motion, and the exact moments of the OU input current.
+Tolerances are 4 standard errors or more, or rounding; the seeds are fixed."""
 import math
 
 import numpy as np
@@ -12,13 +13,17 @@ import pytest
 from skorokhod_sde import (
     CompoundPoissonSpec,
     JumpSizeDist,
+    OUParams,
     ReflectedJumpSDE,
     ReflectionDomain,
+    sample_ou_paths,
     simulate_ensemble,
     stability_experiment,
+    strong_convergence_experiment,
     uniform_grid,
 )
 from skorokhod_sde.engine import JUMP_TIMINGS
+from skorokhod_sde.sources import stream_rngs
 
 
 @pytest.mark.parametrize("timing", JUMP_TIMINGS)
@@ -181,3 +186,39 @@ def test_stability_exact_on_monotone_1d_models(name):
     assert report.perturbation_sizes == pytest.approx((0.1**2, 0.01**2, 0.001**2), rel=1e-15)
     np.testing.assert_allclose(report.errors, report.perturbation_sizes, rtol=1e-12, atol=0)
     assert abs(report.fitted_slope - 1.0) <= 1e-12
+
+
+def test_convergence_order_half_on_reflected_brownian_motion():
+    """Brownian motion reflected at 0 from 0, no drift: the projected scheme
+    is the Lindley recursion X_n = W_n - min_{k <= n} W_k, so a level's
+    terminal error against the reference is the gap between the minima of
+    W on two nested grids, Theta(sqrt(dt)) by Asmussen, Glynn and Pitman.
+    The reference, 2**3 finer than the finest level, pulls the fitted order
+    a little above 1/2."""
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=lambda state, u: np.zeros_like(state),
+        diffusion=lambda state: 1.0,
+        domain=ReflectionDomain.half_line(0.0, 1),
+        x0=np.array([0.0]),
+    )
+    report = strong_convergence_experiment(model, range(4, 10), 2000, 5, 1.0)
+    assert 0.45 <= report.empirical_order <= 0.65
+
+
+def test_ou_current_moments():
+    """The Euler recursion of the OU current on a uniform grid of step h,
+    v_{k+1} = a v_k + mu h + sigma dW_k with a = 1 - h / gamma, is linear
+    and Gaussian: E v_n = v0 a^n + mu h (1 - a^n) / (1 - a) and
+    Var v_n = sigma^2 h (1 - a^{2n}) / (1 - a^2), exactly, at every point."""
+    params, h, n = OUParams(mu=0.5, gamma=0.5, sigma=0.3, v0=1.0), 0.1, 2 * 10**4
+    grid = uniform_grid(h, 40 * h)
+    v = sample_ou_paths([rng for (rng,) in stream_rngs(9, range(n), [4])], params, grid)
+    a, k = 1.0 - h / params.gamma, np.arange(grid.times.size)
+    mean = params.v0 * a**k + params.mu * h * (1.0 - a**k) / (1.0 - a)
+    var = params.sigma**2 * h * (1.0 - a ** (2 * k)) / (1.0 - a**2)
+    assert np.all(v[0] == params.v0)
+    assert np.all(np.abs(v[1:].mean(axis=1) - mean[1:]) <= 4 * np.sqrt(var[1:] / n))
+    # the sample variance of a Gaussian has standard error Var sqrt(2 / (n - 1))
+    assert np.all(np.abs(v[1:].var(axis=1, ddof=1) - var[1:])
+                  <= 4 * var[1:] * math.sqrt(2 / (n - 1)))

@@ -239,7 +239,7 @@ class TestSinglePassValidation:
         assert "integer multiple of dt" in exc.value.issues[0].message
 
     def test_memory_budget(self):
-        assert parse_config("[grid]\ndt = 2e-5\n").dt == 2e-5  # fits, but not panels
+        assert parse_config("[grid]\ndt = 6.25e-5\n").dt == 6.25e-5  # fits, but not panels
         assert parse_config("[engine]\nn_paths = 4000\n").n_paths == 4000
         with pytest.raises(ConfigError, match="memory budget") as exc:
             parse_config("", overrides={("engine", "n_paths"): "1000000000000"})

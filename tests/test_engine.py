@@ -38,13 +38,19 @@ from skorokhod_sde.engine import (
     check_budget,
     dyadic_steps,
     integrate_batch,
-    simulate_paths,
     uniform_steps,
 )
 from skorokhod_sde.models import INPUT_MODES
 from skorokhod_sde.skorokhod import reflect_box
 from skorokhod_sde.sources import _cells
 from test_skorokhod import reflect_box_oracle
+
+
+def all_states(model, grid, seed, n_paths, jump_timing="end_of_step"):
+    """The states of streams 0..n_paths-1, (n_points, n_paths, d), from an
+    ensemble that keeps every path."""
+    bundles = simulate_ensemble(model, grid, n_paths, seed, n_paths, jump_timing).bundles
+    return np.stack([b.states for b in bundles], axis=1)
 
 
 def linear_model_1d(x0=1.0, drift_rate=-1.0, sigma=0.0, domain=None, **kw):
@@ -581,7 +587,7 @@ class TestAbortOnPoisonedRows:
         clean = replace(busy_jump_model(), jump_specs=(
             CompoundPoissonSpec(0.3, size), CompoundPoissonSpec(0.2, size)))
         grid, m, seed = uniform_grid(0.5, 20.0), 6, 2
-        states = simulate_paths(clean, grid, seed, range(m), timing)[0]
+        states = all_states(clean, grid, seed, m, timing)
         over = states[:-1, :, 0] > self.THRESHOLD  # (n_steps, m)
         hit = over.any(axis=1)
         cells = None
@@ -599,7 +605,7 @@ class TestAbortOnPoisonedRows:
         message = (f"non-finite {what} at step {step}, row {row}, t = {t!r}, "
                    f"state {state.tolist()}")
         with pytest.raises(SimulationAbort, match=f"^{re.escape(message)}$") as exc:
-            simulate_paths(model, grid, seed, range(m), timing)
+            simulate_ensemble(model, grid, m, seed, jump_timing=timing)
         assert exc.value.step_index == step
         assert exc.value.row == row and exc.value.time == t
         assert np.array_equal(exc.value.state, state)
@@ -618,12 +624,11 @@ class TestAbortOnPoisonedRows:
         step = int(cells.min())
         row = int(inputs.path[cells == step].min())
         assert row > 0  # so a row of the group is not taken for a batch row
-        states = simulate_paths(replace(clean, jump_coeff=np.zeros_like), grid, seed,
-                                range(m), timing)[0]
+        states = all_states(replace(clean, jump_coeff=np.zeros_like), grid, seed, m, timing)
         model = replace(clean, jump_coeff=lambda state: np.full_like(state, 1e308))
         with pytest.raises(SimulationAbort, match="^non-finite state proposal") as exc, \
                 np.errstate(over="ignore"):
-            simulate_paths(model, grid, seed, range(m), timing)
+            simulate_ensemble(model, grid, m, seed, jump_timing=timing)
         assert (exc.value.step_index, exc.value.row) == (step, row)
         assert exc.value.time == grid.times[step]
         assert np.array_equal(exc.value.state, states[step, row])
@@ -704,7 +709,7 @@ class TestReducers:
     def test_matches_full_history(self, timing, n_paths, retain):
         model, grid, seed = busy_jump_model(), uniform_grid(0.5, 5.0), 3
         result = simulate_ensemble(model, grid, n_paths, seed, retain, timing)
-        terminal = simulate_paths(model, grid, seed, range(n_paths), timing)[0][-1]
+        terminal = all_states(model, grid, seed, n_paths, timing)[-1]
         assert np.array_equal(result.terminal_mean, terminal.mean(axis=0))
         if n_paths > 1:
             assert result.terminal_variance.all()  # the paths differ
@@ -729,7 +734,7 @@ class TestReducers:
         config = parse_config(f"[scenario]\ninput_mode = {mode}\n").scenario_config()
         model, grid = make_scenario(config), uniform_grid(0.1, 2.0)
         result = simulate_ensemble(model, grid, n_paths, 6, 1, timing)
-        states = simulate_paths(model, grid, 6, range(n_paths), timing)[0]
+        states = all_states(model, grid, 6, n_paths, timing)
         assert np.array_equal(result.terminal_mean, states.mean(axis=1)[-1])
         if n_paths > 1:
             assert np.array_equal(result.terminal_variance, states.var(axis=1, ddof=1)[-1])
@@ -966,7 +971,6 @@ class TestRowBatch:
         rows = make_scenario(ScenarioConfig(input_mode=INPUT_MODES))
         grid = uniform_grid(0.1, 2.0)
         for step in (lambda: simulate_trajectory(rows, grid, 1, jump_timing=jump_timing),
-                     lambda: simulate_paths(rows, grid, 1, [0], jump_timing),
                      lambda: simulate_ensemble(rows, grid, 1, 1, 1, jump_timing),
                      lambda: simulate_rows(make_scenario(ScenarioConfig()), grid, 1,
                                            jump_timing)):
@@ -1135,7 +1139,7 @@ class TestConstantCoefficients:
     @staticmethod
     def abort(model, grid, seed, m, timing):
         with pytest.raises(SimulationAbort) as exc:
-            simulate_paths(model, grid, seed, range(m), timing)
+            simulate_ensemble(model, grid, m, seed, jump_timing=timing)
         e = exc.value
         return str(e), e.step_index, e.what, e.row, e.time, e.state.tobytes()
 

@@ -29,3 +29,18 @@ def test_package_imports_are_public_names_of_their_modules():
             assert getattr(skorokhod_sde, alias.asname or alias.name) is getattr(
                 module, alias.name
             )
+
+
+# no command calls these; each duplicates a path the commands run, and
+# only perfbench's tracer still reads them
+UNEXPORTED = ("simulate_paths", "sample_compound_poisson", "sample_ou_path")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_omits_the_duplicate_paths(name):
+    module = importlib.import_module(f"skorokhod_sde.{name}")
+    assert set(UNEXPORTED).isdisjoint(getattr(module, "__all__", ()))
+
+
+def test_package_namespace_omits_the_duplicate_paths():
+    assert [n for n in UNEXPORTED if hasattr(skorokhod_sde, n)] == []

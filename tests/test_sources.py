@@ -13,9 +13,7 @@ from skorokhod_sde import (
     ReflectedJumpSDE,
     ReflectionDomain,
     SeedSpec,
-    sample_compound_poisson,
     sample_compound_poisson_arrays,
-    sample_ou_path,
     sample_ou_paths,
     sample_path_inputs,
     sample_wiener_increments,
@@ -181,44 +179,50 @@ class TestJumpSizeDist:
 class TestCompoundPoisson:
     def test_zero_intensity_empty(self):
         spec = CompoundPoissonSpec(0.0, JumpSizeDist.constant(1.0))
-        events = sample_compound_poisson(SeedSpec(0).rng(), spec, 10.0)
+        times, sizes = sample_compound_poisson_arrays(SeedSpec(0).rng(), spec, 10.0)
+        assert times.size == sizes.size == 0
+        events = sample_path_inputs(_two_coord_model(intensity=0.0), uniform_grid(1.0, 10.0),
+                                    0, [0])[0]
         assert events.dtype == sources.JUMP_LOG and len(events) == 0
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
             CompoundPoissonSpec(-1.0, JumpSizeDist.constant(1.0))
 
-    @pytest.mark.parametrize("sample", [sample_compound_poisson,
-                                        sample_compound_poisson_arrays])
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
-    def test_horizon_must_be_positive_and_finite(self, sample, horizon):
+    def test_horizon_must_be_positive_and_finite(self, horizon):
         spec = CompoundPoissonSpec(1.0, JumpSizeDist.constant(1.0))
         with pytest.raises(ValueError, match="horizon"):
-            sample(SeedSpec(0).rng(), spec, horizon)
+            sample_compound_poisson_arrays(SeedSpec(0).rng(), spec, horizon)
 
     def test_determinism_and_ordering(self):
         spec = CompoundPoissonSpec(3.0, JumpSizeDist.exponential(1.0))
-        a = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
-        b = sample_compound_poisson(SeedSpec(11, 4).rng(), spec, 5.0)
-        assert a.tobytes() == b.tobytes()
-        times = a["time"].tolist()
+        a = sample_compound_poisson_arrays(SeedSpec(11, 4).rng(), spec, 5.0)
+        b = sample_compound_poisson_arrays(SeedSpec(11, 4).rng(), spec, 5.0)
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+        times = a[0].tolist()
         assert times == sorted(times)
         assert all(0.0 <= t <= 5.0 for t in times)
 
-    def test_array_variant_matches_events(self):
+    def test_path_logs_hold_the_array_draws(self):
         spec = CompoundPoissonSpec(2.5, JumpSizeDist.uniform(0.0, 1.0))
+        model = ReflectedJumpSDE(1, lambda x, u: np.zeros_like(x), lambda x: 0.0,
+                                 ReflectionDomain.unreflected(1), np.zeros(1),
+                                 jump_coeff=lambda x: 1.0, jump_specs=(spec,))
+        inputs = sample_path_inputs(model, uniform_grid(0.5, 3.0), 4, range(20))
+        jump = stream_layout(1)[1][0]
         for idx in range(20):
-            events = sample_compound_poisson(SeedSpec(4, idx).rng(), spec, 3.0)
-            times, sizes = sample_compound_poisson_arrays(SeedSpec(4, idx).rng(), spec, 3.0)
+            events = inputs[idx]
+            times, sizes = sample_compound_poisson_arrays(SeedSpec(4, idx, jump).rng(), spec, 3.0)
             assert events["time"].tobytes() == times.tobytes()
             assert events["size"].tobytes() == sizes.tobytes()
-            assert not events["coord"].any()  # component 0 by default
+            assert not events["coord"].any()  # the one coordinate
 
     def test_mean_count(self):
         # E N = alpha T = 10 for alpha=2, T=5.
         spec = CompoundPoissonSpec(2.0, JumpSizeDist.constant(1.0))
         reps = 10**4
-        counts = [len(sample_compound_poisson(SeedSpec(0, i).rng(), spec, 5.0))
+        counts = [sample_compound_poisson_arrays(SeedSpec(0, i).rng(), spec, 5.0)[0].size
                   for i in range(reps)]
         se = np.sqrt(10.0 / reps)
         assert abs(np.mean(counts) - 10.0) < 3.0 * se
@@ -228,7 +232,7 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(1.0, JumpSizeDist.exponential(0.5))
         reps = 10**4
         totals = np.array([
-            sum(sample_compound_poisson(SeedSpec(1, i).rng(), spec, 1.0)["size"].tolist())
+            sum(sample_compound_poisson_arrays(SeedSpec(1, i).rng(), spec, 1.0)[1].tolist())
             for i in range(reps)
         ])
         se = totals.std(ddof=1) / np.sqrt(reps)
@@ -244,12 +248,12 @@ class TestOUPath:
 
     def test_deterministic_decay(self):
         grid = uniform_grid(0.01, 3.0)
-        v = sample_ou_path(SeedSpec(0), OUParams(mu=0.0, gamma=1.0, sigma=0.0, v0=1.0), grid)
+        v = _ou_path(SeedSpec(0), OUParams(mu=0.0, gamma=1.0, sigma=0.0, v0=1.0), grid)
         assert np.max(np.abs(v - np.exp(-grid.times))) < 0.01
 
     def test_fixed_point(self):
         grid = uniform_grid(0.1, 10.0)
-        v = sample_ou_path(SeedSpec(0), OUParams(mu=0.0, sigma=0.0, v0=0.0), grid)
+        v = _ou_path(SeedSpec(0), OUParams(mu=0.0, sigma=0.0, v0=0.0), grid)
         assert np.array_equal(v, np.zeros_like(v))
 
     def test_mean_reversion(self):
@@ -272,7 +276,7 @@ class TestOUPath:
         params = OUParams(mu=0.3, gamma=2.0, sigma=0.4, v0=0.1)
         batch = sample_ou_paths(_ou_rngs(9, [0, 5, 17], 4), params, grid)
         for j, idx in enumerate([0, 5, 17]):
-            single = sample_ou_path(SeedSpec(9, idx, 4), params, grid)
+            single = _ou_path(SeedSpec(9, idx, 4), params, grid)
             assert np.array_equal(batch[:, j], single)
 
 
@@ -327,6 +331,11 @@ class TestOUInPlace:
         assert peak <= v.nbytes + 2**17
 
 
+def _ou_path(seed, params, grid):
+    """The OU path of the one stream ``seed``, (n_points,)."""
+    return sample_ou_paths([seed.rng()], params, grid)[:, 0]
+
+
 def _ou_rngs(master, streams, component):
     """One generator per stream, of the streams ``(master, stream, component)``."""
     return [rng for (rng,) in stream_rngs(master, streams, [component])]
@@ -356,6 +365,13 @@ def _ou_oracle(seed, params, grid):
         x = v[-1]
         v.append(x + (params.mu - x / params.gamma) * w + params.sigma * dw)
     return np.array(v)
+
+
+def _log(times, sizes, coord):
+    """A :data:`sources.JUMP_LOG` of the events at ``times`` of ``sizes``, all at ``coord``."""
+    log = np.zeros(times.size, sources.JUMP_LOG)
+    log["time"], log["size"], log["coord"] = times, sizes, coord
+    return log
 
 
 def _binned(events, times, d):
@@ -417,9 +433,9 @@ class TestPathInputs:
                 draw = SeedSpec(master, idx, c).rng().standard_normal(grid.n_steps)
                 assert np.array_equal(inputs.dW[:, j, c], draw * sqrt_dt)
                 if jumps:
-                    events.append(sample_compound_poisson(
-                        SeedSpec(master, idx, 2 + c).rng(), model.jump_specs[c], 4.0,
-                        component=c))
+                    times, sizes = sample_compound_poisson_arrays(
+                        SeedSpec(master, idx, 2 + c).rng(), model.jump_specs[c], 4.0)
+                    events.append(_log(times, sizes, c))
             events = np.concatenate(events)
             want = _ou_oracle(SeedSpec(master, idx, 4), ou, grid) if current else 0.0
             assert np.array_equal(inputs.u[:, j], np.broadcast_to(want, grid.times.shape))
