@@ -12,10 +12,10 @@ from .engine import (
     ReflectedJumpSDE,
     SimulationAbort,
     SimulationGrid,
+    _step_streams,
     build_dyadic_partition,
     integrate_batch,
 )
-from .sources import sample_path_inputs
 
 __all__ = [
     "SeminormReport",
@@ -204,14 +204,13 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     in the domain (:meth:`ReflectedJumpSDE.with_x0`).  Errors use the 1-norm
     squared.
     """
-    if model.row_jumps is not None:  # a scenario per batch row: see engine.simulate_rows
-        raise ValueError("stability_experiment takes no model with row_jumps")
     offsets = [float(p) for p in perturbations]
+    if not offsets:
+        raise ValueError("need at least one x0 offset")
     starts = [model.x0] + [model.with_x0(model.x0 + offset).x0 for offset in offsets]
-    inputs = sample_path_inputs(model, grid, master_seed, range(n_paths)).tiled(len(starts))
     try:
-        states = integrate_batch(model, grid.times, inputs,
-                                 np.repeat(starts, n_paths, axis=0)).states
+        states = _step_streams(model, grid, master_seed, range(n_paths), "end_of_step",
+                               starts=starts)[0].states
     except SimulationAbort as exc:  # name the stream and its ensemble, not the batch row
         block, stream = divmod(exc.row, n_paths)
         ensemble = f"x0 offset {offsets[block - 1]!r}" if block else "reference"
@@ -238,6 +237,14 @@ class ConvergenceReport:
     n_paths: int
 
 
+def _fit_levels(levels) -> list[int]:
+    """``levels`` sorted, ValueError unless two differ: an order is fitted through them."""
+    levels = sorted(int(n) for n in levels)
+    if len(set(levels)) < 2:
+        raise ValueError("levels need two distinct values to fit an order")
+    return levels
+
+
 def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
                                   master_seed: int, horizon: float):
     """RMS terminal error of the dyadic scheme against a fine reference.
@@ -246,28 +253,21 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     input-current driving noise) are generated at the reference level and
     aggregated down to each coarser grid.
     """
-    if model.row_jumps is not None:  # as in stability_experiment
-        raise ValueError("strong_convergence_experiment takes no model with row_jumps")
-    levels = sorted(int(n) for n in levels)
-    ref_level = levels[-1] + REFERENCE_OFFSET
-    fine_grid = build_dyadic_partition(ref_level, horizon)
-    inputs = sample_path_inputs(model, fine_grid, master_seed, range(n_paths))
-
-    def terminal(level):
-        times = build_dyadic_partition(level, horizon).times
-        coarse = inputs.coarsened(2 ** (ref_level - level))
-        try:
-            return integrate_batch(model, times, coarse, model.x0, keep=0).terminal
-        except SimulationAbort as exc:  # name the stream and its level, as stability does
-            where = f"the reference level {level}" if level == ref_level else f"level {level}"
-            raise SimulationAbort(exc.step_index, exc.what, exc.row, exc.time, exc.state,
-                                  f"stream {exc.row} on {where}") from None
-
-    terminal_ref = terminal(ref_level)
+    levels = _fit_levels(levels)
+    level = ref_level = levels[-1] + REFERENCE_OFFSET  # the level stepped first
     dts, errs = [], []
-    for level in levels:
-        diff = _l1(terminal(level), terminal_ref)
-        errs.append(float(np.sqrt(np.mean(diff**2))))
-        dts.append(horizon * 2.0**-level)
+    try:
+        record, inputs = _step_streams(model, build_dyadic_partition(ref_level, horizon),
+                                       master_seed, range(n_paths), "end_of_step", keep=0)
+        for level in levels:
+            times = build_dyadic_partition(level, horizon).times
+            terminal = integrate_batch(model, times, inputs.coarsened(2 ** (ref_level - level)),
+                                       model.x0, keep=0).terminal
+            errs.append(float(np.sqrt(np.mean(_l1(terminal, record.terminal) ** 2))))
+            dts.append(horizon * 2.0**-level)
+    except SimulationAbort as exc:  # name the stream and its level, as stability does
+        where = f"the reference level {level}" if level == ref_level else f"level {level}"
+        raise SimulationAbort(exc.step_index, exc.what, exc.row, exc.time, exc.state,
+                              f"stream {exc.row} on {where}") from None
     return ConvergenceReport(tuple(levels), tuple(dts), tuple(errs),
                              _log_slope(dts, errs), ref_level, n_paths)

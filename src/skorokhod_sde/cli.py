@@ -37,7 +37,6 @@ from .engine import (
     check_budget,
     simulate_ensemble,
     simulate_rows,
-    uniform_grid,
 )
 from .models import (
     INPUT_MODES,
@@ -205,7 +204,7 @@ def _experiment(doc: ConfigDocument, kind: str, file_name: str, run) -> int:
 
 def cmd_stability(doc: ConfigDocument) -> int:
     return _experiment(doc, "stability", "stability.json", lambda model, exp: stability_experiment(
-        model, uniform_grid(doc.dt, exp.horizon), exp.offsets, exp.n_paths, doc.seed))
+        model, doc.build_grid(exp.horizon), exp.offsets, exp.n_paths, doc.seed))
 
 
 def cmd_converge(doc: ConfigDocument) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import groupby
 
-from .analysis import REFERENCE_OFFSET
+from .analysis import REFERENCE_OFFSET, _fit_levels
 from .engine import (
     JUMP_TIMINGS,
     MAX_DYADIC_LEVEL,
@@ -121,10 +121,16 @@ class ConfigDocument:
             return JumpSizeDist.exponential(self.jump_mean)
         return JumpSizeDist.uniform(self.jump_lo, self.jump_hi)
 
-    def build_grid(self) -> SimulationGrid:
+    def build_grid(self, horizon: float | None = None) -> SimulationGrid:
+        """The ``[grid]`` on [0, ``horizon``], by default on its own horizon."""
+        horizon = self.horizon if horizon is None else horizon
         if self.level:
-            return build_dyadic_partition(self.level, self.horizon)
-        return uniform_grid(self.dt, self.horizon)
+            return build_dyadic_partition(self.level, horizon)
+        return uniform_grid(self.dt, horizon)
+
+    def grid_steps(self, horizon: float) -> int:
+        """The step count of :meth:`build_grid` on ``horizon``, after its checks."""
+        return dyadic_steps(self.level, horizon) if self.level else uniform_steps(self.dt, horizon)
 
     def scenario_config(self, mode: str | tuple[str, ...] | None = None) -> ScenarioConfig:
         """The document's own scenario, or the ``panels`` row of ``mode`` (or
@@ -221,10 +227,7 @@ def _build(values: dict) -> ConfigDocument:
     doc = replace(_DEFAULT, **top, **{
         head: replace(getattr(_DEFAULT, head), **kwargs) for head, kwargs in groups.items()
     })
-    if doc.level:
-        n_steps = dyadic_steps(doc.level, doc.horizon)
-    else:
-        n_steps = uniform_steps(doc.dt, doc.horizon)
+    n_steps = doc.grid_steps(doc.horizon)
     model = make_scenario(doc.scenario_config())
     if not 0 <= doc.seed <= MAX_SEED:
         raise ValueError(f"seed must lie in 0..{MAX_SEED}")
@@ -240,8 +243,7 @@ def _build(values: dict) -> ConfigDocument:
         # one batch: the reference and every perturbed ensemble, on the
         # inputs tiled once per ensemble, with every row's history kept
         rows = (1 + len(exp.offsets)) * exp.n_paths
-        check_budget("stability", model, exp.horizon, uniform_steps(doc.dt, exp.horizon),
-                     rows, rows)
+        check_budget("stability", model, exp.horizon, doc.grid_steps(exp.horizon), rows, rows)
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
@@ -254,8 +256,7 @@ def _build(values: dict) -> ConfigDocument:
         check_budget("converge", model, exp.horizon,
                      dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
                      coarse_steps=dyadic_steps(max(exp.levels), exp.horizon))
-        if len(set(exp.levels)) < 2:
-            raise ValueError("levels need two distinct values to fit an order")
+        _fit_levels(exp.levels)
     return doc
 
 

@@ -500,23 +500,29 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
                   stream_indices: Sequence[int], jump_timing: str,
-                  keep: Optional[int] = None, per_row: bool = False):
-    """Draw the inputs of the given trajectory streams and step them; returns
-    the :func:`integrate_batch` record and the :class:`PathInputs`.  With
-    ``per_row``, a model with ``row_jumps`` steps its one stream on every
-    row; a path per stream is the only way to step any other model."""
+                  keep: Optional[int] = None, per_row: bool = False, starts=None):
+    """Draw the inputs of the given trajectory streams and step them, for
+    every command, in one draw: returns the :func:`integrate_batch` record
+    and the :class:`PathInputs` stepped.  With ``per_row``, a model with
+    ``row_jumps`` steps its one stream on every row; a path per stream is the
+    only way to step any other model.  Given ``starts``, a row block per
+    start steps every stream from it, on the inputs tiled once per start."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
     if per_row != (model.row_jumps is not None):
         raise ValueError("a model with row_jumps has a scenario per batch row and is "
                          "stepped by simulate_rows, which steps no other model")
-    inputs = sample_path_inputs(model, grid, master_seed, stream_indices)
+    if not stream_indices:
+        raise ValueError("n_paths must be >= 1")
+    inputs, x0 = sample_path_inputs(model, grid, master_seed, stream_indices), model.x0
     if per_row:
         inputs = inputs.tiled(len(model.row_jumps), model.row_jumps)
-        stream_indices = list(stream_indices) * len(inputs)
+    elif starts is not None:
+        inputs, x0 = inputs.tiled(len(starts)), np.repeat(starts, len(stream_indices), axis=0)
+    stream_indices = list(stream_indices) * (len(inputs) // len(stream_indices))  # one per row
     substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
                 if jump_timing == "exact" else None)
-    return integrate_batch(model, grid.times, inputs, model.x0, substeps, keep), inputs
+    return integrate_batch(model, grid.times, inputs, x0, substeps, keep), inputs
 
 
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -561,8 +567,8 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
     """Independent trajectories via disjoint stream indices 0..n_paths-1;
     returns the mean and unbiased variance of the terminal states plus the
     first ``retain`` bundles.  Only the retained paths' histories are held."""
-    if n_paths < 1 or retain < 0:
-        raise ValueError("need n_paths >= 1 and retain >= 0")
+    if retain < 0:  # n_paths < 1 is an empty stream list, which _step_streams rejects
+        raise ValueError("retain must be >= 0")
     keep = min(retain, n_paths)
     record, inputs = _step_streams(model, grid, master_seed, range(n_paths), jump_timing, keep)
     kept = _bundles(grid, record, inputs, master_seed, range(keep))

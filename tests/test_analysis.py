@@ -22,9 +22,10 @@ from skorokhod_sde import (
     sup_norm,
     uniform_grid,
 )
-from skorokhod_sde import analysis, config, make_scenario, parse_config
+from skorokhod_sde import analysis, config, engine, make_scenario, parse_config
 from skorokhod_sde.engine import simulate_trajectory
 from skorokhod_sde.models import INPUT_MODES
+from skorokhod_sde.sources import sample_path_inputs
 from test_engine import all_states
 
 
@@ -594,13 +595,13 @@ class TestStabilityExperiment:
         grid = uniform_grid(0.05, 2.0)
         offsets = [0.2, 0.02, -0.1]
         draws = []
-        sample = analysis.sample_path_inputs
+        sample = engine.sample_path_inputs
 
         def counted(*args, **kwargs):
             draws.append(args)
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "sample_path_inputs", counted)
+        monkeypatch.setattr(engine, "sample_path_inputs", counted)
         report = stability_experiment(model, grid, offsets, 6, 11)
         assert len(draws) == 1
         ref = all_states(model, grid, 11, 6)
@@ -626,7 +627,7 @@ def stability_oracle(model, grid, offsets, n_paths, master_seed):
     """The per-offset loop: the reference ensemble and each perturbed one
     stepped by a call of their own, on the one draw, the perturbed start
     built by ``with_x0``."""
-    inputs = analysis.sample_path_inputs(model, grid, master_seed, range(n_paths))
+    inputs = sample_path_inputs(model, grid, master_seed, range(n_paths))
     ref = analysis.integrate_batch(model, grid.times, inputs, model.x0).states
     sizes, errors = [], []
     for offset in offsets:
@@ -711,7 +712,7 @@ class TestScenarioRowsRejected:
     @pytest.fixture
     def draws(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(analysis, "sample_path_inputs",
+        monkeypatch.setattr(engine, "sample_path_inputs",
                             lambda *args: calls.append(args))
         return calls
 
@@ -721,13 +722,47 @@ class TestScenarioRowsRejected:
         return model
 
     def test_stability(self, draws):
-        with pytest.raises(ValueError, match="stability_experiment .*row_jumps"):
+        with pytest.raises(ValueError, match="row_jumps .* is stepped by simulate_rows"):
             stability_experiment(self.rows_model(), uniform_grid(0.1, 1.0), [0.1, 0.01], 3, 1)
         assert draws == []
 
     def test_convergence(self, draws):
-        with pytest.raises(ValueError, match="strong_convergence_experiment .*row_jumps"):
+        with pytest.raises(ValueError, match="row_jumps .* is stepped by simulate_rows"):
             strong_convergence_experiment(self.rows_model(), [2, 3], 4, 1, 1.0)
+        assert draws == []
+
+
+class TestRejectedAtEntry:
+    """Inputs that the config rejects raise ValueError before any draw,
+    not an IndexError, a ZeroDivisionError, a fit through one point or a NaN
+    slope."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "sample_path_inputs",
+                            lambda *args: calls.append(args))
+        return calls
+
+    def test_stability_without_offsets(self, draws):
+        with pytest.raises(ValueError, match="at least one x0 offset"):
+            stability_experiment(linear_model(sigma=0.1), uniform_grid(0.1, 1.0), [], 3, 1)
+        assert draws == []
+
+    def test_stability_without_paths(self, draws):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            stability_experiment(linear_model(sigma=0.1), uniform_grid(0.1, 1.0), [0.1], 0, 1)
+        assert draws == []
+
+    def test_convergence_without_paths(self, draws):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            strong_convergence_experiment(linear_model(sigma=0.1), [2, 3], 0, 1, 1.0)
+        assert draws == []
+
+    @pytest.mark.parametrize("levels", [[], [2, 2]])
+    def test_convergence_without_two_levels(self, levels, draws):
+        with pytest.raises(ValueError, match="levels need two distinct values"):
+            strong_convergence_experiment(linear_model(sigma=0.1), levels, 3, 1, 1.0)
         assert draws == []
 
 
@@ -736,7 +771,7 @@ class TestStrongConvergence:
     def test_terminal_states_are_the_full_histories_last_points(self, n_paths):
         # what converge compares: the terminal states, with no history kept
         model, fine = box_jump_model(), 6
-        inputs = analysis.sample_path_inputs(
+        inputs = sample_path_inputs(
             model, build_dyadic_partition(fine, 2.0), 9, range(n_paths))
         for level in (2, 4, fine):
             times, stride = build_dyadic_partition(level, 2.0).times, 2 ** (fine - level)

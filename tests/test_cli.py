@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from skorokhod_sde import (
     JUMP_LOG,
     TrajectoryBundle,
+    build_dyadic_partition,
     make_scenario,
     parse_config,
     simulate_trajectory,
+    stability_experiment,
     uniform_grid,
 )
-from skorokhod_sde import cli, config
+from skorokhod_sde import analysis, cli, config, engine
 from skorokhod_sde.cli import SEED_ENV_VAR, TRAJECTORY_HEADER, main, summarize
 from skorokhod_sde.config import _SCHEMA
 from skorokhod_sde.engine import JUMP_TIMINGS, SimulationAbort, check_budget, simulate_rows
@@ -175,6 +177,27 @@ class TestExperimentCommands:
         assert report["errors"][0] > report["errors"][1]
         assert report["fitted_slope"] > 0.5
 
+    def test_stability_steps_the_dyadic_grid(self, tmp_path, monkeypatch):
+        # [grid] level = 3 on the experiment's horizon of 2: 8 steps of 0.25
+        grids = []
+
+        def spy(model, grid, *args):
+            grids.append(grid)
+            return stability_experiment(model, grid, *args)
+
+        monkeypatch.setattr(cli, "stability_experiment", spy)
+        text = ("[grid]\nlevel = 3\n[experiment]\nkind = stability\n"
+                "offsets = 0.1,0.01\nn_paths = 5\nhorizon = 2.0\n")
+        out = tmp_path / "stab"
+        assert run("--config", write_config(tmp_path, text), "--out", str(out), "stability") == 0
+        report = json.loads((out / "stability.json").read_text())
+        doc, grid = parse_config(text), build_dyadic_partition(3, 2.0)
+        assert [g.times.tolist() for g in grids] == [grid.times.tolist()]
+        want = stability_experiment(make_scenario(doc.scenario_config()), grid, (0.1, 0.01), 5,
+                                    doc.seed)
+        assert tuple(report["errors"]) == want.errors
+        assert "level = 3\n" in report["config"]
+
     def test_converge_run(self, tmp_path):
         text = SMALL + (
             "[scenario]\ninput_mode = ou_reflected\n"
@@ -204,6 +227,36 @@ class TestExperimentCommands:
         report = json.loads((out / "validate.json").read_text())
         assert report["lipschitz"]["sigmoid"] <= 1.2 / 4.0 + 1e-3
         assert report["jump_bound"]["passed"]
+
+
+class TestOneDraw:
+    """Every command draws its inputs once, through the engine's draw."""
+
+    @pytest.mark.parametrize("command, text, paths", [
+        ("simulate", "", "1"),
+        ("simulate", "", "3"),
+        ("simulate", "[engine]\njump_timing = exact\n", "1"),
+        ("simulate", "[engine]\njump_timing = exact\n", "3"),
+        ("panels", "", "1"),
+        ("stability", "[experiment]\nkind = stability\nn_paths = 3\nhorizon = 2.0\n", "1"),
+        ("converge", "[experiment]\nkind = converge\nlevels = 2,3\nn_paths = 3\n"
+                     "horizon = 2.0\n", "1"),
+    ])
+    def test_one_draw_per_command(self, command, text, paths, tmp_path, monkeypatch):
+        draws = []
+        sample = engine.sample_path_inputs
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "sample_path_inputs", counted)
+        cfg = write_config(tmp_path, SMALL + text)
+        assert run("--config", cfg, "--out", str(tmp_path / "o"), "--paths", paths, command) == 0
+        assert len(draws) == 1
+
+    def test_the_experiments_hold_no_draw_of_their_own(self):
+        assert not hasattr(analysis, "sample_path_inputs")
 
 
 class TestExitCodes:

@@ -245,6 +245,13 @@ class TestSinglePassValidation:
             parse_config("", overrides={("engine", "n_paths"): "1000000000000"})
         assert [str(issue)[:14] for issue in exc.value.issues] == ["[E_INVARIANT] "]
 
+    def test_stability_budget_counts_the_dyadic_grid(self):
+        # stability steps the [grid] on its own horizon: 2**20 steps here,
+        # where dt = 0.1 would give 200
+        with pytest.raises(ConfigError, match="stability needs .* memory budget") as exc:
+            parse_config("[experiment]\nkind = stability\n[grid]\nlevel = 20\n")
+        assert [issue.line for issue in exc.value.issues] == [4]
+
     def test_jump_events_count_against_the_budget(self):
         # 2 coordinates x 5e4 jumps per unit time x T = 100 is 1e7 expected
         # events: 64 bytes each and the kept path's 24-byte log entries
