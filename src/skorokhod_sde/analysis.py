@@ -9,11 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    MAX_DYADIC_LEVEL,
     ReflectedJumpSDE,
     SimulationAbort,
     SimulationGrid,
     _step_streams,
     build_dyadic_partition,
+    dyadic_steps,
     integrate_batch,
 )
 
@@ -237,9 +239,16 @@ class ConvergenceReport:
     n_paths: int
 
 
-def _fit_levels(levels) -> list[int]:
-    """``levels`` sorted, ValueError unless two differ: an order is fitted through them."""
+def _fit_levels(levels, horizon: float) -> list[int]:
+    """``levels`` sorted, ValueError at the first rule they break: the reference
+    level within ``MAX_DYADIC_LEVEL``, the coarsest a :func:`dyadic_steps` grid
+    on [0, ``horizon``], and two distinct levels to fit an order through."""
     levels = sorted(int(n) for n in levels)
+    if levels:
+        if levels[-1] + REFERENCE_OFFSET > MAX_DYADIC_LEVEL:
+            raise ValueError(f"converge levels capped at {MAX_DYADIC_LEVEL - REFERENCE_OFFSET}, "
+                             f"because the reference is {REFERENCE_OFFSET} levels finer")
+        dyadic_steps(levels[0], horizon)
     if len(set(levels)) < 2:
         raise ValueError("levels need two distinct values to fit an order")
     return levels
@@ -253,7 +262,7 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     input-current driving noise) are generated at the reference level and
     aggregated down to each coarser grid.
     """
-    levels = _fit_levels(levels)
+    levels = _fit_levels(levels, horizon)
     level = ref_level = levels[-1] + REFERENCE_OFFSET  # the level stepped first
     dts, errs = [], []
     try:

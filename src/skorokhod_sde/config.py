@@ -15,6 +15,7 @@ and stable error codes.  ``emit`` writes the canonical form, and
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import groupby
@@ -22,7 +23,6 @@ from itertools import groupby
 from .analysis import REFERENCE_OFFSET, _fit_levels
 from .engine import (
     JUMP_TIMINGS,
-    MAX_DYADIC_LEVEL,
     SimulationGrid,
     build_dyadic_partition,
     check_budget,
@@ -249,14 +249,10 @@ def _build(values: dict) -> ConfigDocument:
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
             raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
-        if max(exp.levels) + REFERENCE_OFFSET > MAX_DYADIC_LEVEL:
-            raise ValueError(f"converge levels capped at {MAX_DYADIC_LEVEL - REFERENCE_OFFSET}, "
-                             f"because the reference is {REFERENCE_OFFSET} levels finer")
-        dyadic_steps(min(exp.levels), exp.horizon)
+        finest = _fit_levels(exp.levels, exp.horizon)[-1]
         check_budget("converge", model, exp.horizon,
-                     dyadic_steps(max(exp.levels) + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
-                     coarse_steps=dyadic_steps(max(exp.levels), exp.horizon))
-        _fit_levels(exp.levels)
+                     dyadic_steps(finest + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
+                     coarse_steps=dyadic_steps(finest, exp.horizon))
     return doc
 
 
@@ -312,23 +308,25 @@ def parse_config(text: str, overrides=None, fallbacks=None) -> ConfigDocument:
         if section_key not in values:
             put(0, section_key, raw)
 
-    items = list(values.items())
-    while True:
-        try:
-            doc = _build(dict(items))
-            break
-        except ValueError:
-            pass
-        # Blame the first statement after which the document no longer
-        # builds, set it aside, and look for the next problem.
-        for end in range(1, len(items) + 1):
+    try:
+        doc = _build(values)
+    except ValueError:
+        # One walk: blame each statement that does not build with those kept
+        # before it, until those kept and all the rest build (a later
+        # statement can mend an earlier one, as dt a horizon it did not divide).
+        kept, items = {}, list(values.items())
+        for i, (section_key, value) in enumerate(items):
             try:
-                _build(dict(items[:end]))
+                _build({**kept, section_key: value})
             except ValueError as exc:
-                section_key, _ = items.pop(end - 1)
                 code = E_CONTRADICTION if isinstance(exc, ScenarioError) else E_INVARIANT
                 issues.append(ConfigIssue(code, lines[section_key], str(exc)))
-                break
+                with suppress(ValueError):
+                    if len(items) - i > 2:  # one statement left is the next build
+                        _build({**kept, **dict(items[i + 1:])})
+                        break
+            else:
+                kept[section_key] = value
     if issues:
         raise ConfigError(sorted(issues, key=lambda i: i.line))
     return doc

@@ -545,7 +545,11 @@ def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
                         master_seed: int, stream_index: int = 0,
                         jump_timing: str = "end_of_step") -> TrajectoryBundle:
     """Full trajectory on the grid, deterministic in the seed triple."""
-    record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
+    try:
+        record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
+    except SimulationAbort as exc:  # the batch's one row is the stream
+        raise SimulationAbort(exc.step_index, exc.what, stream_index, exc.time,
+                              exc.state) from None
     return _bundles(grid, record, inputs, master_seed, [stream_index])[0]
 
 

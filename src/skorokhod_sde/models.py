@@ -274,7 +274,6 @@ def make_scenario(config: ScenarioConfig) -> ReflectedJumpSDE:
 
 def _sample_box(rng, lows, highs, n):
     lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
     return rng.uniform(lows, highs, size=(n, lows.size))
 
 
@@ -293,9 +292,7 @@ def estimate_lipschitz_constant(fn, box, n_samples: int = 10**5):
     num = np.abs(fx - fz).sum(axis=-1)
     den = np.abs(x - z).sum(axis=-1)
     ok = den > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(num[ok] / den[ok]))
+    return float(np.max(num[ok] / den[ok], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -322,13 +319,11 @@ def check_jump_coefficient_bound(rho, spec: CompoundPoissonSpec, box,
     zs = _sample_box(rng, lows, highs, 200)
 
     def mean_sq(x, z=None):
-        # rho values for one state across all xi draws; vector outputs use
-        # the squared 2-norm.
-        rx = np.asarray(rho(x, xi), dtype=float)
-        if z is None:
-            diff = rx
-        else:
-            diff = rx - np.asarray(rho(z, xi), dtype=float)
+        """E|rho(x, xi) - rho(z, xi)|^2 over the xi draws, or E|rho(x, xi)|^2
+        without ``z``; vector values by their squared 2-norm."""
+        diff = np.asarray(rho(x, xi), dtype=float)
+        if z is not None:
+            diff = diff - np.asarray(rho(z, xi), dtype=float)
         if diff.ndim == 1:
             return float(np.mean(diff**2))
         return float(np.mean(np.sum(diff**2, axis=-1)))

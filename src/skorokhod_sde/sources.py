@@ -59,11 +59,8 @@ class SeedSpec:
         if self.stream_index < 0 or self.component_index < 0:
             raise ValueError("stream and component indices must be nonnegative")
 
-    def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            [self.master_seed, self.stream_index, self.component_index]
-        )
-        return np.random.default_rng(seq)
+    def rng(self) -> np.random.Generator:  # PCG64, seeded by the SeedSequence of the triple
+        return np.random.default_rng([self.master_seed, self.stream_index, self.component_index])
 
 
 # numpy SeedSequence's hash (numpy/random/bit_generator.pyx, after O'Neill's

@@ -765,6 +765,16 @@ class TestRejectedAtEntry:
             strong_convergence_experiment(linear_model(sigma=0.1), levels, 3, 1, 1.0)
         assert draws == []
 
+    @pytest.mark.parametrize("levels, message", [
+        ([0, 9], "dyadic level must be >= 1"),
+        ([4, 28], "converge levels capped at 27, because the reference is 3 levels finer"),
+    ])
+    def test_convergence_level_rules_before_any_draw(self, levels, message, draws):
+        # the config's rules, checked before the reference level is stepped
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            strong_convergence_experiment(linear_model(sigma=0.1), levels, 3, 1, 1.0)
+        assert draws == []
+
 
 class TestStrongConvergence:
     @pytest.mark.parametrize("n_paths", [1, 6])

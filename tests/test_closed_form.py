@@ -22,7 +22,7 @@ from skorokhod_sde import (
     strong_convergence_experiment,
     uniform_grid,
 )
-from skorokhod_sde.engine import JUMP_TIMINGS
+from skorokhod_sde.engine import JUMP_TIMINGS, _step_streams
 from skorokhod_sde.sources import stream_rngs
 
 
@@ -148,6 +148,43 @@ def test_reflected_drifted_brownian_motion_mean(dt, n, mu):
     assert abs(mean - expected) <= 4 * se
     if dt == 0.01:
         assert harrison_mean(mu, 1.0) - expected > 8 * se
+
+
+def harrison_cdf(y, mu, sigma, t=1.0):
+    """P_0(Z_t <= y) of Brownian motion with drift mu and noise sigma
+    reflected at 0, by Harrison (1985, section 1.8)."""
+    st = sigma * math.sqrt(t)
+    return (normal_cdf((y - mu * t) / st)
+            - math.exp(2 * mu * y / sigma**2) * normal_cdf((-y - mu * t) / st))
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.5])
+def test_reflected_drifted_brownian_motion_quartiles(mu):
+    """Projected Euler for Brownian motion with drift mu reflected at 0
+    from 0, T = 1, dt = 1/256: X_n has the law of the running maximum of
+    the walk S_k, which falls short of the continuum maximum by AGP sigma
+    sqrt(dt) in the Asmussen-Glynn-Pitman limit.  So the empirical CDF at
+    each quartile y of Harrison's law matches that law at y + AGP sigma
+    sqrt(dt), within 4 standard errors; unshifted, some quartile is 5 or
+    more standard errors off."""
+    sigma, dt, n = 1.0, 1 / 256, 2 * 10**4
+    model = ReflectedJumpSDE(
+        dimension=1,
+        drift=lambda state, u: np.full_like(state, mu),
+        diffusion=lambda state: sigma,
+        domain=ReflectionDomain.half_line(0.0, 1),
+        x0=np.array([0.0]),
+    )
+    record, _ = _step_streams(model, uniform_grid(dt, 1.0), 12, range(n), "end_of_step", keep=0)
+    terminal = record.terminal[:, 0]
+    for p in (0.25, 0.5, 0.75):
+        lo, hi = 0.0, abs(mu) + 10 * sigma  # bisect for Harrison's p-quantile
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if harrison_cdf(mid, mu, sigma) < p else (lo, mid)
+        expected = harrison_cdf(lo + AGP * sigma * math.sqrt(dt), mu, sigma)
+        se = math.sqrt(expected * (1 - expected) / n)
+        assert abs(np.mean(terminal <= lo) - expected) <= 4 * se, p
 
 
 def _ou(state, u):

@@ -1,13 +1,14 @@
 """Tests for the configuration grammar: strict parsing, line-referenced
 errors with stable codes, canonical emission and round-tripping."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skorokhod_sde import ConfigDocument, ConfigError, emit_config, parse_config
+from skorokhod_sde import ConfigDocument, ConfigError, config, emit_config, parse_config
 from skorokhod_sde.config import (
     E_CONTRADICTION,
     E_INVARIANT,
@@ -15,9 +16,13 @@ from skorokhod_sde.config import (
     E_TYPE,
     E_UNKNOWN_KEY,
     E_UNKNOWN_SECTION,
+    ConfigIssue,
     ExperimentConfig,
     _SCHEMA,
+    _build,
+    _convert,
 )
+from skorokhod_sde.models import ScenarioError
 from skorokhod_sde.models import INPUT_MODES
 
 
@@ -313,3 +318,92 @@ def test_any_document_parses_or_raises_config_error(lines):
     except ConfigError:
         return
     assert parse_config(emit_config(doc)) == doc
+
+
+def prefix_search(statements):
+    """(issues, document or None) of ``statements``, "[section]\\nkey = value"
+    texts on lines 2, 4, ..., blamed by a prefix search: while the statements
+    left do not build, rebuild their prefixes from the first, and blame the
+    last statement of the first prefix that fails.  This is the reference
+    for parse_config's one walk, which must blame exactly as it does."""
+    issues, values, lines = [], {}, {}
+    for line, statement in enumerate(statements, start=1):
+        header, body = statement.split("\n")
+        key, raw = (part.strip() for part in body.split("=", 1))
+        section_key = (header[1:-1], key)
+        _, default, choices = _SCHEMA[section_key]
+        try:
+            value = _convert(raw, default, choices)
+        except ValueError as exc:
+            issues.append(ConfigIssue(E_TYPE, 2 * line, f"{key}: {exc}"))
+            continue
+        values.pop(section_key, None)
+        values[section_key] = value
+        lines[section_key] = 2 * line
+    items, doc = list(values.items()), None
+    while True:
+        try:
+            doc = _build(dict(items))
+            break
+        except ValueError:
+            pass
+        for end in range(1, len(items) + 1):
+            try:
+                _build(dict(items[:end]))
+            except ValueError as exc:
+                section_key, _ = items.pop(end - 1)
+                code = E_CONTRADICTION if isinstance(exc, ScenarioError) else E_INVARIANT
+                issues.append(ConfigIssue(code, lines[section_key], str(exc)))
+                break
+    return sorted(issues, key=lambda i: i.line), None if issues else doc
+
+
+def parse_counting_builds(text):
+    """(issues, document or None, number of _build calls) of parse_config."""
+    with mock.patch.object(config, "_build", wraps=_build) as spy:
+        try:
+            doc = parse_config(text)
+        except ConfigError as exc:
+            return list(exc.issues), None, spy.call_count
+    return [], doc, spy.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_SCHEMA)).flatmap(_statement), max_size=8))
+def test_one_walk_blames_as_the_prefix_search(statements):
+    issues, doc, builds = parse_counting_builds("\n".join(statements))
+    expected = prefix_search(statements)
+    assert (issues, doc) == expected
+    if doc is not None:  # a -0.0 equals 0.0, but is emitted as written
+        assert emit_config(doc) == emit_config(expected[1])
+    blamed = [i for i in issues if i.code in (E_INVARIANT, E_CONTRADICTION)]
+    # one build of the whole; when it fails, one per statement and one more
+    # per blame after the first, to see whether the statements left build
+    assert builds <= (len(statements) + len(blamed) if blamed else 1)
+
+
+class TestBlame:
+    def test_late_errors_cost_a_build_per_statement(self):
+        statements = ["[scenario]\ntau_e = 2.0", "[scenario]\ntheta_e = 3.0",
+                      "[ou]\nsigma = 0.2", "[jumps]\nrho = 0.02", "[grid]\nhorizon = 50.0",
+                      "[engine]\nseed = 7", "[outputs]\ndir = runs", "[experiment]\nn_paths = 50",
+                      "[engine]\nn_paths = 0", "[outputs]\nretain = -1", "[grid]\ndt = 0.3"]
+        issues, _, builds = parse_counting_builds("\n".join(statements))
+        assert [i.line for i in issues] == [18, 20, 22]
+        assert (issues, None) == prefix_search(statements)
+        # the whole, the eight kept, the first blame, the last two left
+        # together, then each of them: 13, where rebuilding the prefixes
+        # after each blame took 31
+        assert builds == 13
+
+    def test_a_later_statement_mends_an_earlier_one(self):
+        # the horizon alone is no multiple of the default dt = 0.1, but the
+        # dt that follows divides it: only the bad n_paths is blamed
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[engine]\nn_paths = 0\n[grid]\nhorizon = 0.15\ndt = 0.05\n")
+        assert [str(i) for i in exc.value.issues] == [
+            "line 2: [E_INVARIANT] n_paths must be >= 1"]
+
+    def test_valid_document_costs_one_build(self):
+        _, doc, builds = parse_counting_builds("[grid]\nhorizon = 0.15\ndt = 0.05\n")
+        assert doc.horizon == 0.15 and builds == 1

@@ -187,6 +187,21 @@ class TestEulerStep:
                             model.x0)
         assert exc.value.step_index == 7
 
+    def test_trajectory_abort_names_its_stream(self):
+        # the state climbs 0.1 a step and the drift turns non-finite past
+        # 0.55, in step 6; the one-row batch of stream 5 names stream 5, as
+        # an ensemble's row j names stream j
+        model = replace(linear_model_1d(x0=0.0, domain=ReflectionDomain.unreflected(1)),
+                        drift=lambda state, u: np.where(state > 0.55, np.nan, 1.0))
+        grid = uniform_grid(0.1, 1.0)
+        with pytest.raises(SimulationAbort, match=r"^non-finite drift at step 6, row 5, ") as exc:
+            simulate_trajectory(model, grid, 1, stream_index=5)
+        assert (exc.value.step_index, exc.value.row) == (6, 5)
+        with pytest.raises(SimulationAbort) as batch:
+            simulate_ensemble(model, grid, 1, 1)
+        assert exc.value.time == batch.value.time
+        assert np.array_equal(exc.value.state, batch.value.state)
+
 
 class TestModelValidation:
     def test_x0_outside_domain(self):
