@@ -199,8 +199,8 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
                          perturbations, n_paths: int, master_seed: int):
     """Initial-condition sensitivity under common random numbers.
 
-    The inputs are drawn once, and the reference ensemble and every perturbed
-    one are the row blocks of one batch on them, tiled: each perturbed
+    Each chunk's inputs are drawn once, and the reference ensemble and every
+    perturbed one are the row blocks of its batch on them, tiled: each perturbed
     ensemble shares every noise stream with the reference; only the initial
     state is offset by ``offset`` in each coordinate, a start that must lie
     in the domain (:meth:`ReflectedJumpSDE.with_x0`).  Errors use the 1-norm
@@ -210,21 +210,23 @@ def stability_experiment(model: ReflectedJumpSDE, grid: SimulationGrid,
     if not offsets:
         raise ValueError("need at least one x0 offset")
     starts = [model.x0] + [model.with_x0(model.x0 + offset).x0 for offset in offsets]
+
+    def gaps(record, inputs, chunk):  # each offset's max_t gap per path, squared
+        states, m = record.states, len(chunk)
+        return [_l1(states[:, block * m:(block + 1) * m], states[:, :m]).max(axis=0) ** 2
+                for block in range(1, len(starts))]
+
     try:
-        states = _step_streams(model, grid, master_seed, range(n_paths), "end_of_step",
-                               starts=starts)[0].states
+        parts = list(_step_streams(model, grid, master_seed, range(n_paths), "end_of_step",
+                                   gaps, starts=starts))
     except SimulationAbort as exc:  # name the stream and its ensemble, not the batch row
         block, stream = divmod(exc.row, n_paths)
         ensemble = f"x0 offset {offsets[block - 1]!r}" if block else "reference"
         raise SimulationAbort(exc.step_index, exc.what, stream, exc.time, exc.state,
                               f"stream {stream} of the {ensemble} ensemble") from None
-    ref_states = states[:, :n_paths]
-    sizes, errors = [], []
+    errors = [float(np.concatenate(gap).mean()) for gap in zip(*parts)]  # in stream order
     d = model.dimension
-    for block, offset in enumerate(offsets, start=1):
-        diff = _l1(states[:, block * n_paths:(block + 1) * n_paths], ref_states)  # (n_points, m)
-        errors.append(float((diff.max(axis=0) ** 2).mean()))
-        sizes.append((d * offset) * (d * offset))  # inf on overflow, not an error
+    sizes = [(d * offset) * (d * offset) for offset in offsets]  # inf on overflow, not an error
     return StabilityReport(tuple(sizes), tuple(errors),
                            _log_slope(sizes, errors), n_paths)
 
@@ -263,20 +265,28 @@ def strong_convergence_experiment(model: ReflectedJumpSDE, levels, n_paths: int,
     aggregated down to each coarser grid.
     """
     levels = _fit_levels(levels, horizon)
-    level = ref_level = levels[-1] + REFERENCE_OFFSET  # the level stepped first
-    dts, errs = [], []
-    try:
-        record, inputs = _step_streams(model, build_dyadic_partition(ref_level, horizon),
-                                       master_seed, range(n_paths), "end_of_step", keep=0)
+    level = ref_level = levels[-1] + REFERENCE_OFFSET  # the level being stepped
+
+    def errors(record, inputs, chunk):  # each level's squared terminal error per path
+        nonlocal level
+        errs = []
         for level in levels:
             times = build_dyadic_partition(level, horizon).times
             terminal = integrate_batch(model, times, inputs.coarsened(2 ** (ref_level - level)),
                                        model.x0, keep=0).terminal
-            errs.append(float(np.sqrt(np.mean(_l1(terminal, record.terminal) ** 2))))
-            dts.append(horizon * 2.0**-level)
+            errs.append(_l1(terminal, record.terminal) ** 2)
+        level = ref_level  # the next chunk steps its reference level first
+        return errs
+
+    try:
+        parts = list(_step_streams(model, build_dyadic_partition(ref_level, horizon),
+                                   master_seed, range(n_paths), "end_of_step", errors, keep=0,
+                                   coarse_steps=dyadic_steps(levels[-1], horizon)))
     except SimulationAbort as exc:  # name the stream and its level, as stability does
         where = f"the reference level {level}" if level == ref_level else f"level {level}"
         raise SimulationAbort(exc.step_index, exc.what, exc.row, exc.time, exc.state,
                               f"stream {exc.row} on {where}") from None
+    errs = [float(np.sqrt(np.mean(np.concatenate(err)))) for err in zip(*parts)]
+    dts = [horizon * 2.0**-n for n in levels]
     return ConvergenceReport(tuple(levels), tuple(dts), tuple(errs),
                              _log_slope(dts, errs), ref_level, n_paths)

@@ -240,19 +240,18 @@ def _build(values: dict) -> ConfigDocument:
                  min(max(doc.retain, 1), doc.n_paths), doc.jump_timing == "exact",
                  summarized=True)
     if exp.kind == "stability":
-        # one batch: the reference and every perturbed ensemble, on the
-        # inputs tiled once per ensemble, with every row's history kept
-        rows = (1 + len(exp.offsets)) * exp.n_paths
-        check_budget("stability", model, exp.horizon, doc.grid_steps(exp.horizon), rows, rows)
+        # a row block per ensemble, the reference's and each offset's, per stream
+        check_budget("stability", model, exp.horizon, doc.grid_steps(exp.horizon), exp.n_paths,
+                     0, rows=1 + len(exp.offsets), results=len(exp.offsets))
         for offset in exp.offsets:
             model.with_x0(model.x0 + offset)
         if len({abs(offset) for offset in exp.offsets} - {0.0}) < 2:
             raise ValueError("offsets need two distinct nonzero sizes to fit a slope")
     if exp.kind == "converge":
-        finest = _fit_levels(exp.levels, exp.horizon)[-1]
+        levels = _fit_levels(exp.levels, exp.horizon)
         check_budget("converge", model, exp.horizon,
-                     dyadic_steps(finest + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
-                     coarse_steps=dyadic_steps(finest, exp.horizon))
+                     dyadic_steps(levels[-1] + REFERENCE_OFFSET, exp.horizon), exp.n_paths, 0,
+                     coarse_steps=dyadic_steps(levels[-1], exp.horizon), results=len(levels))
     return doc
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .sources import (
     JUMP_LOG,
     OUParams,
     PathInputs,
-    _DRAW_BLOCK,
     _cells,
     sample_path_inputs,
     stream_layout,
@@ -49,7 +48,8 @@ __all__ = [
 
 MAX_DYADIC_LEVEL = 30  # grids have at most 2**MAX_DYADIC_LEVEL steps
 MEMORY_BUDGET = 2**30  # bytes of arrays one command may hold; see check_budget
-COLD_START_BYTES = 2**14  # numpy's small-buffer cache, Python's free lists; see check_budget
+_STREAM_BYTES = 2**9  # a stream's seed words, generators, draws, d-vectors, per d + 2
+_BLOCK_BYTES = 2**20  # the draw, jump-sum and Sobolev blocks, and caches a first run fills
 _JUMP_BLOCK = 2**15  # jump sums per block of steps binned at once; see integrate_batch
 JUMP_TIMINGS = ("end_of_step", "exact")
 
@@ -113,66 +113,43 @@ def dyadic_steps(level: int, horizon: float) -> int:
     return 2**level
 
 
+def _path_bytes(model, horizon, n_steps, exact=False, rows=1, coarse_steps=0) -> float:
+    """Bytes one stream holds while its chunk is stepped: its inputs, their
+    sums over ``coarse_steps`` steps, its expected jump events, 64 bytes each
+    or 8 * (26 + 2d) with ``exact`` timing's sub-steps, and ``_STREAM_BYTES``
+    * (d + 2); on ``rows`` > 1 rows, its inputs tiled and each row's history."""
+    d, n_points = model.dimension, n_steps + 1
+    events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon
+    one = (8 * ((n_steps + coarse_steps) * d + n_points) + _STREAM_BYTES * (d + 2)
+           + events * (8 * (26 + 2 * d) if exact else 64))
+    return one if rows == 1 else (rows + 1) * one + rows * 24 * n_points * d
+
+
+def _chunk_paths(path_bytes: float) -> int:
+    """Streams per chunk: as many as fit half of ``MEMORY_BUDGET``, and one at least."""
+    return max(1, int(MEMORY_BUDGET / 2 // path_bytes))
+
+
 def check_budget(command: str, model: ReflectedJumpSDE, horizon: float, n_steps: int,
                  n_paths: int, keep: int, exact: bool = False, summarized: bool = False,
-                 coarse_steps: int = 0) -> float:
-    """Peak bytes of arrays of ``n_paths`` paths of ``model`` on ``n_steps``
-    steps up to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid, 3
-    arrays of n_points, the block of paths :func:`sample_path_inputs` draws
-    at once, about ``_DRAW_BLOCK`` values or one path's n_steps * d (more
-    than the input current's draw vector, made after it), the Wiener
-    increments, (n_steps, n_paths, d), and their sums over ``coarse_steps``
-    steps (:meth:`PathInputs.coarsened`), the input current, (n_points,
-    n_paths), whose increments are drawn into it, the states and the two
-    reflection terms of ``keep`` kept paths,
-    (n_points, keep, d) each, the seed words of the 2d + 2 streams of every
-    path, 32 bytes per stream (:func:`stream_rngs`), every path's
-    input-current generator, 800 bytes, held until the current is drawn, 11
-    d-vectors per path, the parameters and bounds spread to the batch width
-    (the 9 Wilson-Cowan parameter rows of :func:`models._rows` and the lower
-    and upper bounds of :func:`integrate_batch`), the two small arrays of
-    each path's draw of each jump component, 256 bytes, held in
-    :func:`sample_path_inputs`' lists until it joins them, and per expected
-    jump event 64 bytes (:class:`PathInputs` and its copies while drawn or
-    grouped by block of steps, the block keys among them), or under
-    ``exact`` timing the more of 8 * (23 + 2d), the peak of
-    :func:`_exact_substeps`, and 8 * (26 + d), the sub-steps it returns with
-    a group's span as the Python list, 144 bytes, that
-    :func:`integrate_batch` holds, which adds 40 bytes per grid point for
-    the list of each step's first group and 8 per path for the row offsets.
-    End-of-step jumps add the sums of one block of steps, about
-    ``_JUMP_BLOCK`` values or one step's rows * d (the batch has the more of
-    n_paths and ``keep`` rows: :func:`simulate_rows` steps one path on each
-    kept row), and a flag per step, 9 bytes.  ``summarized`` kept paths add
-    what :func:`cli.summarize` holds: their jump logs, ``JUMP_LOG.itemsize``
-    (24) bytes per event, the stack of their states and its layout copy,
-    (n_points, keep, d) each, the Sobolev
-    seminorm's (keep, n_points) inner integrals with ``np.trapezoid``'s two
-    temporaries, and its two block buffers of about ``_PAIR_BLOCK`` values
-    or n_points; and, per grid point, what :func:`cli.write_trajectory_csv`
-    holds of one path: the ``%.17g`` texts of the time and the d states, 81
-    bytes each (a list slot and a str of at most 24 characters), and per
-    coordinate phi and the jump count as list items, 32 and 36 bytes, and
-    the counts' array, 8.  And ``COLD_START_BYTES`` for the caches a
-    process's first ensemble fills: under tracemalloc, a fresh interpreter's
-    1-path ensemble on 2000 steps peaked 9.6-9.9 kB over the same call
-    repeated."""
-    d, n_points, specs = model.dimension, n_steps + 1, model.jump_specs or ()
-    events = sum(s.intensity_alpha for s in specs) * horizon * n_paths
-    need = (8 * (3 * n_points + max(n_steps * d, min(n_steps * n_paths * d, _DRAW_BLOCK))
-                 + (n_steps + coarse_steps) * n_paths * d + n_points * n_paths
-                 + 3 * n_points * keep * d
-                 + (4 * (2 * d + 2) + 100 + 32 * len(specs) + 11 * d + exact) * n_paths)
-            + (events * 8 * max(23 + 2 * d, 26 + d) + 40 * n_points if exact else events * 64)
-            + COLD_START_BYTES)
-    if specs and not exact:  # one block of jump sums, a flag per step
-        rows = max(n_paths, keep)
-        need += 8 * max(rows * d, min(n_steps * rows * d, _JUMP_BLOCK)) + 9 * n_steps
+                 coarse_steps: int = 0, rows: int = 1, results: Optional[int] = None) -> float:
+    """Peak bytes of ``n_paths`` streams of ``model`` on ``n_steps`` steps up
+    to ``horizon``, ValueError over ``MEMORY_BUDGET``: the grid and what grows
+    with it, 8 * (9 + 2d) bytes a point; one chunk, :func:`_path_bytes` a
+    stream; the ``keep`` kept paths' histories; 24 bytes per gathered float,
+    ``results`` a path (d by default); ``_BLOCK_BYTES``; and, ``summarized``,
+    the kept jump logs and what :func:`cli.summarize` and the CSV writers
+    hold: (2d + 3) arrays of n_points a kept path and 81 + 157d bytes a point."""
+    d, n_points = model.dimension, n_steps + 1
+    path = _path_bytes(model, horizon, n_steps, exact, rows, coarse_steps)
+    need = (8 * (9 + 2 * d) * n_points + min(n_paths, _chunk_paths(path)) * path
+            + 24 * n_points * d * keep + 24 * (d if results is None else results) * n_paths
+            + _BLOCK_BYTES)
     if summarized:
-        from .analysis import _PAIR_BLOCK  # not at the top: analysis imports this module
-        need += (8 * ((2 * d + 3) * n_points * keep + 2 * max(n_points, _PAIR_BLOCK))
-                 + JUMP_LOG.itemsize * events / n_paths * keep + n_points * (81 + 157 * d))
-    if need > MEMORY_BUDGET:
+        events = sum(s.intensity_alpha for s in model.jump_specs or ()) * horizon
+        need += (keep * (8 * (2 * d + 3) * n_points + JUMP_LOG.itemsize * events)
+                 + n_points * (81 + 157 * d))
+    if not need <= MEMORY_BUDGET:  # NaN too
         raise ValueError(f"{command} needs {need / 2**30:.3g} GiB of arrays, over the "
                          f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
     return need
@@ -325,8 +302,8 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
 
     The jumps of each step are summed and added at its end, or, given
     ``substeps`` from :func:`_exact_substeps`, applied at their own times.
-    Only the first ``keep`` rows (all by default) have their states and
-    reflection terms recorded at every grid point; every row's terminal
+    Only the first ``keep`` rows (0..m, all by default) have their states
+    and reflection terms recorded at every grid point; every row's terminal
     state is returned, C-ordered.
 
     The state and the reflection terms are (m, d) views of (d, m) memory,
@@ -347,7 +324,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
     """
     n_steps = times.size - 1
     m, d = len(inputs), model.dimension
-    keep = m if keep is None else keep
+    keep = m if keep is None else min(max(keep, 0), m)
     states = np.empty((n_steps + 1, keep, d))
     phi_lower = np.zeros((n_steps + 1, keep, d))
     phi_upper = np.zeros((n_steps + 1, keep, d))
@@ -378,7 +355,7 @@ def integrate_batch(model: ReflectedJumpSDE, times: np.ndarray, inputs: PathInpu
         n_blocks = -(-n_steps // block_steps)
         edges = np.r_[0, np.cumsum(np.bincount(block, minlength=n_blocks))]
         order = np.argsort(block.astype(np.min_scalar_type(n_blocks - 1)), kind="stable")
-        del block  # before the sorted copies: check_budget counts that peak
+        del block  # before the sorted copies, so that they do not peak beside it
         key *= d
         key += inputs.coord
         key *= m
@@ -485,7 +462,7 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
     ])
     frac = np.where(draw, sub / total, 0.0)
     noise = np.where(draw[:, None], np.sqrt(sub * (total - sub) / total)[:, None] * z, 0.0)
-    del time, start, z, total  # before the fields are gathered: check_budget counts that peak
+    del time, start, z, total  # before the fields are gathered: their copies peak without these
     rest = times[step + 1] - end
     order = np.lexsort((rank, step))
     fields = tuple(a[order] for a in (path, coord, size, sub[:, None], frac[:, None],
@@ -499,14 +476,18 @@ def _exact_substeps(model, times, inputs: PathInputs, master_seed, stream_indice
 
 
 def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
-                  stream_indices: Sequence[int], jump_timing: str,
-                  keep: Optional[int] = None, per_row: bool = False, starts=None):
-    """Draw the inputs of the given trajectory streams and step them, for
-    every command, in one draw: returns the :func:`integrate_batch` record
-    and the :class:`PathInputs` stepped.  With ``per_row``, a model with
-    ``row_jumps`` steps its one stream on every row; a path per stream is the
-    only way to step any other model.  Given ``starts``, a row block per
-    start steps every stream from it, on the inputs tiled once per start."""
+                  stream_indices: Sequence[int], jump_timing: str, gather: Callable,
+                  keep: Optional[int] = None, per_row: bool = False, starts=None,
+                  coarse_steps: int = 0) -> Iterator:
+    """Draw and step the given trajectory streams, for every command, in
+    chunks of as many as :func:`_chunk_paths` allows, with ``coarse_steps``
+    of sums for ``gather`` to step: yields each chunk's ``gather(record,
+    inputs, chunk)``, in order, of its :func:`integrate_batch` record, which
+    keeps the rows of the ``keep`` leading streams (all by default), its
+    inputs and its stream indices.  ``per_row`` steps the one stream of a
+    model with ``row_jumps`` on every row, the only way to step such a model;
+    ``starts`` step every stream from each start, in a row block per start.
+    An abort names row b * len(stream_indices) + s, for stream s in block b."""
     if jump_timing not in JUMP_TIMINGS:
         raise ValueError(f"unknown jump_timing {jump_timing!r}")
     if per_row != (model.row_jumps is not None):
@@ -514,43 +495,51 @@ def _step_streams(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
                          "stepped by simulate_rows, which steps no other model")
     if not stream_indices:
         raise ValueError("n_paths must be >= 1")
-    inputs, x0 = sample_path_inputs(model, grid, master_seed, stream_indices), model.x0
-    if per_row:
-        inputs = inputs.tiled(len(model.row_jumps), model.row_jumps)
-    elif starts is not None:
-        inputs, x0 = inputs.tiled(len(starts)), np.repeat(starts, len(stream_indices), axis=0)
-    stream_indices = list(stream_indices) * (len(inputs) // len(stream_indices))  # one per row
-    substeps = (_exact_substeps(model, grid.times, inputs, master_seed, stream_indices)
-                if jump_timing == "exact" else None)
-    return integrate_batch(model, grid.times, inputs, x0, substeps, keep), inputs
+    size = _chunk_paths(_path_bytes(model, grid.horizon, grid.n_steps, jump_timing == "exact",
+                                    1 if starts is None else len(starts), coarse_steps))
+    for lo in range(0, len(stream_indices), size):
+        chunk = stream_indices[lo:lo + size]
+        inputs, x0 = sample_path_inputs(model, grid, master_seed, chunk), model.x0
+        if per_row:
+            inputs = inputs.tiled(len(model.row_jumps), model.row_jumps)
+        elif starts is not None:
+            inputs, x0 = inputs.tiled(len(starts)), np.repeat(starts, len(chunk), axis=0)
+        substeps = (_exact_substeps(model, grid.times, inputs, master_seed,
+                                    list(chunk) * (len(inputs) // len(chunk)))  # one per row
+                    if jump_timing == "exact" else None)
+        try:
+            yield gather(integrate_batch(model, grid.times, inputs, x0, substeps,
+                                         None if keep is None else keep - lo), inputs, chunk)
+        except SimulationAbort as exc:
+            block, j = divmod(exc.row, len(chunk))
+            raise SimulationAbort(exc.step_index, exc.what, block * len(stream_indices) + chunk[j],
+                                  exc.time, exc.state) from None
+        del inputs, substeps  # before the next chunk is drawn
 
 
 def simulate_paths(model: ReflectedJumpSDE, grid: SimulationGrid,
                    master_seed: int, stream_indices: Sequence[int],
                    jump_timing: str = "end_of_step"):
-    """(states, phi_lower, phi_upper, inputs) of the streams; perfbench is its last reader."""
-    record, inputs = _step_streams(model, grid, master_seed, stream_indices, jump_timing)
+    """(states, phi_lower, phi_upper, inputs) of one chunk's streams; perfbench reads it."""
+    ((record, inputs),) = _step_streams(model, grid, master_seed, stream_indices, jump_timing,
+                                        lambda record, inputs, chunk: (record, inputs))
     return record.states, record.phi_lower, record.phi_upper, inputs
 
 
-def _bundles(grid, record: BatchRecord, inputs: PathInputs, master_seed, stream_indices):
-    """The bundles of the kept rows of ``record``, row j on stream
-    ``stream_indices[j]``; their arrays are views of the record's."""
-    return tuple(TrajectoryBundle(grid, record.states[:, j], record.phi_lower[:, j],
-                                  record.phi_upper[:, j], inputs[j], master_seed, stream_index)
-                 for j, stream_index in enumerate(stream_indices))
+def _bundles(grid, master_seed):
+    """A gather of the bundles of a record's kept rows, row j on ``chunk[j % len(chunk)]``."""
+    return lambda record, inputs, chunk: tuple(
+        TrajectoryBundle(grid, record.states[:, j], record.phi_lower[:, j],
+                         record.phi_upper[:, j], inputs[j], master_seed, chunk[j % len(chunk)])
+        for j in range(record.states.shape[1]))
 
 
 def simulate_trajectory(model: ReflectedJumpSDE, grid: SimulationGrid,
                         master_seed: int, stream_index: int = 0,
                         jump_timing: str = "end_of_step") -> TrajectoryBundle:
     """Full trajectory on the grid, deterministic in the seed triple."""
-    try:
-        record, inputs = _step_streams(model, grid, master_seed, [stream_index], jump_timing)
-    except SimulationAbort as exc:  # the batch's one row is the stream
-        raise SimulationAbort(exc.step_index, exc.what, stream_index, exc.time,
-                              exc.state) from None
-    return _bundles(grid, record, inputs, master_seed, [stream_index])[0]
+    return next(_step_streams(model, grid, master_seed, [stream_index], jump_timing,
+                              _bundles(grid, master_seed)))[0]
 
 
 def simulate_rows(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: int,
@@ -561,8 +550,8 @@ def simulate_rows(model: ReflectedJumpSDE, grid: SimulationGrid, master_seed: in
     input current, the flagged rows take its jumps, and, under exact timing,
     their Brownian-bridge draws; row j's bundle is then bitwise the
     :func:`simulate_trajectory` of row j's scenario."""
-    record, inputs = _step_streams(model, grid, master_seed, [0], jump_timing, per_row=True)
-    return _bundles(grid, record, inputs, master_seed, [0] * len(inputs))
+    return next(_step_streams(model, grid, master_seed, [0], jump_timing,
+                              _bundles(grid, master_seed), per_row=True))
 
 
 def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
@@ -573,9 +562,9 @@ def simulate_ensemble(model: ReflectedJumpSDE, grid: SimulationGrid,
     first ``retain`` bundles.  Only the retained paths' histories are held."""
     if retain < 0:  # n_paths < 1 is an empty stream list, which _step_streams rejects
         raise ValueError("retain must be >= 0")
-    keep = min(retain, n_paths)
-    record, inputs = _step_streams(model, grid, master_seed, range(n_paths), jump_timing, keep)
-    kept = _bundles(grid, record, inputs, master_seed, range(keep))
-    terminal = record.terminal
+    gather = _bundles(grid, master_seed)
+    kept, terminal = zip(*_step_streams(model, grid, master_seed, range(n_paths), jump_timing,
+                                        lambda r, *rest: (gather(r, *rest), r.terminal), retain))
+    terminal = np.concatenate(terminal)  # in stream order
     variance = terminal.var(axis=0, ddof=1) if n_paths > 1 else np.zeros(model.dimension)
-    return EnsembleResult(terminal.mean(axis=0), variance, kept)
+    return EnsembleResult(terminal.mean(axis=0), variance, tuple(b for part in kept for b in part))

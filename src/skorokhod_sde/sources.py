@@ -136,7 +136,8 @@ def stream_rngs(master_seed: int, stream_indices, components):
         halves = triples[rows].astype("<u8", copy=False).view("<u4").reshape(-1, 3, 2)
         entropy = [halves[:, i, k] for i in range(3) for k in range(1 + (key >> (2 - i) & 1))]
         words.reshape(-1, 4)[rows] = _state_words(np.array(entropy))
-    return (tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in row)
+    # a list, not a generator: tuple() resizes a generator's tuples into a free list
+    return (tuple([np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in row])
             for row in words)
 
 
@@ -383,7 +384,7 @@ def sample_path_inputs(model, grid, master_seed: int, stream_indices) -> PathInp
             sizes.append(s)
             counts.append(t.size)
         currents += rngs[d + len(specs):]
-    del block  # before the current is drawn: check_budget counts one of the two
+    del block  # before the current is drawn: one draw buffer at a time, not two
     u = sample_ou_paths(currents, ou, grid) if ou is not None else np.zeros((n + 1, m))
     # index of each jump's (path, coord) stream, path-major
     stream = np.repeat(np.arange(m * len(specs)), np.array(counts, dtype=np.intp))

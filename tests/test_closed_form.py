@@ -175,8 +175,9 @@ def test_reflected_drifted_brownian_motion_quartiles(mu):
         domain=ReflectionDomain.half_line(0.0, 1),
         x0=np.array([0.0]),
     )
-    record, _ = _step_streams(model, uniform_grid(dt, 1.0), 12, range(n), "end_of_step", keep=0)
-    terminal = record.terminal[:, 0]
+    terminal = np.concatenate(list(_step_streams(
+        model, uniform_grid(dt, 1.0), 12, range(n), "end_of_step",
+        lambda record, *_: record.terminal[:, 0], keep=0)))
     for p in (0.25, 0.5, 0.75):
         lo, hi = 0.0, abs(mu) + 10 * sigma  # bisect for Harrison's p-quantile
         for _ in range(60):

@@ -211,7 +211,7 @@ class TestSinglePassValidation:
         ("[grid]\ndt = 1e-7\n", 2),
         ("[engine]\nn_paths = 1000000000000\n", 2),
         ("[experiment]\nkind = stability\nn_paths = 10000000\n", 3),
-        ("[experiment]\nkind = converge\nn_paths = 100000\n", 3),
+        ("[experiment]\nkind = converge\nn_paths = 100000000\n", 3),
         ("[grid]\ndt = nan\n", 2),
         ("[grid]\nhorizon = inf\n", 2),
         ("[grid]\ndt = 0.3\n", 2),
@@ -252,10 +252,14 @@ class TestSinglePassValidation:
 
     def test_stability_budget_counts_the_dyadic_grid(self):
         # stability steps the [grid] on its own horizon: 2**20 steps here,
-        # where dt = 0.1 would give 200
+        # where dt = 0.1 would give 200; one stream's 17 rows, the reference
+        # and 16 offsets, do not fit on them
+        offsets = ",".join(str(n / 100) for n in range(1, 17))
+        assert parse_config(f"[experiment]\nkind = stability\noffsets = {offsets}\n")
         with pytest.raises(ConfigError, match="stability needs .* memory budget") as exc:
-            parse_config("[experiment]\nkind = stability\n[grid]\nlevel = 20\n")
-        assert [issue.line for issue in exc.value.issues] == [4]
+            parse_config(f"[experiment]\nkind = stability\noffsets = {offsets}\n"
+                         "[grid]\nlevel = 20\n")
+        assert [issue.line for issue in exc.value.issues] == [5]
 
     def test_jump_events_count_against_the_budget(self):
         # 2 coordinates x 5e4 jumps per unit time x T = 100 is 1e7 expected
